@@ -32,6 +32,7 @@ from .engine import (
     MAKER,
     UNOWNED,
     BoxLabels,
+    HiddenInformationError,
     Item,
     Outcome,
     ProtocolViolation,
@@ -287,14 +288,16 @@ class BoxView:
     def max_uncovered_btb(self) -> int:
         return self._rt.state.max_uncovered
 
+    def _check(self, pos: int) -> None:
+        if not 1 <= pos <= self._rt.frontier:
+            raise HiddenInformationError(f"position {pos} not revealed yet")
+
     def box_of(self, pos: int) -> int:
-        if pos > self._rt.frontier:
-            raise RuntimeError(f"position {pos} not revealed yet")
+        self._check(pos)
         return int(self._rt.boxes[pos - 1])
 
     def owner_of(self, pos: int) -> int:
-        if pos > self._rt.frontier:
-            raise RuntimeError(f"position {pos} not revealed yet")
+        self._check(pos)
         return int(self._rt.owner[pos - 1])
 
 

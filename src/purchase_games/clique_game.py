@@ -304,6 +304,8 @@ class TriangleMaker(Strategy):
         self._leaf_mask = np.zeros(self.n, dtype=bool)
         self._failed = False
         self._market: Optional[Market] = None
+        self._u = None
+        self._v = None
         self._cands: Optional[np.ndarray] = None
         self._ci = 0
 
@@ -315,11 +317,12 @@ class TriangleMaker(Strategy):
 
     def prepare(self, market: Market) -> None:
         self._market = market
+        self._u, self._v = market.edge_endpoints()
 
     def begin(self, view: View) -> None:
-        keep = self._market
+        keep_market, keep_u, keep_v = self._market, self._u, self._v
         self._reset()
-        self._market = keep
+        self._market, self._u, self._v = keep_market, keep_u, keep_v
 
     def _sync(self, pos: int) -> None:
         if self._stage == 1 and pos > self.half:
@@ -352,16 +355,15 @@ class TriangleMaker(Strategy):
     def _ensure_candidates(self) -> None:
         if self._cands is not None or self._market is None:
             return
-        u_arr, v_arr = self._market.edge_endpoints()
         costs = self._market.costs
         if self._stage == 1:
             lo, hi = 0, self.half
-            seg_u, seg_v = u_arr[lo:hi], v_arr[lo:hi]
+            seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
             mask = ((seg_u == self.root) | (seg_v == self.root))
             mask &= costs[lo:hi] <= self.star_threshold
         else:
             lo, hi = self.half, self.edge_count
-            seg_u, seg_v = u_arr[lo:hi], v_arr[lo:hi]
+            seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
             mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
             if self.close_threshold < 1.0:
                 mask &= costs[lo:hi] <= self.close_threshold

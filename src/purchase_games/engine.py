@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -98,16 +99,52 @@ def mix_seed(master: int, index: int) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Deferred:
+    """A frozen-dataclass field whose value may be computed on first read.
+
+    A value passed to the constructor lands in the instance dict, which
+    shadows this non-data descriptor, so ordinary construction costs nothing
+    extra.  ``_deferred`` instead stores a zero-argument callable under
+    ``_<name>``; the first read calls it and keeps the result.  Equality,
+    hashing and repr read the field, so they cannot tell the two apart.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.pending = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            raise AttributeError(self.name)  # the field has no default
+        d = obj.__dict__
+        value = d[self.name] = d[self.pending]()
+        del d[self.pending]
+        return value
+
+
+def _deferred(cls, pending: dict, **values):
+    """An instance of the frozen dataclass ``cls`` with the given field
+    values, except that each field in ``pending`` (name -> zero-argument
+    callable) is computed when it is first read."""
+    obj = object.__new__(cls)
+    d = obj.__dict__
+    d.update(values)
+    for name, thunk in pending.items():
+        d["_" + name] = thunk
+    return obj
+
+
 @dataclass(frozen=True)
 class Item:
     """One stream entry as visible at a moment in time.
 
     position is 1-based.  cost is in [0, 1].  owner is UNOWNED / MAKER /
     BREAKER.  revealed is True once either pointer has passed the item.
+    Items made by the engine look their label up when it is first read.
     """
 
     position: int
-    label: object
+    label: object = _Deferred()
     cost: float
     owner: int
     revealed: bool
@@ -190,14 +227,20 @@ class Market:
     """An immutable priced stream: n positions, each holding one label and one cost.
 
     ``perm[i]`` is the universe rank of the label at position i+1; it is
-    materialized lazily from its own child seed so that games which never read
-    labels (plain item games) skip the permutation cost.  Costs are eager.
+    materialized lazily from its own child seed, on the first read of a
+    label.  Costs are eager.  The game driver reads no label on its own:
+    ``Item.label``, ``View.label`` and ``View.my_labels``, the Outcome's
+    ``maker_items``/``breaker_items`` and goals that look at labels are what
+    look them up.  So a plain item game, whose strategies and goal see only
+    positions, costs and owners, never builds the permutation.
     """
 
     __slots__ = ("n", "costs", "universe", "seed", "_perm", "_perm_seed", "_inverse")
 
     def __init__(self, n: int, costs: np.ndarray, universe, seed: Optional[int],
                  perm: Optional[np.ndarray] = None, perm_seed: Optional[int] = None):
+        if perm is None and perm_seed is None:
+            raise ValueError("a market needs its permutation or the seed to build it from")
         self.n = n
         self.costs = costs
         self.universe = universe
@@ -213,8 +256,7 @@ class Market:
     @property
     def perm(self) -> np.ndarray:
         if self._perm is None:
-            rng = np.random.Generator(np.random.PCG64(self._perm_seed))
-            self._perm = rng.permutation(self.n)
+            self._perm = _permutation(self.n, self._perm_seed)
         return self._perm
 
     @property
@@ -248,6 +290,17 @@ class Market:
     def box_of_positions(self) -> np.ndarray:
         """Per-position box ids for box-label markets."""
         return (self.perm // self.universe.balls_per_box).astype(np.int64)
+
+
+def _permutation(n: int, seed: int) -> np.ndarray:
+    return np.random.Generator(np.random.PCG64(seed)).permutation(n)
+
+
+def _labels_at(universe, n: int, perm_seed: int, positions: tuple) -> tuple:
+    """Labels at ``positions`` of a market whose permutation was never built,
+    from the permutation's seed alone."""
+    perm = _permutation(n, perm_seed)
+    return tuple(universe.label_of_rank(int(perm[p - 1])) for p in positions)
 
 
 def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Market:
@@ -318,7 +371,11 @@ class Goal:
     One instance serves one game: ``start`` is called when the game begins and
     ``on_maker_take`` after every Maker purchase, returning True once the goal
     is met.  Implementations may keep state; they see only Maker's own labels.
+    A goal that never looks at labels sets ``_reads_labels = False`` and is
+    passed None instead, so the market's permutation is not built for it.
     """
+
+    _reads_labels = True
 
     def start(self, market: Market) -> None:
         pass
@@ -329,6 +386,8 @@ class Goal:
 
 class OwnAnyItem(Goal):
     """Goal for the plain item game: own at least one item."""
+
+    _reads_labels = False
 
     def on_maker_take(self, label) -> bool:
         return True
@@ -360,13 +419,13 @@ class GameState:
     Pointers count items passed (0 = before the first item).  ``revealed_upto``
     is the reveal frontier: exactly the items at positions <= revealed_upto are
     revealed, because reveals happen in stream order as pointers advance.
+    Purchases are kept as positions; their labels are looked up on read.
     """
 
     __slots__ = (
         "market", "rules", "owner", "maker_ptr", "breaker_ptr", "revealed_upto",
-        "maker_positions", "breaker_positions", "maker_labels", "breaker_labels",
-        "turn", "turns_used", "goal_met", "goal_position", "_goal", "ends",
-        "seed_record", "trace", "on_maker_pass",
+        "maker_positions", "breaker_positions", "turns_used", "goal_met",
+        "goal_position", "_goal", "ends", "seed_record", "trace",
     )
 
     def __init__(self, market: Market, rules: GameRules, seed_record=None,
@@ -380,9 +439,6 @@ class GameState:
         self.revealed_upto = 0
         self.maker_positions: list[int] = []
         self.breaker_positions: list[int] = []
-        self.maker_labels: list = []
-        self.breaker_labels: list = []
-        self.turn = BREAKER if rules.protocol == "purchase" else MAKER
         self.turns_used = 0
         self.goal_met = False
         self.goal_position: Optional[int] = None
@@ -391,11 +447,18 @@ class GameState:
         self.ends = phase_ends(n, rules.phase_count)
         self.seed_record = seed_record
         self.trace = [] if record_trace else None
-        self.on_maker_pass = None  # hook(position) used by the box driver
 
     @property
     def n(self) -> int:
         return self.market.n
+
+    @property
+    def maker_labels(self) -> list:
+        return [self.market.label(p) for p in self.maker_positions]
+
+    @property
+    def breaker_labels(self) -> list:
+        return [self.market.label(p) for p in self.breaker_positions]
 
     @property
     def maker_cost_paid(self) -> float:
@@ -407,12 +470,13 @@ class GameState:
         return self.maker_ptr if player == MAKER else self.breaker_ptr
 
     def item(self, position: int) -> Item:
-        return Item(
-            position,
-            self.market.label(position),
-            float(self.market.costs[position - 1]),
-            int(self.owner[position - 1]),
-            position <= self.revealed_upto,
+        market = self.market
+        return _deferred(
+            Item, {"label": partial(market.label, position)},
+            position=position,
+            cost=float(market.costs[position - 1]),
+            owner=int(self.owner[position - 1]),
+            revealed=position <= self.revealed_upto,
         )
 
     def maker_finished_through(self) -> int:
@@ -435,8 +499,6 @@ class GameState:
         if to > self.revealed_upto:
             self.revealed_upto = to
         if player == MAKER:
-            if self.on_maker_pass is not None and to > ptr:
-                self.on_maker_pass(ptr + 1, to)
             self.maker_ptr = to
         else:
             self.breaker_ptr = to
@@ -449,16 +511,15 @@ class GameState:
                 f"{_OWNER_NAMES[int(self.owner[idx])]}"
             )
         self.owner[idx] = player
-        label = self.market.label(position)
         if player == MAKER:
             self.maker_positions.append(position)
-            self.maker_labels.append(label)
-            if not self.goal_met and self._goal.on_maker_take(label):
+            goal = self._goal
+            if not self.goal_met and goal.on_maker_take(
+                    self.market.label(position) if goal._reads_labels else None):
                 self.goal_met = True
                 self.goal_position = position
         else:
             self.breaker_positions.append(position)
-            self.breaker_labels.append(label)
         if self.trace is not None:
             self.trace.append(("take", player, position))
 
@@ -808,12 +869,14 @@ class Outcome:
     costs.  M is the position of the goal-completing purchase, when the goal
     was met.  B lists the positions Breaker took.  failure_phase carries the
     acting Maker strategy's self-reported failing stage, when it gave up.
+    maker_items and breaker_items are the labels bought; ``play`` leaves them
+    to be looked up on first read when the game never built the permutation.
     """
 
     success: bool
     maker_cost: float
-    maker_items: tuple
-    breaker_items: tuple
+    maker_items: tuple = _Deferred()
+    breaker_items: tuple = _Deferred()
     maker_positions: tuple
     breaker_positions: tuple
     M: Optional[int]
@@ -830,13 +893,24 @@ class Outcome:
 
 def _outcome_from_state(state: GameState, maker: Strategy,
                         details: Optional[dict] = None) -> Outcome:
-    return Outcome(
+    market = state.market
+    maker_positions = tuple(state.maker_positions)
+    breaker_positions = tuple(state.breaker_positions)
+    pending, labels = {}, {}
+    if market._perm is None:
+        # Defer, keeping only what the labels derive from (not the costs).
+        lookup = partial(_labels_at, market.universe, market.n, market._perm_seed)
+        pending["maker_items"] = partial(lookup, maker_positions)
+        pending["breaker_items"] = partial(lookup, breaker_positions)
+    else:
+        labels["maker_items"] = tuple(state.maker_labels)
+        labels["breaker_items"] = tuple(state.breaker_labels)
+    return _deferred(
+        Outcome, pending, **labels,
         success=state.goal_met,
         maker_cost=state.maker_cost_paid,
-        maker_items=tuple(state.maker_labels),
-        breaker_items=tuple(state.breaker_labels),
-        maker_positions=tuple(state.maker_positions),
-        breaker_positions=tuple(state.breaker_positions),
+        maker_positions=maker_positions,
+        breaker_positions=breaker_positions,
         M=state.goal_position,
         turns_used=state.turns_used,
         n=state.n,
@@ -873,7 +947,6 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
         # Breaker's turn.
         blocked = False
         if rules.b > 0 and state.breaker_ptr < n:
-            state.turn = BREAKER
             stop = state.breaker_stop()
             ctx = TurnContext(state, BREAKER, breaker_view, rules.b, stop)
             if state.trace is not None:
@@ -886,7 +959,6 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
                 state.trace.append(("end", BREAKER, state.breaker_ptr, ctx.takes, blocked))
 
         # Maker's turn.
-        state.turn = MAKER
         if blocked:
             boundary = state.breaker_stop()
             ctx = TurnContext(state, MAKER, maker_view, None, boundary)

@@ -6,10 +6,16 @@ seeds derived from the master seed by a fixed 64-bit mix, optionally fanned
 out across processes.  Aggregation is exact and order-independent: per-trial
 results are gathered in trial-index order and reduced with correctly rounded
 summation, so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
+
+Everything about a config that is the same in each trial (threshold
+schedules, the stopping DP, the phase and game plans, the rules) is built
+once per ``run_trials`` call in each process; a trial only makes fresh
+strategies and its market.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -28,6 +34,7 @@ from .engine import (
     NeverTake,
     OwnAnyItem,
     RandomStrategy,
+    ScheduleStrategy,
     generate_market,
     mix_seed,
     play,
@@ -81,10 +88,6 @@ class TrialConfig:
 # --------------------------------------------------------------------------
 
 
-def _item_stream_length(cfg: TrialConfig) -> int:
-    return cfg.n
-
-
 def _edge_stream_length(cfg: TrialConfig) -> int:
     return cfg.n * (cfg.n - 1) // 2
 
@@ -93,76 +96,96 @@ def _clique_k(cfg: TrialConfig) -> int:
     return cfg.k if cfg.k is not None else 3
 
 
+def _path_plan(cfg: TrialConfig) -> path_game.PathPlan:
+    return path_game.path_plan(cfg.n, cfg.b, k_override=cfg.k,
+                               threshold_scale=cfg.override_scale)
+
+
+def _fresh(make, *args):
+    """A per-trial factory that ignores the trial's seed: ``make(*args)``."""
+    return lambda seed: make(*args)
+
+
+_random = functools.partial(RandomStrategy, 0.5)  # per-trial factory: seed -> strategy
+
+
+def _triangle_maker(cfg: TrialConfig):
+    clique_game.triangle_maker_unrestricted(cfg.n, cfg.b)  # its regime warning, once
+    return _fresh(clique_game.TriangleMaker, cfg.n, cfg.b)
+
+
 def maker_catalog(game: str) -> dict:
+    """Maker entries of ``game`` by name.  An entry does a config's fixed
+    work once, ``entry(cfg)``, and returns the per-trial factory
+    ``seed -> fresh strategy``."""
     if game == "item":
         return {
-            "single_threshold": lambda cfg, seed: item_game.single_threshold_maker(cfg.n).strategy(),
-            "phased": lambda cfg, seed: item_game.PhasedMaker(item_game.phased_maker_plan(cfg.n, cfg.b)),
-            "dp": lambda cfg, seed: item_b0_dp(cfg.n).strategy(),
-            "always": lambda cfg, seed: AlwaysTake(),
-            "random": lambda cfg, seed: RandomStrategy(0.5, seed),
+            "single_threshold": lambda cfg: _fresh(
+                item_game.single_threshold_maker(cfg.n).strategy),
+            "phased": lambda cfg: _fresh(item_game.PhasedMaker,
+                                         item_game.phased_maker_plan(cfg.n, cfg.b)),
+            "dp": lambda cfg: _fresh(ScheduleStrategy, item_b0_dp(cfg.n).thresholds),
+            "always": lambda cfg: _fresh(AlwaysTake),
+            "random": lambda cfg: _random,
         }
     if game == "clique":
         return {
-            "triangle": lambda cfg, seed: clique_game.triangle_maker_unrestricted(cfg.n, cfg.b),
-            "kclique": lambda cfg, seed: clique_game.kclique_maker(
-                clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg))),
+            "triangle": _triangle_maker,
+            "kclique": lambda cfg: _fresh(clique_game.kclique_maker,
+                                          clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg))),
         }
     if game == "path":
         return {
-            "path": lambda cfg, seed: path_game.path_maker(
-                path_game.path_plan(cfg.n, cfg.b, k_override=cfg.k,
-                                    threshold_scale=cfg.override_scale)),
+            "path": lambda cfg: _fresh(path_game.path_maker, _path_plan(cfg)),
         }
     if game == "box":
         return {
-            "minbox": lambda cfg, seed: box_game.MinboxMaker(),
-            "random": lambda cfg, seed: RandomStrategy(0.5, seed),
+            "minbox": lambda cfg: _fresh(box_game.MinboxMaker),
+            "random": lambda cfg: _random,
         }
     raise ValueError(f"unknown game {game!r}")
 
 
 def breaker_catalog(game: str) -> dict:
+    """Breaker entries of ``game`` by name, shaped like maker_catalog's."""
     if game == "item":
         return {
-            "closed_form": lambda cfg, seed: item_game.breaker_closed_form(cfg.n).strategy(),
-            "best_response": lambda cfg, seed: item_game.breaker_best_response(
-                item_game.single_threshold_maker(cfg.n)).strategy(),
-            "cheap_grab": lambda cfg, seed: item_game.cheap_grab_breaker(cfg.n, max(1, cfg.b)),
-            "mimic": lambda cfg, seed: item_game.mimic_threshold_breaker(
-                item_game.single_threshold_maker(cfg.n)),
-            "never": lambda cfg, seed: NeverTake(),
-            "always": lambda cfg, seed: AlwaysTake(),
-            "random": lambda cfg, seed: RandomStrategy(0.5, seed),
+            "closed_form": lambda cfg: _fresh(item_game.breaker_closed_form(cfg.n).strategy),
+            "best_response": lambda cfg: _fresh(item_game.breaker_best_response(
+                item_game.single_threshold_maker(cfg.n)).strategy),
+            "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker, cfg.n, max(1, cfg.b)),
+            "mimic": lambda cfg: _fresh(item_game.mimic_threshold_breaker,
+                                        item_game.single_threshold_maker(cfg.n)),
+            "never": lambda cfg: _fresh(NeverTake),
+            "always": lambda cfg: _fresh(AlwaysTake),
+            "random": lambda cfg: _random,
         }
     if game == "clique":
         return {
-            "mimic": lambda cfg, seed: (
+            "mimic": lambda cfg: _fresh(ScheduleStrategy, (
                 clique_game.triangle_mimic_breaker(cfg.n, cfg.b)
                 if _clique_k(cfg) == 3 and cfg.phases <= 1
                 else clique_game.plan_mimic_breaker(
-                    clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg)))),
-            "cheap_grab": lambda cfg, seed: item_game.cheap_grab_breaker(
-                _edge_stream_length(cfg), max(1, cfg.b)),
-            "never": lambda cfg, seed: NeverTake(),
-            "random": lambda cfg, seed: RandomStrategy(0.5, seed),
+                    clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg)))).values),
+            "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker,
+                                             _edge_stream_length(cfg), max(1, cfg.b)),
+            "never": lambda cfg: _fresh(NeverTake),
+            "random": lambda cfg: _random,
         }
     if game == "path":
         return {
-            "mimic": lambda cfg, seed: path_game.path_mimic_breaker(
-                path_game.path_plan(cfg.n, cfg.b, k_override=cfg.k,
-                                    threshold_scale=cfg.override_scale)),
-            "cheap_grab": lambda cfg, seed: item_game.cheap_grab_breaker(
-                _edge_stream_length(cfg), max(1, cfg.b)),
-            "never": lambda cfg, seed: NeverTake(),
-            "random": lambda cfg, seed: RandomStrategy(0.5, seed),
+            "mimic": lambda cfg: _fresh(path_game.path_mimic_breaker, _path_plan(cfg)),
+            "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker,
+                                             _edge_stream_length(cfg), max(1, cfg.b)),
+            "never": lambda cfg: _fresh(NeverTake),
+            "random": lambda cfg: _random,
         }
     if game == "box":
         return {
-            "focus": lambda cfg, seed: box_game.FocusBreaker(),
-            "never": lambda cfg, seed: NeverTake(),
-            "always": lambda cfg, seed: AlwaysTake(),
-            "random": lambda cfg, seed: RandomStrategy(0.5, seed),
+            "focus": lambda cfg: _fresh(box_game.FocusBreaker),
+            "never": lambda cfg: _fresh(NeverTake),
+            "always": lambda cfg: _fresh(AlwaysTake),
+            "random": lambda cfg: _random,
         }
     raise ValueError(f"unknown game {game!r}")
 
@@ -179,6 +202,48 @@ def _resolve(cfg: TrialConfig):
     return makers[cfg.maker], breakers[cfg.breaker]
 
 
+def _game(cfg: TrialConfig):
+    """The config's rules and stream shape; returns the per-trial game
+    ``(seed, maker, breaker) -> Outcome``."""
+    if cfg.game == "item":
+        rules = GameRules(b=cfg.b, phase_count=cfg.phases, goal=OwnAnyItem)
+        return lambda seed, maker, breaker: play(
+            generate_market(cfg.n, seed), rules, maker, breaker, seed_record=seed)
+    if cfg.game == "clique":
+        k = _clique_k(cfg)
+        stream = _edge_stream_length(cfg)
+        phases = cfg.phases if cfg.maker == "triangle" else k
+        rules = GameRules(b=cfg.b, phase_count=phases,
+                          goal=functools.partial(clique_game.CliqueGoal, k))
+        return lambda seed, maker, breaker: play(
+            generate_market(stream, seed, EdgeLabels(cfg.n)), rules, maker, breaker,
+            seed_record=seed)
+    if cfg.game == "path":
+        plan = _path_plan(cfg)
+        rules = GameRules(b=cfg.b, phase_count=plan.phase_count,
+                          goal=functools.partial(path_game.PathGoal, 0, 1))
+        return lambda seed, maker, breaker: play(
+            generate_market(plan.edge_count, seed, EdgeLabels(cfg.n)), rules, maker, breaker,
+            seed_record=seed)
+    if cfg.game == "box":
+        if cfg.m is None:
+            raise ValueError("box game needs m (balls per box)")
+        box_cfg = box_game.BoxConfig(n=cfg.n, m=cfg.m, b=cfg.b,
+                                     ordering=cfg.ordering, eps=cfg.eps)
+        return lambda seed, maker, breaker: box_game.play_box(box_cfg, maker, breaker,
+                                                              seed=seed)
+    raise ValueError(f"unknown game {cfg.game!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _build(cfg: TrialConfig):
+    """The config's per-trial factories (maker, breaker, game), built once.
+    ``run_trials`` drops the build when it returns; edge labels and markets
+    are made per trial and never kept here."""
+    make_maker, make_breaker = _resolve(cfg)
+    return make_maker(cfg), make_breaker(cfg), _game(cfg)
+
+
 # --------------------------------------------------------------------------
 # Trial execution
 # --------------------------------------------------------------------------
@@ -187,38 +252,8 @@ def _resolve(cfg: TrialConfig):
 def run_one_trial(cfg: TrialConfig, index: int):
     """Run trial ``index``: returns (success, maker_cost, failure_tag)."""
     seed = mix_seed(cfg.master_seed, index)
-    make_maker, make_breaker = _resolve(cfg)
-    maker = make_maker(cfg, mix_seed(seed, 101))
-    breaker = make_breaker(cfg, mix_seed(seed, 102))
-
-    if cfg.game == "item":
-        market = generate_market(cfg.n, seed)
-        rules = GameRules(b=cfg.b, phase_count=cfg.phases, goal=OwnAnyItem)
-        out = play(market, rules, maker, breaker, seed_record=seed)
-    elif cfg.game == "clique":
-        k = _clique_k(cfg)
-        stream = _edge_stream_length(cfg)
-        market = generate_market(stream, seed, EdgeLabels(cfg.n))
-        phases = cfg.phases if cfg.maker == "triangle" else k
-        rules = GameRules(b=cfg.b, phase_count=phases,
-                          goal=lambda k=k: clique_game.CliqueGoal(k))
-        out = play(market, rules, maker, breaker, seed_record=seed)
-    elif cfg.game == "path":
-        plan = path_game.path_plan(cfg.n, cfg.b, k_override=cfg.k,
-                                   threshold_scale=cfg.override_scale)
-        market = generate_market(plan.edge_count, seed, EdgeLabels(cfg.n))
-        rules = GameRules(b=cfg.b, phase_count=plan.phase_count,
-                          goal=lambda: path_game.PathGoal(0, 1))
-        out = play(market, rules, maker, breaker, seed_record=seed)
-    elif cfg.game == "box":
-        if cfg.m is None:
-            raise ValueError("box game needs m (balls per box)")
-        box_cfg = box_game.BoxConfig(n=cfg.n, m=cfg.m, b=cfg.b,
-                                     ordering=cfg.ordering, eps=cfg.eps)
-        out = box_game.play_box(box_cfg, maker, breaker, seed=seed)
-    else:
-        raise ValueError(f"unknown game {cfg.game!r}")
-
+    new_maker, new_breaker, play_trial = _build(cfg)
+    out = play_trial(seed, new_maker(mix_seed(seed, 101)), new_breaker(mix_seed(seed, 102)))
     tag = None if out.success else str(out.failure_phase or "unmet")
     return out.success, out.maker_cost, tag
 
@@ -285,18 +320,21 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
         raise ValueError("trials must be >= 0")
     _resolve(config)  # fail fast on unknown strategy names
 
-    if trials == 0:
-        chunks = []
-    elif jobs <= 1:
-        chunks = [_run_chunk(config, 0, trials)]
-    else:
-        chunk_size = max(1, math.ceil(trials / (jobs * 4)))
-        spans = [(start, min(chunk_size, trials - start))
-                 for start in range(0, trials, chunk_size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_chunk, config, start, count)
-                       for start, count in spans]
-            chunks = [f.result() for f in futures]
+    try:
+        if trials == 0:
+            chunks = []
+        elif jobs <= 1:
+            chunks = [_run_chunk(config, 0, trials)]
+        else:
+            chunk_size = max(1, math.ceil(trials / (jobs * 4)))
+            spans = [(start, min(chunk_size, trials - start))
+                     for start in range(0, trials, chunk_size)]
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(_run_chunk, config, start, count)
+                           for start, count in spans]
+                chunks = [f.result() for f in futures]
+    finally:
+        _build.cache_clear()  # the config's build lives as long as this call
 
     if chunks:
         success = np.concatenate([c[0] for c in chunks])

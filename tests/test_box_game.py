@@ -20,7 +20,16 @@ from purchase_games.box_game import (
     play_box,
     save_scripted_ordering,
 )
-from purchase_games.engine import BREAKER, MAKER, UNOWNED, AlwaysTake, NeverTake, Strategy, mix_seed
+from purchase_games.engine import (
+    BREAKER,
+    MAKER,
+    UNOWNED,
+    AlwaysTake,
+    HiddenInformationError,
+    NeverTake,
+    Strategy,
+    mix_seed,
+)
 from purchase_games.oracle import box_minimax
 from purchase_games.verify import covers_all_boxes
 
@@ -248,3 +257,23 @@ def test_box_view_hides_unrevealed():
     probe = Probe()
     play_box(cfg, probe, NeverTake(), seed=1)
     assert probe.checked
+
+
+def test_box_view_raises_hidden_information_error():
+    """The box view refuses unrevealed positions with the same error class
+    as the engine's View, and position 0 is not an alias of the last ball."""
+    cfg = BoxConfig(n=2, m=2, b=1, ordering="scripted", sequence=(0, 1, 0, 1))
+    raised = []
+
+    class Probe(Strategy):
+        def decide(self, view, item):
+            if not raised:
+                for ask in (view.box_of, view.owner_of):
+                    for pos in (0, item.position + 1):
+                        with pytest.raises(HiddenInformationError) as exc:
+                            ask(pos)
+                        raised.append(exc.type)
+            return True
+
+    play_box(cfg, Probe(), NeverTake(), seed=1)
+    assert raised == [HiddenInformationError] * 4

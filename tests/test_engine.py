@@ -1,5 +1,6 @@
 """Engine tests: markets, the turn protocol, phase gates, views, traces."""
 
+import dataclasses
 import io
 import math
 
@@ -17,9 +18,13 @@ from purchase_games.engine import (
     GameRules,
     GameState,
     HiddenInformationError,
+    IndexLabels,
+    Market,
     NeverTake,
+    Outcome,
     ProtocolViolation,
     RandomStrategy,
+    SlowTurns,
     dump_market,
     generate_market,
     mix_seed,
@@ -29,6 +34,15 @@ from purchase_games.engine import (
     play,
     reveal,
 )
+from purchase_games.clique_game import CliqueGoal, triangle_maker_unrestricted
+from purchase_games.item_game import (
+    PhasedMaker,
+    breaker_closed_form,
+    cheap_grab_breaker,
+    phased_maker_plan,
+    single_threshold_maker,
+)
+from purchase_games.oracle import item_b0_dp
 
 
 # --------------------------------------------------------------------------
@@ -96,6 +110,12 @@ def test_market_mean_cost_lln():
 def test_market_rejects_empty():
     with pytest.raises(ValueError):
         generate_market(0, 1)
+
+
+def test_market_needs_a_permutation_or_its_seed():
+    # Without either, the permutation would be drawn from fresh entropy.
+    with pytest.raises(ValueError, match="permutation"):
+        Market(3, np.zeros(3), IndexLabels(3), seed=None)
 
 
 def test_market_labels_are_permutation():
@@ -329,3 +349,82 @@ def test_box_protocol_refused_by_purchase_driver():
     market = generate_market(4, 1)
     with pytest.raises(ValueError, match="play_box"):
         play(market, GameRules(b=1, protocol="box"), AlwaysTake(), NeverTake())
+
+
+# --------------------------------------------------------------------------
+# Labels are looked up only when read
+# --------------------------------------------------------------------------
+
+
+ITEM_PAIRS = {
+    "single_threshold/closed_form": (
+        1, lambda n, b: single_threshold_maker(n).strategy(),
+        lambda n, b: breaker_closed_form(n).strategy()),
+    "dp/never": (0, lambda n, b: item_b0_dp(n).strategy(), lambda n, b: NeverTake()),
+    "phased/cheap_grab": (
+        3, lambda n, b: PhasedMaker(phased_maker_plan(n, b)),
+        lambda n, b: cheap_grab_breaker(n, b)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(ITEM_PAIRS))
+def test_plain_item_game_never_builds_the_permutation(pair):
+    b, maker, breaker = ITEM_PAIRS[pair]
+    for seed in range(5):
+        market = generate_market(400, seed)
+        out = play(market, GameRules(b=b), maker(400, b), breaker(400, b))
+        assert out.success
+        assert market._perm is None
+
+
+def _with_fresh_fields(out: Outcome) -> Outcome:
+    """The same Outcome, built through the ordinary constructor."""
+    return Outcome(**{f.name: getattr(out, f.name) for f in dataclasses.fields(Outcome)})
+
+
+def test_item_game_outcome_labels_on_first_read():
+    market = generate_market(300, 8)
+    maker = PhasedMaker(phased_maker_plan(300, 2))
+    out = play(market, GameRules(b=2), maker, AlwaysTake(), seed_record=8)
+    assert len(out.breaker_positions) >= 2 and market._perm is None
+    fresh = generate_market(300, 8)
+    assert out.maker_items == tuple(fresh.label(p) for p in out.maker_positions)
+    assert out.breaker_items == tuple(fresh.label(p) for p in out.breaker_positions)
+
+    slow = play(generate_market(300, 8), GameRules(b=2),
+                SlowTurns(PhasedMaker(phased_maker_plan(300, 2))), AlwaysTake(), seed_record=8)
+    assert slow == out and repr(slow) == repr(out)
+    copy = _with_fresh_fields(out)
+    assert copy == out and repr(copy) == repr(out)
+
+
+def test_edge_game_outcome_labels_match_market():
+    n = 40
+    rules = GameRules(b=1, goal=lambda: CliqueGoal(3))
+
+    def game(maker):
+        market = generate_market(n * (n - 1) // 2, 5, EdgeLabels(n))
+        return market, play(market, rules, maker, NeverTake(), seed_record=5)
+
+    market, out = game(triangle_maker_unrestricted(n, 1))
+    assert len(out.maker_positions) > 2
+    assert out.maker_items == tuple(market.label(p) for p in out.maker_positions)
+    _, slow = game(SlowTurns(triangle_maker_unrestricted(n, 1)))
+    assert slow == out and repr(slow) == repr(out)
+    assert _with_fresh_fields(out) == out
+
+
+def test_item_and_view_labels_look_up_the_market():
+    market = generate_market(30, 2)
+    seen = []
+
+    class Watcher(AlwaysTake):
+        def decide(self, view, item) -> bool:
+            seen.append((item.position, item.label, view.my_positions(), view.my_labels()))
+            return super().decide(view, item)
+
+    play(market, GameRules(b=2), NeverTake(), Watcher())
+    assert any(my_labels for *_, my_labels in seen)
+    for position, label, mine, my_labels in seen:
+        assert label == market.label(position)
+        assert my_labels == tuple(market.label(p) for p in mine)

@@ -4,9 +4,11 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from purchase_games import harness
 from purchase_games.cli import cli_main
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
 from purchase_games.item_game import breaker_closed_form, single_threshold_maker
@@ -76,6 +78,34 @@ def test_all_game_types_run():
                                   maker="path", breaker="cheap_grab"))
     assert path.trials == 5
     assert "grow" not in path.failure_histogram or path.success_count < 5
+
+
+@pytest.mark.parametrize("maker, breaker, b", [
+    ("single_threshold", "closed_form", 1),
+    ("dp", "never", 0),
+    ("phased", "cheap_grab", 3),
+])
+def test_item_trials_never_build_the_permutation(monkeypatch, maker, breaker, b):
+    markets = []
+    real = harness.generate_market
+
+    def recording(*args, **kwargs):
+        markets.append(real(*args, **kwargs))
+        return markets[-1]
+
+    monkeypatch.setattr(harness, "generate_market", recording)
+    agg = run_trials(_cfg(n=400, b=b, trials=30, maker=maker, breaker=breaker), jobs=1)
+    assert agg.success_count == 30
+    assert len(markets) == 30
+    assert all(m._perm is None for m in markets)
+
+
+def test_phased_run_warns_once_per_call():
+    cfg = _cfg(n=200, b=2, trials=25, maker="phased", breaker="cheap_grab")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        run_trials(cfg, jobs=1)
+    assert len([w for w in caught if "cost guarantee degrades" in str(w.message)]) == 1
 
 
 # --------------------------------------------------------------------------

@@ -32,12 +32,13 @@ from .engine import (
     Goal,
     Item,
     Market,
+    PhaseBounds,
     ScheduleStrategy,
-    Strategy,
-    TurnContext,
+    StagedScanner,
     View,
     phase_ends,
 )
+from .item_game import phase_plan
 
 __all__ = [
     "alpha_k",
@@ -64,7 +65,7 @@ def alpha_k(k: int) -> float:
 
 
 @dataclass(frozen=True)
-class CliquePlan:
+class CliquePlan(PhaseBounds):
     """All constants of the k-phase k-clique strategy on K_n at quota b.
 
     star_thresholds[i-1] prices phase-i star edges at 10k(b+1) ell_i/ell_{i-1};
@@ -97,16 +98,6 @@ class CliquePlan:
     @property
     def phase_count(self) -> int:
         return self.k
-
-    def phase_start(self, j: int) -> int:
-        if j <= 1:
-            return 1
-        if j > self.k:
-            return self.edge_count + 1
-        return int(self.ends[j - 2]) + 1
-
-    def phase_end(self, j: int) -> int:
-        return int(self.ends[j - 1])
 
     def identity_residuals(self) -> tuple[float, float]:
         """Relative errors of ell_i^2/ell_{i-1} = r and r = ell^(-4/7)."""
@@ -266,18 +257,12 @@ def extract_matching(edges: Sequence[tuple]) -> list:
     return out
 
 
-def _jump_offer(ctx: TurnContext, position: int) -> Optional[Item]:
-    """Reject everything before ``position`` and offer the item there."""
-    ctx.skip_to(position - 1)
-    return ctx.offer_next()
-
-
 # --------------------------------------------------------------------------
 # Unrestricted triangle strategy
 # --------------------------------------------------------------------------
 
 
-class TriangleMaker(Strategy):
+class TriangleMaker(StagedScanner):
     """Two-stage triangle builder on the full edge stream (no phase gates).
 
     Stage 1 (first half of the stream): take every edge at the fixed root
@@ -302,39 +287,17 @@ class TriangleMaker(Strategy):
         self._stage = 1
         self._leaves: set = set()
         self._leaf_mask = np.zeros(self.n, dtype=bool)
-        self._failed = False
-        self._market: Optional[Market] = None
-        self._u = None
-        self._v = None
-        self._cands: Optional[np.ndarray] = None
-        self._ci = 0
+        self.failure_phase = None
 
-    @property
-    def failure_phase(self):
-        if self._failed:
-            return "star"
-        return None
-
-    def prepare(self, market: Market) -> None:
-        self._market = market
-        self._u, self._v = market.edge_endpoints()
-
-    def begin(self, view: View) -> None:
-        keep_market, keep_u, keep_v = self._market, self._u, self._v
-        self._reset()
-        self._market, self._u, self._v = keep_market, keep_u, keep_v
-
-    def _sync(self, pos: int) -> None:
+    def _sync(self, pos: int, view: View) -> None:
         if self._stage == 1 and pos > self.half:
             if len(self._leaves) < self.star_target:
-                self._failed = True
+                self.failure_phase = "star"
             self._stage = 2
-            self._cands = None
-            self._ci = 0
 
     def decide(self, view: View, item: Item) -> bool:
-        self._sync(item.position)
-        if self._failed:
+        self._sync(item.position, view)
+        if self.failure_phase:
             return False
         u, v = item.label
         if self._stage == 1:
@@ -352,57 +315,22 @@ class TriangleMaker(Strategy):
             return item.owner == UNOWNED
         return False
 
-    def _ensure_candidates(self) -> None:
-        if self._cands is not None or self._market is None:
-            return
-        costs = self._market.costs
-        if self._stage == 1:
-            lo, hi = 0, self.half
-            seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
-            mask = ((seg_u == self.root) | (seg_v == self.root))
-            mask &= costs[lo:hi] <= self.star_threshold
-        else:
-            lo, hi = self.half, self.edge_count
-            seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
-            mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
-            if self.close_threshold < 1.0:
-                mask &= costs[lo:hi] <= self.close_threshold
-        self._cands = np.flatnonzero(mask) + lo + 1  # 1-based positions
-        self._ci = 0
+    def _stage_bounds(self):
+        if self.failure_phase:
+            return None
+        return (0, self.half) if self._stage == 1 else (self.half, self.edge_count)
 
-    def play_turn(self, ctx: TurnContext) -> None:
-        if self._market is None:
-            Strategy.play_turn(self, ctx)
-            return
-        while not ctx.turn_over():
-            pos = ctx.next_position
-            self._sync(pos)
-            if self._failed:
-                ctx.skip_to(ctx.stop)
-                return
-            self._ensure_candidates()
-            cands = self._cands
-            ci = self._ci
-            while ci < len(cands) and cands[ci] < pos:
-                ci += 1
-            self._ci = ci
-            stage_end = self.half if self._stage == 1 else self.edge_count
-            if ci >= len(cands) or cands[ci] > stage_end:
-                target = min(stage_end, ctx.stop)
-                ctx.skip_to(target)
-                if target >= ctx.stop:
-                    return
-                continue
-            cand = int(cands[ci])
-            if cand > ctx.stop:
-                ctx.skip_to(ctx.stop)
-                return
-            self._ci = ci + 1
-            item = _jump_offer(ctx, cand)
-            if item is None:
-                return
-            if self.decide(ctx.view, item):
-                ctx.take(item)
+    def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
+        seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
+        if self._stage == 1:
+            mask = (seg_u == self.root) | (seg_v == self.root)
+            return self._masked(lo, hi, mask, self.star_threshold)
+        mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
+        return self._masked(lo, hi, mask, self.close_threshold)
+
+    # Bound in the class body, not only inherited, so each Maker class owns
+    # a play_turn that perfbench/tracer.py can wrap on its own.
+    play_turn = StagedScanner.play_turn
 
 
 def triangle_maker_unrestricted(n: int, b: int) -> TriangleMaker:
@@ -430,20 +358,17 @@ def triangle_mimic_breaker(n: int, b: int) -> ScheduleStrategy:
 
 @dataclass
 class CliqueProgress:
-    """Construction state: the star roots chosen so far, the nested leaf
-    sets (leaf_masks[i] is L_i over vertices; L_0 is everything), the
-    matching, and the extension edges with their registered closing edges."""
+    """Construction state: the star roots chosen so far, the matching, and
+    the extension edges with their registered closing edges."""
 
     roots: list = field(default_factory=list)
-    leaf_masks: list = field(default_factory=list)
     matching: list = field(default_factory=list)
     # (edge, closing_label, closing_pos, frontier at registration)
     extensions: list = field(default_factory=list)
     pending_closings: dict = field(default_factory=dict)  # position -> closing label
-    phase: int = 1
 
 
-class KCliqueMaker(Strategy):
+class KCliqueMaker(StagedScanner):
     """Maker for the k-phase restricted k-clique game, driven by a CliquePlan.
 
     Phases 1..k-3 build nested stars; phase k-2 collects cheap edges inside
@@ -462,12 +387,7 @@ class KCliqueMaker(Strategy):
         plan = self.plan
         self.progress = CliqueProgress()
         self._phase = 1
-        self._failed: Optional[str] = None
-        self._market: Optional[Market] = None
-        self._u = None
-        self._v = None
-        self._cands: Optional[np.ndarray] = None
-        self._ci = 0
+        self.failure_phase: Optional[str] = None
         self._root: Optional[int] = None
         self._leaf_mask = np.ones(plan.n, dtype=bool)  # L_0 = all vertices
         self._new_leaves: list = []
@@ -479,22 +399,7 @@ class KCliqueMaker(Strategy):
         self._sub_thresholds: Optional[np.ndarray] = None
         self._sub_ends: Optional[np.ndarray] = None
         self._sub_attempted = 0
-        self._revealed_mark = 0
-        self.progress.leaf_masks.append(self._leaf_mask.copy())
-        self._enter_phase(1)
-
-    @property
-    def failure_phase(self):
-        return self._failed
-
-    def prepare(self, market: Market) -> None:
-        self._market = market
-        self._u, self._v = market.edge_endpoints()
-
-    def begin(self, view: View) -> None:
-        keep_market, keep_u, keep_v = self._market, self._u, self._v
-        self._reset()
-        self._market, self._u, self._v = keep_market, keep_u, keep_v
+        self._enter_phase(1, 0)
 
     # -- phase bookkeeping --------------------------------------------------
 
@@ -508,11 +413,8 @@ class KCliqueMaker(Strategy):
             return "extension"
         return "closing"
 
-    def _enter_phase(self, phase: int) -> None:
-        self.progress.phase = phase
+    def _enter_phase(self, phase: int, revealed: int) -> None:
         kind = self._kind(phase)
-        self._cands = None
-        self._ci = 0
         if kind == "star":
             root = int(np.flatnonzero(self._leaf_mask)[0])
             self._root = root
@@ -521,26 +423,25 @@ class KCliqueMaker(Strategy):
         elif kind == "matching":
             self._collected = []
         elif kind == "closing":
-            self._prepare_closing()
+            self._prepare_closing(revealed)
 
     def _close_phase(self, phase: int) -> None:
-        if self._failed:
+        if self.failure_phase:
             return
         plan = self.plan
         kind = self._kind(phase)
         if kind == "star":
             j = phase
             if len(self._new_leaves) < int(plan.star_targets[j - 1]):
-                self._failed = f"star-{j}"
+                self.failure_phase = f"star-{j}"
                 return
             mask = np.zeros(plan.n, dtype=bool)
             mask[self._new_leaves] = True
             self._leaf_mask = mask
-            self.progress.leaf_masks.append(mask.copy())
         elif kind == "matching":
             matching = extract_matching(self._collected)
             if len(matching) < plan.target_matching:
-                self._failed = "matching"
+                self.failure_phase = "matching"
                 return
             matching = matching[: plan.target_matching]
             self.progress.matching = matching
@@ -551,45 +452,34 @@ class KCliqueMaker(Strategy):
                 self._partner[c] = a
         elif kind == "extension":
             if self._ext_count < plan.target_closing:
-                self._failed = "extension"
+                self.failure_phase = "extension"
 
-    def _sync(self, pos: int, view: Optional[View]) -> None:
+    def _sync(self, pos: int, view: View) -> None:
         plan = self.plan
         while self._phase <= plan.k and pos > plan.phase_end(self._phase):
             self._close_phase(self._phase)
             self._phase += 1
-            if self._failed:
+            if self.failure_phase:
                 return
             if self._phase <= plan.k:
-                self._enter_phase(self._phase)
+                self._enter_phase(self._phase, view.revealed_upto)
 
-    def _prepare_closing(self) -> None:
+    def _prepare_closing(self, revealed: int) -> None:
         plan = self.plan
         start = plan.phase_start(plan.k)
         # Candidates must still be unrevealed and inside phase k.
         live = sorted(p for p in self.progress.pending_closings
-                      if p >= start and p > self._revealed_mark)
+                      if p >= start and p > revealed)
         if not live:
-            self._failed = "closing"
+            self.failure_phase = "closing"
             return
         self._live_closings = np.asarray(live, dtype=np.int64)
         n_cand = len(live)
         b = plan.b
         if n_cand >= b + 1 and b >= 1:
-            alpha = 10.0 + 10.0 * math.ceil(math.log(b))
-            bign = n_cand / (b + 1)
-            ends = phase_ends(n_cand, b + 1)
-            thresholds = np.empty(n_cand)
-            s = 1
-            for e in ends.tolist():
-                length = e - s + 1
-                idx = np.arange(1, length + 1)
-                t = np.clip(alpha / (bign + alpha - idx), 0.0, 1.0)
-                t[-1] = 1.0
-                thresholds[s - 1 : e] = t
-                s = e + 1
-            self._sub_ends = ends
-            self._sub_thresholds = thresholds
+            curve = phase_plan(n_cand, b)
+            self._sub_ends = curve.ends
+            self._sub_thresholds = curve.position_thresholds
         else:
             self._sub_ends = np.array([n_cand], dtype=np.int64)
             self._sub_thresholds = np.ones(n_cand)
@@ -598,9 +488,8 @@ class KCliqueMaker(Strategy):
     # -- decisions ------------------------------------------------------------
 
     def decide(self, view: View, item: Item) -> bool:
-        self._revealed_mark = view.revealed_upto
         self._sync(item.position, view)
-        if self._failed or self._phase > self.plan.k:
+        if self.failure_phase or self._phase > self.plan.k:
             return False
         plan = self.plan
         kind = self._kind(self._phase)
@@ -674,21 +563,19 @@ class KCliqueMaker(Strategy):
 
     # -- fast scanning ----------------------------------------------------------
 
-    def _ensure_candidates(self) -> None:
-        if self._cands is not None or self._failed or self._market is None:
-            return
+    def _stage_bounds(self):
+        plan = self.plan
+        if self.failure_phase or self._phase > plan.k:
+            return None
+        return plan.phase_start(self._phase) - 1, plan.phase_end(self._phase)
+
+    def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         plan = self.plan
         kind = self._kind(self._phase)
-        lo = plan.phase_start(self._phase) - 1
-        hi = plan.phase_end(self._phase)
         if kind == "closing":
-            self._cands = self._live_closings if self._live_closings is not None else np.array(
-                [], dtype=np.int64)
-            self._ci = 0
-            return
+            return self._live_closings
         seg_u = self._u[lo:hi]
         seg_v = self._v[lo:hi]
-        costs = self._market.costs[lo:hi]
         if kind == "star":
             thr = plan.star_thresholds[self._phase - 1]
             root = self._root
@@ -701,46 +588,10 @@ class KCliqueMaker(Strategy):
             thr = plan.extend_threshold
             mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
             mask &= self._matched_mask[seg_u] | self._matched_mask[seg_v]
-        if thr < 1.0:
-            mask &= costs <= thr
-        self._cands = np.flatnonzero(mask) + lo + 1
-        self._ci = 0
+        return self._masked(lo, hi, mask, thr)
 
-    def play_turn(self, ctx: TurnContext) -> None:
-        if self._market is None:
-            Strategy.play_turn(self, ctx)
-            return
-        plan = self.plan
-        while not ctx.turn_over():
-            pos = ctx.next_position
-            self._revealed_mark = ctx.view.revealed_upto
-            self._sync(pos, ctx.view)
-            if self._failed or self._phase > plan.k:
-                ctx.skip_to(ctx.stop)
-                return
-            self._ensure_candidates()
-            cands = self._cands
-            ci = self._ci
-            while ci < len(cands) and cands[ci] < pos:
-                ci += 1
-            self._ci = ci
-            phase_end = plan.phase_end(self._phase)
-            if ci >= len(cands) or cands[ci] > phase_end:
-                if phase_end >= ctx.stop:
-                    ctx.skip_to(ctx.stop)
-                    return
-                ctx.skip_to(phase_end)
-                continue
-            cand = int(cands[ci])
-            if cand > ctx.stop:
-                ctx.skip_to(ctx.stop)
-                return
-            self._ci = ci + 1
-            item = _jump_offer(ctx, cand)
-            if item is None:
-                return
-            if self.decide(ctx.view, item):
-                ctx.take(item)
+    # Bound in the class body for the same reason as TriangleMaker's.
+    play_turn = StagedScanner.play_turn
 
 
 def kclique_maker(plan: CliquePlan) -> KCliqueMaker:

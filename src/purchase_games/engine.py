@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "dump_market",
     "phase_ends",
     "phase_of_position",
+    "PhaseBounds",
     "GameRules",
     "Goal",
     "OwnAnyItem",
@@ -58,6 +59,7 @@ __all__ = [
     "NeverTake",
     "RandomStrategy",
     "SlowTurns",
+    "StagedScanner",
     "Outcome",
     "play",
 ]
@@ -156,9 +158,6 @@ class IndexLabels:
     def __init__(self, n: int):
         self.size = n
 
-    def describe(self) -> str:
-        return f"items 1..{self.size}"
-
     def label_of_rank(self, rank: int) -> int:
         return rank + 1
 
@@ -186,9 +185,6 @@ class EdgeLabels:
         degs = np.arange(vertices - 1, 0, -1, dtype=np.int64)
         self._row_offset = np.concatenate(([0], np.cumsum(degs)))
 
-    def describe(self) -> str:
-        return f"edges of the complete graph on {self.vertices} vertices"
-
     def label_of_rank(self, rank: int):
         return (int(self.rank_u[rank]), int(self.rank_v[rank]))
 
@@ -212,9 +208,6 @@ class BoxLabels:
         self.boxes = boxes
         self.balls_per_box = balls_per_box
         self.size = boxes * balls_per_box
-
-    def describe(self) -> str:
-        return f"{self.boxes} boxes of {self.balls_per_box} balls"
 
     def label_of_rank(self, rank: int):
         return (rank // self.balls_per_box, rank % self.balls_per_box)
@@ -250,10 +243,6 @@ class Market:
         self._inverse = None
 
     @property
-    def label_universe(self) -> str:
-        return self.universe.describe()
-
-    @property
     def perm(self) -> np.ndarray:
         if self._perm is None:
             self._perm = _permutation(self.n, self._perm_seed)
@@ -273,14 +262,6 @@ class Market:
 
     def cost(self, position: int) -> float:
         return float(self.costs[position - 1])
-
-    def item(self, position: int) -> Item:
-        """The item as it looks in a fresh market: unowned, unrevealed."""
-        return Item(position, self.label(position), self.cost(position), UNOWNED, False)
-
-    @property
-    def items(self) -> Iterator[Item]:
-        return (self.item(p) for p in range(1, self.n + 1))
 
     def edge_endpoints(self):
         """Per-position endpoint arrays (u, v) for edge-label markets."""
@@ -365,6 +346,23 @@ def phase_of_position(position: int, ends: np.ndarray) -> int:
     return int(np.searchsorted(ends, position)) + 1
 
 
+class PhaseBounds:
+    """Bounds of the 1-based phases of a plan whose ``ends`` field lists the
+    last position of each phase."""
+
+    def phase_start(self, j: int) -> int:
+        """First position of phase j; one past the stream when j exceeds
+        the plan."""
+        if j <= 1:
+            return 1
+        if j > len(self.ends):
+            return int(self.ends[-1]) + 1
+        return int(self.ends[j - 2]) + 1
+
+    def phase_end(self, j: int) -> int:
+        return int(self.ends[j - 1])
+
+
 class Goal:
     """Incremental goal predicate over Maker's purchased labels.
 
@@ -396,12 +394,11 @@ class OwnAnyItem(Goal):
 @dataclass
 class GameRules:
     """Game parameters: Breaker's per-turn quota ``b``, the number of phases
-    (1 = unrestricted), the turn protocol, and a goal factory producing one
-    fresh Goal per game."""
+    (1 = unrestricted), and a goal factory producing one fresh Goal per
+    game."""
 
     b: int
     phase_count: int = 1
-    protocol: str = "purchase"
     goal: Callable[[], Goal] = OwnAnyItem
 
     def __post_init__(self):
@@ -409,8 +406,6 @@ class GameRules:
             raise ValueError("Breaker quota b must be >= 0")
         if self.phase_count < 1:
             raise ValueError("phase_count must be >= 1")
-        if self.protocol not in ("purchase", "box"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
 class GameState:
@@ -755,7 +750,8 @@ class Strategy:
     player's own pointer passes, owned ones included (so stateful strategies
     can observe pre-empted candidates); returning True for an owned item is a
     protocol violation.  ``play_turn`` may be overridden with a faster
-    equivalent using TurnContext.seek/skip_to; overrides must make exactly the
+    equivalent using TurnContext.seek/skip_to (``StagedScanner`` is the one
+    shared by the edge-game Makers); overrides must make exactly the
     decisions ``decide`` would make, and the test suite compares both paths.
     """
 
@@ -763,7 +759,8 @@ class Strategy:
 
     def prepare(self, market: Market) -> None:
         """Optional pre-game hook handing fast-path strategies the market so
-        they can index static candidate positions.  Prepared data may only
+        they can index static candidate positions (``StagedScanner`` takes
+        the edge endpoint arrays here).  Prepared data may only
         accelerate the scan (jumping between positions where ``decide`` could
         say yes) or answer revealed-information predicates in O(1); it must
         never change a decision relative to the plain per-item path."""
@@ -856,6 +853,77 @@ class SlowTurns(Strategy):
         return self.inner.decide(view, item)
 
 
+class StagedScanner(Strategy):
+    """Fast turn loop shared by Makers that play an edge stream in stages.
+
+    A stage is a stretch of the stream during which the Maker's candidate
+    set is fixed: on entering it, the Maker's state already determines
+    every position where ``decide`` could say yes.  The scanner builds that
+    sorted array once per stage, jumps the pointer from one candidate to the
+    next with ``skip_to``, and hands each candidate to ``decide``, so it
+    makes exactly the decisions of the per-item loop.  Without a prepared
+    market it falls back to that loop.
+
+    Subclasses provide ``_reset()`` (fresh per-game state),
+    ``_sync(pos, view)`` (stage bookkeeping up to position ``pos``),
+    ``_stage_bounds()`` and ``_stage_candidates(lo, hi)``.  ``_u`` and
+    ``_v`` hold the market's per-position edge endpoints.
+    """
+
+    _market: Optional[Market] = None
+    _scan: Optional[tuple] = None  # (stage bounds, candidates) last built
+
+    def prepare(self, market: Market) -> None:
+        self._market = market
+        self._u, self._v = market.edge_endpoints()
+
+    def begin(self, view: View) -> None:
+        self._reset()
+        self._scan = None
+
+    def _stage_bounds(self) -> Optional[tuple]:
+        """``(lo, hi)`` when the current stage spans positions lo+1..hi;
+        None once the strategy will take nothing more this game."""
+        raise NotImplementedError
+
+    def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
+        """The sorted positions in lo+1..hi where ``decide`` could say yes."""
+        raise NotImplementedError
+
+    def _masked(self, lo: int, hi: int, mask: np.ndarray, threshold: float) -> np.ndarray:
+        """Positions lo+1..hi where ``mask`` (over that slice) holds and the
+        cost is at most ``threshold``."""
+        if threshold < 1.0:
+            mask &= self._market.costs[lo:hi] <= threshold
+        return np.flatnonzero(mask) + lo + 1
+
+    def play_turn(self, ctx: TurnContext) -> None:
+        if self._market is None:
+            Strategy.play_turn(self, ctx)
+            return
+        while not ctx.turn_over():
+            pos = ctx.next_position
+            self._sync(pos, ctx.view)
+            bounds = self._stage_bounds()
+            if bounds is None:
+                ctx.skip_to(ctx.stop)
+                return
+            if self._scan is None or self._scan[0] != bounds:
+                self._scan = (bounds, self._stage_candidates(*bounds))
+            (_, end), cands = self._scan
+            i = int(np.searchsorted(cands, pos))
+            target = int(cands[i]) - 1 if i < len(cands) else end
+            if target >= ctx.stop:
+                ctx.skip_to(ctx.stop)
+                return
+            ctx.skip_to(target)
+            if i == len(cands):
+                continue  # the stage ends before the turn does
+            item = ctx.offer_next()
+            if self.decide(ctx.view, item):
+                ctx.take(item)
+
+
 # --------------------------------------------------------------------------
 # Outcomes and the purchase-protocol driver
 # --------------------------------------------------------------------------
@@ -932,8 +1000,6 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
     boundary.  The game ends when the goal is met or Maker exhausts the
     stream.  Strategy instances are stateful and must be fresh per game.
     """
-    if rules.protocol != "purchase":
-        raise ValueError("play() drives the purchase protocol; use play_box for box games")
     state = GameState(market, rules, seed_record=seed_record, record_trace=record_trace)
     maker_view = View(state, MAKER)
     breaker_view = View(state, BREAKER)

@@ -26,6 +26,7 @@ import numpy as np
 from .engine import (
     UNOWNED,
     Item,
+    PhaseBounds,
     ScheduleStrategy,
     Strategy,
     TurnContext,
@@ -36,6 +37,7 @@ from .engine import (
 __all__ = [
     "PhasePlan",
     "phased_maker_plan",
+    "phase_plan",
     "PhasedMaker",
     "ThresholdSchedule",
     "single_threshold_maker",
@@ -193,7 +195,7 @@ def mimic_threshold_breaker(values: Union[float, np.ndarray, ThresholdSchedule])
 
 
 @dataclass(frozen=True)
-class PhasePlan:
+class PhasePlan(PhaseBounds):
     """Parameters of the phased threshold strategy for quota b >= 1.
 
     The stream is split into b+1 contiguous phases of length floor or ceil of
@@ -214,14 +216,6 @@ class PhasePlan:
     @property
     def phase_count(self) -> int:
         return self.b + 1
-
-    def phase_start(self, j: int) -> int:
-        """First position of 1-based phase j; n+1 when j exceeds the plan."""
-        if j <= 1:
-            return 1
-        if j > len(self.ends):
-            return self.n + 1
-        return int(self.ends[j - 2]) + 1
 
     def phase_of(self, position: int) -> int:
         return int(np.searchsorted(self.ends, position)) + 1
@@ -248,6 +242,12 @@ def phased_maker_plan(n: int, b: int) -> PhasePlan:
             "the cost guarantee degrades in this regime",
             stacklevel=2,
         )
+    return phase_plan(n, b)
+
+
+def phase_plan(n: int, b: int) -> PhasePlan:
+    """The plan ``phased_maker_plan`` returns, without its checks or its
+    warning: the caller guarantees 1 <= b and b + 1 <= n."""
     alpha = 10.0 + 10.0 * math.ceil(math.log(b))
     bigN = n / (b + 1)
     ends = phase_ends(n, b + 1)

@@ -30,9 +30,9 @@ from .engine import (
     Goal,
     Item,
     Market,
+    PhaseBounds,
     ScheduleStrategy,
-    Strategy,
-    TurnContext,
+    StagedScanner,
     View,
     phase_ends,
 )
@@ -49,7 +49,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PathPlan:
+class PathPlan(PhaseBounds):
     """Constants of the two-tree path strategy; thresholds carry the override
     scale so every consumer sees the effective values."""
 
@@ -75,16 +75,6 @@ class PathPlan:
     @property
     def branching(self) -> float:
         return float(self.tree_targets[0])
-
-    def phase_start(self, j: int) -> int:
-        if j <= 1:
-            return 1
-        if j > self.phase_count:
-            return self.edge_count + 1
-        return int(self.ends[j - 2]) + 1
-
-    def phase_end(self, j: int) -> int:
-        return int(self.ends[j - 1])
 
     def connect_threshold(self, tree_size: int, tree2_size: int) -> float:
         return self.connect_numerator / (tree_size * tree2_size)
@@ -187,16 +177,15 @@ class PathGoal(Goal):
 
 @dataclass
 class TreeState:
-    """Parent maps of the two purchased trees and per-phase growth counts."""
+    """Parent maps of the two purchased trees."""
 
     root_t: int
     root_tp: int
     parent_t: dict = field(default_factory=dict)
     parent_tp: dict = field(default_factory=dict)
-    phase_new: list = field(default_factory=list)
 
 
-class PathMaker(Strategy):
+class PathMaker(StagedScanner):
     """Two-tree growth Maker; see the module docstring for the schedule."""
 
     def __init__(self, plan: PathPlan, u: int = 0, v: int = 1):
@@ -220,28 +209,10 @@ class PathMaker(Strategy):
         self._in_t[self.u] = True
         self._in_tp[self.v] = True
         self._phase = 1
-        self._failed: Optional[object] = None
+        self.failure_phase: Optional[int] = None
         self._prev_mask = self._in_t.copy()
         self._count = 0
         self._connect_thr: Optional[float] = None
-        self._market: Optional[Market] = None
-        self._u_arr = None
-        self._v_arr = None
-        self._cands: Optional[np.ndarray] = None
-        self._ci = 0
-
-    @property
-    def failure_phase(self):
-        return self._failed
-
-    def prepare(self, market: Market) -> None:
-        self._market = market
-        self._u_arr, self._v_arr = market.edge_endpoints()
-
-    def begin(self, view: View) -> None:
-        keep = (self._market, self._u_arr, self._v_arr)
-        self._reset()
-        self._market, self._u_arr, self._v_arr = keep
 
     # -- phase bookkeeping ----------------------------------------------------
 
@@ -257,8 +228,6 @@ class PathMaker(Strategy):
         return int(plan.int_targets[i - 1])
 
     def _enter_phase(self) -> None:
-        self._cands = None
-        self._ci = 0
         if not self._growing():
             t_size = int(self._in_t.sum())
             tp_size = int(self._in_tp.sum())
@@ -268,32 +237,27 @@ class PathMaker(Strategy):
         self._count = 0
 
     def _close_phase(self) -> None:
-        if self._failed is not None:
+        if self.failure_phase is not None:
             return
         if self._growing():
-            self.trees.phase_new.append(self._count)
             if self._count < self._target():
-                self._failed = self._phase
+                self.failure_phase = self._phase
 
-    def _sync(self, pos: int) -> None:
+    def _sync(self, pos: int, view: View) -> None:
         plan = self.plan
         while self._phase <= plan.phase_count and pos > plan.phase_end(self._phase):
             self._close_phase()
             self._phase += 1
-            if self._failed is not None:
+            if self.failure_phase is not None:
                 return
-            if self._phase <= plan.phase_count:
-                if self._phase <= 2 * plan.k or self._phase == 2 * plan.k + 1:
-                    self._enter_phase()
-                else:
-                    self._cands = None  # connect stage continues across phases
-                    self._ci = 0
+            if self._phase <= 2 * plan.k + 1:  # connect phases 2k+1..3k share one entry
+                self._enter_phase()
 
     # -- decisions --------------------------------------------------------------
 
     def decide(self, view: View, item: Item) -> bool:
-        self._sync(item.position)
-        if self._failed is not None or self._phase > self.plan.phase_count:
+        self._sync(item.position, view)
+        if self.failure_phase is not None or self._phase > self.plan.phase_count:
             return False
         a, b = item.label
         if self._growing():
@@ -328,63 +292,29 @@ class PathMaker(Strategy):
 
     # -- fast scanning ------------------------------------------------------------
 
-    def _ensure_candidates(self) -> None:
-        if self._cands is not None or self._market is None:
-            return
+    def _stage_bounds(self):
         plan = self.plan
-        lo = plan.phase_start(self._phase) - 1
+        if self.failure_phase is not None or self._phase > plan.phase_count:
+            return None
         hi = plan.phase_end(self._phase) if self._growing() else plan.edge_count
-        seg_u = self._u_arr[lo:hi]
-        seg_v = self._v_arr[lo:hi]
-        costs = self._market.costs[lo:hi]
+        return plan.phase_start(self._phase) - 1, hi
+
+    def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
+        seg_u = self._u[lo:hi]
+        seg_v = self._v[lo:hi]
         if self._growing():
             prev = self._prev_mask
             mask = prev[seg_u] ^ prev[seg_v]
-            thr = plan.growth_threshold
+            thr = self.plan.growth_threshold
         else:
             mask = (self._in_t[seg_u] & self._in_tp[seg_v]) | (
                 self._in_t[seg_v] & self._in_tp[seg_u])
             thr = self._connect_thr
-        if thr < 1.0:
-            mask &= costs <= thr
-        self._cands = np.flatnonzero(mask) + lo + 1
-        self._ci = 0
+        return self._masked(lo, hi, mask, thr)
 
-    def play_turn(self, ctx: TurnContext) -> None:
-        if self._market is None:
-            Strategy.play_turn(self, ctx)
-            return
-        plan = self.plan
-        while not ctx.turn_over():
-            pos = ctx.next_position
-            self._sync(pos)
-            if self._failed is not None or self._phase > plan.phase_count:
-                ctx.skip_to(ctx.stop)
-                return
-            self._ensure_candidates()
-            cands = self._cands
-            ci = self._ci
-            while ci < len(cands) and cands[ci] < pos:
-                ci += 1
-            self._ci = ci
-            region_end = plan.phase_end(self._phase) if self._growing() else plan.edge_count
-            if ci >= len(cands) or cands[ci] > region_end:
-                target = min(region_end, ctx.stop)
-                ctx.skip_to(target)
-                if target >= ctx.stop:
-                    return
-                continue
-            cand = int(cands[ci])
-            if cand > ctx.stop:
-                ctx.skip_to(ctx.stop)
-                return
-            self._ci = ci + 1
-            ctx.skip_to(cand - 1)
-            item = ctx.offer_next()
-            if item is None:
-                return
-            if self.decide(ctx.view, item):
-                ctx.take(item)
+    # Bound in the class body, not only inherited, so that perfbench/tracer.py
+    # can wrap this class's own play_turn.
+    play_turn = StagedScanner.play_turn
 
 
 def path_maker(plan: PathPlan, u: int = 0, v: int = 1) -> PathMaker:

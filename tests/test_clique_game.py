@@ -18,11 +18,14 @@ from purchase_games.clique_game import (
     triangle_mimic_breaker,
 )
 from purchase_games.engine import (
+    BREAKER,
+    UNOWNED,
     EdgeLabels,
     GameRules,
     NeverTake,
     RandomStrategy,
     SlowTurns,
+    Strategy,
     generate_market,
     mix_seed,
     play,
@@ -292,17 +295,43 @@ def test_kclique_fast_equals_slow():
         assert o1 == o2
 
 
-def test_triangle_fast_equals_slow():
+class TerminalBreaker(Strategy):
+    """Takes every unowned edge at vertex 0 or 1, the star root's edges
+    among them."""
+
+    def decide(self, view, item):
+        return item.owner == UNOWNED and item.label[0] <= 1
+
+
+class CountingTriangleMaker(TriangleMaker):
+    """Counts the Breaker-owned items its ``decide`` is offered."""
+
+    preempted = 0
+
+    def decide(self, view, item):
+        self.preempted += item.owner == BREAKER
+        return super().decide(view, item)
+
+
+@pytest.mark.parametrize("breaker, min_preempted", [
+    (triangle_mimic_breaker, 0),
+    (lambda n, b: TerminalBreaker(), 1),
+], ids=["mimic", "terminal"])
+def test_triangle_fast_equals_slow(breaker, min_preempted):
     n, b = 80, 2
     E = n * (n - 1) // 2
+    preempted = 0
     for t in range(8):
         seed = mix_seed(1105, t)
+        fast = CountingTriangleMaker(n, b)
         o1 = play(generate_market(E, seed, EdgeLabels(n)), _edge_rules(b, 1, 3),
-                  triangle_maker_unrestricted(n, b), triangle_mimic_breaker(n, b))
+                  fast, breaker(n, b))
         o2 = play(generate_market(E, seed, EdgeLabels(n)), _edge_rules(b, 1, 3),
                   SlowTurns(triangle_maker_unrestricted(n, b)),
-                  SlowTurns(triangle_mimic_breaker(n, b)))
+                  SlowTurns(breaker(n, b)))
         assert o1 == o2
+        preempted += fast.preempted
+    assert preempted >= min_preempted
 
 
 def test_kclique_fast_equals_slow_with_random_breaker():

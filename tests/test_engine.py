@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from purchase_games.engine import (
     BREAKER,
     MAKER,
-    UNOWNED,
     AlwaysTake,
     EdgeLabels,
     GameRules,
@@ -88,9 +87,7 @@ def test_phase_partition(n, p):
 
 def test_market_single_item():
     m = generate_market(1, 999)
-    item = m.item(1)
-    assert item.position == 1 and 0.0 <= item.cost <= 1.0
-    assert item.owner == UNOWNED and not item.revealed
+    assert m.n == 1 and 0.0 <= m.cost(1) <= 1.0
 
 
 def test_market_determinism():
@@ -343,12 +340,6 @@ def test_cost_sampler_hook():
     assert np.array_equal(m.costs, m2.costs)
     with pytest.raises(ValueError):
         generate_market(10, 5, cost_sampler=lambda rng, n: rng.random(n) + 1.0)
-
-
-def test_box_protocol_refused_by_purchase_driver():
-    market = generate_market(4, 1)
-    with pytest.raises(ValueError, match="play_box"):
-        play(market, GameRules(b=1, protocol="box"), AlwaysTake(), NeverTake())
 
 
 # --------------------------------------------------------------------------

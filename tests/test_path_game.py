@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from purchase_games.engine import (
+    BREAKER,
+    UNOWNED,
     EdgeLabels,
     GameRules,
     Market,
     NeverTake,
     SlowTurns,
+    Strategy,
     generate_market,
     mix_seed,
     play,
@@ -210,15 +213,41 @@ def test_failure_reports_phase():
     assert out.failure_phase == 1  # first growth phase fell short
 
 
-def test_fast_equals_slow():
-    n, b = 500, 1
+class TerminalBreaker(Strategy):
+    """Takes every unowned edge at a terminal, so it owns edges the path
+    Maker's trees would grow by."""
+
+    def decide(self, view, item):
+        return item.owner == UNOWNED and item.label[0] <= 1
+
+
+class CountingPathMaker(PathMaker):
+    """Counts the Breaker-owned items its ``decide`` is offered."""
+
+    preempted = 0
+
+    def decide(self, view, item):
+        self.preempted += item.owner == BREAKER
+        return super().decide(view, item)
+
+
+@pytest.mark.parametrize("n, breaker, min_preempted", [
+    (500, cheap_grab_breaker, 0),
+    (200, lambda E, b: TerminalBreaker(), 1),
+], ids=["cheap_grab", "terminal"])
+def test_fast_equals_slow(n, breaker, min_preempted):
+    b = 1
     plan = path_plan(n, b, k_override=1, threshold_scale=20.0)
     E = plan.edge_count
+    preempted = 0
     for t in range(8):
         seed = mix_seed(4005, t)
+        fast = CountingPathMaker(plan, 0, 1)
         o1 = play(generate_market(E, seed, EdgeLabels(n)), _rules(b, plan),
-                  path_maker(plan, 0, 1), cheap_grab_breaker(E, b))
+                  fast, breaker(E, b))
         o2 = play(generate_market(E, seed, EdgeLabels(n)), _rules(b, plan),
                   SlowTurns(path_maker(plan, 0, 1)),
-                  SlowTurns(cheap_grab_breaker(E, b)))
+                  SlowTurns(breaker(E, b)))
         assert o1 == o2
+        preempted += fast.preempted
+    assert preempted >= min_preempted

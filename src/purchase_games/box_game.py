@@ -32,11 +32,16 @@ from .engine import (
     MAKER,
     UNOWNED,
     BoxLabels,
-    HiddenInformationError,
+    GameRules,
+    GameState,
+    Goal,
     Item,
+    Market,
     Outcome,
-    ProtocolViolation,
     Strategy,
+    View,
+    _opened,
+    _outcome_from_state,
     generate_market,
     mix_seed,
 )
@@ -66,14 +71,27 @@ def box_threshold(n: int, b: int) -> int:
     return b * n + 1
 
 
+def _checked_sequence(sequence, n: int, m: int) -> tuple:
+    """``sequence`` as a tuple of box ids, checked to hold each of the n
+    boxes exactly m times."""
+    seq = tuple(int(x) for x in sequence)
+    if len(seq) != n * m:
+        raise ValueError(f"sequence must have exactly n*m = {n * m} entries, got {len(seq)}")
+    for box in range(n):
+        if seq.count(box) != m:
+            raise ValueError(f"box {box} appears {seq.count(box)} times, expected {m}")
+    return seq
+
+
 @dataclass(frozen=True)
 class BoxConfig:
     """Box game parameters.
 
     ordering is one of "random" (uses ``seed``), "adversarial", or
-    "scripted" (uses ``sequence``, one box id per ball).  ``eps`` feeds the
-    b0 regime marker: for b >= b0 = 100 eps^-2 ln n and m <= (1-eps) b n the
-    focus Breaker wins a randomly ordered game with high probability.
+    "scripted" (uses ``sequence``, one box id per ball, and ``seed`` for
+    the costs).  ``eps`` feeds the b0 regime marker: for
+    b >= b0 = 100 eps^-2 ln n and m <= (1-eps) b n the focus Breaker wins a
+    randomly ordered game with high probability.
     """
 
     n: int
@@ -92,13 +110,7 @@ class BoxConfig:
         if self.ordering == "scripted":
             if self.sequence is None:
                 raise ValueError("scripted ordering needs a sequence")
-            seq = tuple(int(x) for x in self.sequence)
-            if len(seq) != self.n * self.m:
-                raise ValueError(f"sequence must have exactly n*m = {self.n * self.m} entries")
-            for box in range(self.n):
-                if seq.count(box) != self.m:
-                    raise ValueError(f"box {box} appears {seq.count(box)} times, expected {self.m}")
-            object.__setattr__(self, "sequence", seq)
+            object.__setattr__(self, "sequence", _checked_sequence(self.sequence, self.n, self.m))
 
     @property
     def b0(self) -> float:
@@ -109,42 +121,39 @@ class BoxConfig:
         return self.n * self.m
 
 
-class BoxState:
-    """Live box-game accounting shared with the strategies' views.
+class BoxState(Goal):
+    """The box game's goal and scoreboard, shared with the strategies' views.
 
-    ``btb[box]`` counts the balls belonging to Breaker (taken by Breaker or
-    passed by Maker's pointer); ``maker_count[box]`` counts Maker's balls.
+    Maker's goal is one ball in every box.  ``btb[box]`` counts the balls
+    belonging to Breaker (taken by Breaker or passed by Maker's pointer).
     ``max_uncovered`` caches max(btb over uncovered boxes) so the min-box rule
-    is O(1) per offer.
+    is O(1) per offer.  ``dead`` is set once an uncovered box has all its
+    balls belonging to Breaker, which ends the game with a Breaker win.
     """
 
-    __slots__ = ("n", "m", "btb", "maker_count", "covered", "covered_count",
-                 "max_uncovered")
+    __slots__ = ("n", "m", "btb", "covered", "covered_count", "max_uncovered", "dead")
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
         self.btb = np.zeros(n, dtype=np.int64)
-        self.maker_count = np.zeros(n, dtype=np.int64)
         self.covered = np.zeros(n, dtype=bool)
         self.covered_count = 0
         self.max_uncovered = 0
+        self.dead = False
 
-    def breaker_gain(self, box: int) -> bool:
-        """Register one ball of ``box`` newly belonging to Breaker; True if
-        that killed the box (uncovered and out of balls)."""
+    def breaker_gain(self, box: int) -> None:
+        """Register one ball of ``box`` newly belonging to Breaker."""
         c = self.btb[box] + 1
         self.btb[box] = c
         if not self.covered[box]:
             if c > self.max_uncovered:
                 self.max_uncovered = int(c)
             if c >= self.m:
-                return True
-        return False
+                self.dead = True
 
-    def cover(self, box: int) -> bool:
-        """Register Maker's first ball in ``box``; True if all boxes covered."""
-        self.maker_count[box] += 1
+    def on_maker_take(self, label) -> bool:
+        box = label[0]
         if not self.covered[box]:
             self.covered[box] = True
             self.covered_count += 1
@@ -154,151 +163,80 @@ class BoxState:
 
 
 class _BoxRuntime:
-    """Driver state: the (possibly lazily materialized) box tape, pointers,
-    ownership, and the BoxState scoreboard."""
+    """Box-only driver state beside the engine's GameState, which holds the
+    tape, pointers, ownership and purchases: the adversarial orderer and its
+    stock (None on a tape ordered in advance), each box's positions in stream
+    order (None on an adversarial tape), and the number of Breaker turns."""
 
-    __slots__ = ("cfg", "total", "boxes", "ball_ids", "costs", "owner", "frontier",
-                 "maker_ptr", "breaker_ptr", "state", "orderer", "stock",
-                 "box_positions", "game_over", "maker_won", "breaker_turns",
-                 "maker_positions", "maker_labels", "breaker_positions",
-                 "breaker_labels", "cover_position", "turns_used", "damage_log",
-                 "seed_record")
+    __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "breaker_turns")
 
     def __init__(self, cfg: BoxConfig, seed: Optional[int]):
-        self.cfg = cfg
-        self.total = cfg.total
-        self.owner = np.zeros(self.total, dtype=np.int8)
-        self.frontier = 0
-        self.maker_ptr = 0
-        self.breaker_ptr = 0
-        self.state = BoxState(cfg.n, cfg.m)
-        self.orderer = None
-        self.stock = None
-        self.box_positions = None
-        self.game_over = False
-        self.maker_won = False
-        self.breaker_turns = 0
-        self.turns_used = 0
-        self.maker_positions: list[int] = []
-        self.maker_labels: list = []
-        self.breaker_positions: list[int] = []
-        self.breaker_labels: list = []
-        self.cover_position: Optional[int] = None
-        self.damage_log: Optional[list] = None
-        self.seed_record = seed
-
-        if cfg.ordering == "random":
+        n, m, total = cfg.n, cfg.m, cfg.total
+        labels = BoxLabels(n, m)
+        self.orderer = self.stock = self.box_positions = None
+        if cfg.ordering == "adversarial":
+            # Costless; the orderer fills in perm as each ball is revealed.
+            market = Market(total, np.zeros(total), labels, seed,
+                            perm=np.full(total, -1, dtype=np.int64))
+            self.orderer = AdversarialOrderer(n)
+            self.stock = [m] * n
+        else:
             if seed is None:
-                raise ValueError("random ordering needs a seed")
-            market = generate_market(self.total, seed, BoxLabels(cfg.n, cfg.m))
-            self.boxes = market.box_of_positions()
-            self.ball_ids = (market.perm % cfg.m).astype(np.int64)
-            self.costs = market.costs
-        elif cfg.ordering == "scripted":
-            self.boxes = np.asarray(cfg.sequence, dtype=np.int64)
-            self.ball_ids = np.empty(self.total, dtype=np.int64)
-            counts = [0] * cfg.n
-            for i, box in enumerate(cfg.sequence):
-                self.ball_ids[i] = counts[box]
-                counts[box] += 1
-            rng = np.random.Generator(np.random.PCG64(mix_seed(seed or 0, 0)))
-            self.costs = rng.random(self.total)
-        else:  # adversarial: boxes materialize at the frontier
-            self.boxes = np.full(self.total, -1, dtype=np.int64)
-            self.ball_ids = np.zeros(self.total, dtype=np.int64)
-            self.costs = np.zeros(self.total)
-            self.orderer = AdversarialOrderer(cfg.n)
-            self.stock = [cfg.m] * cfg.n
+                raise ValueError(f"{cfg.ordering} ordering needs a seed")
+            if cfg.ordering == "random":
+                market = generate_market(total, seed, labels)
+                boxes = market.perm // m
+            else:
+                boxes = np.asarray(cfg.sequence, dtype=np.int64)
+            # Stable, so box b's j-th ball in stream order is at order[b*m + j].
+            order = np.argsort(boxes, kind="stable")
+            if cfg.ordering == "scripted":
+                perm = np.empty(total, dtype=np.int64)
+                perm[order] = np.arange(total)  # rank b*m + j
+                costs = np.random.Generator(np.random.PCG64(mix_seed(seed, 0))).random(total)
+                market = Market(total, costs, labels, seed, perm=perm)
+            self.box_positions = [order[b * m:(b + 1) * m] + 1 for b in range(n)]
+        goal = self.goal = BoxState(n, m)
+        self.state = GameState(market, GameRules(cfg.b, goal=lambda: goal), seed_record=seed)
+        self.breaker_turns = 0
 
-        if self.orderer is None:
-            # Per-box sorted position lists for fast Breaker scans.
-            order = np.argsort(self.boxes, kind="stable")
-            bounds = np.searchsorted(self.boxes[order], np.arange(cfg.n + 1))
-            self.box_positions = [order[bounds[i]:bounds[i + 1]] + 1
-                                  for i in range(cfg.n)]
-
-    def reveal_next(self, player: int) -> int:
-        """Materialize and reveal the ball at the frontier; returns its box."""
-        pos = self.frontier + 1
-        if self.orderer is not None and self.boxes[pos - 1] < 0:
-            box = self.orderer.next_box(player, self.stock)
-            self.stock[box] -= 1
-            self.boxes[pos - 1] = box
-            self.ball_ids[pos - 1] = self.cfg.m - 1 - self.stock[box]
-        self.frontier = pos
-        return int(self.boxes[pos - 1])
-
-    def box_at(self, pos: int, player: int) -> int:
-        while self.frontier < pos:
-            self.reveal_next(player)
-        return int(self.boxes[pos - 1])
-
-    def item_at(self, pos: int) -> Item:
-        return Item(pos, (int(self.boxes[pos - 1]), int(self.ball_ids[pos - 1])),
-                    float(self.costs[pos - 1]), int(self.owner[pos - 1]), True)
-
-    def log_damage(self) -> None:
-        if self.damage_log is not None:
-            self.damage_log.append((self.breaker_turns, int(self.state.max_uncovered)))
+    def reveal_to(self, pos: int, player: int) -> None:
+        """Reveal the tape through ``pos``; on an adversarial tape the orderer
+        places each newly revealed ball for the scanning ``player``."""
+        state = self.state
+        if self.stock is not None:
+            perm, m = state.market.perm, self.goal.m
+            for p in range(state.revealed_upto + 1, pos + 1):
+                box = self.orderer.next_box(player, self.stock)
+                self.stock[box] -= 1
+                perm[p - 1] = box * m + m - 1 - self.stock[box]
+        state.revealed_upto = pos
 
 
-class BoxView:
-    """What a box-game strategy may see: the scoreboard (all derived from
-    revealed balls), both pointers, and the revealed prefix of the tape."""
+class BoxView(View):
+    """A View of the box game that adds the scoreboard (derived from revealed
+    balls only) and each revealed ball's box."""
 
-    __slots__ = ("_rt", "player")
+    __slots__ = ("_goal",)
 
     def __init__(self, rt: _BoxRuntime, player: int):
-        self._rt = rt
-        self.player = player
-
-    @property
-    def n_boxes(self) -> int:
-        return self._rt.cfg.n
-
-    @property
-    def balls_per_box(self) -> int:
-        return self._rt.cfg.m
-
-    @property
-    def b(self) -> int:
-        return self._rt.cfg.b
-
-    @property
-    def maker_pointer(self) -> int:
-        return self._rt.maker_ptr
-
-    @property
-    def breaker_pointer(self) -> int:
-        return self._rt.breaker_ptr
-
-    @property
-    def revealed_upto(self) -> int:
-        return self._rt.frontier
+        super().__init__(rt.state, player)
+        self._goal = rt.goal
 
     @property
     def covered(self) -> np.ndarray:
-        return self._rt.state.covered
+        return self._goal.covered
 
     @property
     def btb_counts(self) -> np.ndarray:
-        return self._rt.state.btb
+        return self._goal.btb
 
     @property
     def max_uncovered_btb(self) -> int:
-        return self._rt.state.max_uncovered
-
-    def _check(self, pos: int) -> None:
-        if not 1 <= pos <= self._rt.frontier:
-            raise HiddenInformationError(f"position {pos} not revealed yet")
+        return self._goal.max_uncovered
 
     def box_of(self, pos: int) -> int:
-        self._check(pos)
-        return int(self._rt.boxes[pos - 1])
-
-    def owner_of(self, pos: int) -> int:
-        self._check(pos)
-        return int(self._rt.owner[pos - 1])
+        return self.label(pos)[0]
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +296,7 @@ class FocusBreaker(Strategy):
         return item.label[0] == self.focus
 
     def box_turn(self, rt: _BoxRuntime, view: BoxView, quota: int) -> Optional[int]:
-        """Fast turn for pre-materialized orderings: jump straight between
+        """Fast turn for tapes ordered in advance: jump straight between
         focus-box positions.  Returns the number of takes, or None to fall
         back to the generic per-ball loop.
 
@@ -370,21 +308,20 @@ class FocusBreaker(Strategy):
         if rt.box_positions is None:
             return None
         self._refresh(view)
+        state = rt.state
         if self.lost:
-            rt.breaker_ptr = rt.total
-            rt.frontier = max(rt.frontier, rt.total)
+            state.breaker_ptr = state.revealed_upto = state.n
             return 0
         positions = rt.box_positions[self.focus]
-        idx = int(np.searchsorted(positions, rt.breaker_ptr + 1))
+        idx = int(np.searchsorted(positions, state.breaker_ptr + 1))
         takes = 0
-        while takes < quota and not rt.game_over and idx < len(positions):
+        while takes < quota and not rt.goal.dead and idx < len(positions):
             _breaker_claim(rt, int(positions[idx]))
             idx += 1
             takes += 1
-        if takes < quota and not rt.game_over:
+        if takes < quota and not rt.goal.dead:
             # Ran out of focus-box balls: the scan sweeps to the stream end.
-            rt.breaker_ptr = rt.total
-            rt.frontier = max(rt.frontier, rt.total)
+            state.breaker_ptr = state.revealed_upto = state.n
         return takes
 
 
@@ -447,58 +384,58 @@ def adversarial_ordering(config: BoxConfig, trace) -> tuple:
 
 
 def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
-    rt.owner[pos - 1] = BREAKER
-    rt.breaker_ptr = pos
-    rt.frontier = max(rt.frontier, pos)
-    rt.breaker_positions.append(pos)
-    rt.breaker_labels.append((int(rt.boxes[pos - 1]), int(rt.ball_ids[pos - 1])))
-    if pos > rt.maker_ptr:
-        if rt.state.breaker_gain(int(rt.boxes[pos - 1])):
-            rt.game_over = True
+    state = rt.state
+    state.assign(BREAKER, pos)
+    state.breaker_ptr = pos
+    if pos > state.revealed_upto:
+        state.revealed_upto = pos
+    if pos > state.maker_ptr:
+        rt.goal.breaker_gain(int(state.market.perm[pos - 1]) // rt.goal.m)
 
 
 def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
-    state = rt.state
-    while not rt.game_over:
-        if rt.maker_ptr >= rt.total:
-            rt.game_over = True  # exhausted the stream with boxes uncovered
+    """Scan until Maker takes a ball; each unowned ball passed on the way
+    now belongs to Breaker.  Items are built eagerly from ``perm``: on this
+    per-ball path, GameState.item's deferred labels cost half again as much."""
+    state, goal = rt.state, rt.goal
+    owner, costs, perm = state.owner, state.market.costs, state.market.perm
+    m, total = goal.m, state.n
+    while not goal.dead:
+        pos = state.maker_ptr + 1
+        if pos > total:
+            goal.dead = True  # every uncovered box is out of balls
             break
-        pos = rt.maker_ptr + 1
-        box = rt.box_at(pos, MAKER)
-        rt.maker_ptr = pos
-        if rt.owner[pos - 1] != UNOWNED:
+        if pos > state.revealed_upto:
+            rt.reveal_to(pos, MAKER)
+        state.maker_ptr = pos
+        if owner[pos - 1] != UNOWNED:
             continue
-        item = rt.item_at(pos)
-        if maker.decide(view, item):
-            if item.owner != UNOWNED:
-                raise ProtocolViolation("maker tried to take an owned ball")
-            rt.owner[pos - 1] = MAKER
-            rt.maker_positions.append(pos)
-            rt.maker_labels.append(item.label)
-            if state.cover(box):
-                rt.game_over = True
-                rt.maker_won = True
-                rt.cover_position = pos
+        label = divmod(int(perm[pos - 1]), m)
+        if maker.decide(view, Item(pos, label, float(costs[pos - 1]), UNOWNED, True)):
+            state.assign(MAKER, pos)
             break
-        if state.breaker_gain(box):
-            rt.game_over = True
+        goal.breaker_gain(label[0])
 
 
 def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
-    quota = rt.cfg.b
+    quota = view.b
     hook = getattr(breaker, "box_turn", None)
     if hook is not None:
         takes = hook(rt, view, quota)
         if takes is not None:
             return
+    state, goal = rt.state, rt.goal
+    owner, costs, perm = state.owner, state.market.costs, state.market.perm
+    m, total = goal.m, state.n
     takes = 0
-    while takes < quota and not rt.game_over and rt.breaker_ptr < rt.total:
-        pos = rt.breaker_ptr + 1
-        rt.box_at(pos, BREAKER)
-        rt.breaker_ptr = pos
-        if rt.owner[pos - 1] != UNOWNED:
+    while takes < quota and not goal.dead and state.breaker_ptr < total:
+        pos = state.breaker_ptr + 1
+        if pos > state.revealed_upto:
+            rt.reveal_to(pos, BREAKER)
+        state.breaker_ptr = pos
+        if owner[pos - 1] != UNOWNED:
             continue
-        item = rt.item_at(pos)
+        item = Item(pos, divmod(int(perm[pos - 1]), m), float(costs[pos - 1]), UNOWNED, True)
         if breaker.decide(view, item):
             _breaker_claim(rt, pos)
             takes += 1
@@ -517,43 +454,32 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
     if seed is None:
         seed = config.seed
     rt = _BoxRuntime(config, seed)
-    rt.damage_log = damage_log
+    state, goal = rt.state, rt.goal
     maker_view = BoxView(rt, MAKER)
     breaker_view = BoxView(rt, BREAKER)
     maker.begin(maker_view)
     breaker.begin(breaker_view)
 
-    while not rt.game_over:
+    def end_turn():
+        state.turns_used += 1
+        if damage_log is not None:
+            damage_log.append((rt.breaker_turns, goal.max_uncovered))
+
+    while not goal.dead:
         _maker_turn(rt, maker, maker_view)
-        rt.turns_used += 1
-        rt.log_damage()
-        if rt.game_over:
+        end_turn()
+        if state.goal_met or goal.dead:
             break
         _breaker_turn(rt, breaker, breaker_view)
         rt.breaker_turns += 1
-        rt.turns_used += 1
-        rt.log_damage()
+        end_turn()
 
-    costs = rt.costs
-    return Outcome(
-        success=rt.maker_won,
-        maker_cost=math.fsum(costs[p - 1] for p in rt.maker_positions),
-        maker_items=tuple(rt.maker_labels),
-        breaker_items=tuple(rt.breaker_labels),
-        maker_positions=tuple(rt.maker_positions),
-        breaker_positions=tuple(rt.breaker_positions),
-        M=rt.cover_position,
-        turns_used=rt.turns_used,
-        n=rt.total,
-        seed=rt.seed_record,
-        failure_phase=None if rt.maker_won else "box-starved",
-        details={
-            "winner": "maker" if rt.maker_won else "breaker",
-            "covered": int(rt.state.covered_count),
-            "btb": rt.state.btb.tolist(),
-            "breaker_turns": rt.breaker_turns,
-        },
-    )
+    return _outcome_from_state(state, "box-starved", details={
+        "winner": "maker" if state.goal_met else "breaker",
+        "covered": goal.covered_count,
+        "btb": goal.btb.tolist(),
+        "breaker_turns": rt.breaker_turns,
+    })
 
 
 # --------------------------------------------------------------------------
@@ -562,31 +488,15 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
 
 
 def save_scripted_ordering(file, sequence: Sequence[int]) -> None:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
+    """Write ``sequence`` to ``file`` (a path or a writable file object)."""
+    with _opened(file, "w") as out:
         for box in sequence:
-            file.write(f"{int(box)}\n")
-    finally:
-        if close:
-            file.close()
+            out.write(f"{int(box)}\n")
 
 
 def load_scripted_ordering(file, n: int, m: int) -> tuple:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file)
-        close = True
-    try:
-        seq = tuple(int(line) for line in file if line.strip())
-    finally:
-        if close:
-            file.close()
-    if len(seq) != n * m:
-        raise ValueError(f"expected exactly {n * m} lines, got {len(seq)}")
-    for box in range(n):
-        if seq.count(box) != m:
-            raise ValueError(f"box {box} appears {seq.count(box)} times, expected {m}")
-    return seq
+    """Read a sequence from ``file`` (a path or a readable file object) and
+    check that it holds each of the n boxes exactly m times."""
+    with _opened(file) as src:
+        lines = [line for line in src if line.strip()]
+    return _checked_sequence(lines, n, m)

@@ -22,8 +22,10 @@ on (market seed, strategies), never on scheduling.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -94,6 +96,17 @@ def mix_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+@contextmanager
+def _opened(file, mode: str = "r"):
+    """``file`` itself when it is an open file object; a path (``str``,
+    ``bytes`` or ``os.PathLike``) is opened in ``mode`` and closed on exit."""
+    if isinstance(file, (str, bytes, os.PathLike)):
+        with open(file, mode) as fh:
+            yield fh
+    else:
+        yield file
 
 
 # --------------------------------------------------------------------------
@@ -268,10 +281,6 @@ class Market:
         uni = self.universe
         return uni.rank_u[self.perm], uni.rank_v[self.perm]
 
-    def box_of_positions(self) -> np.ndarray:
-        """Per-position box ids for box-label markets."""
-        return (self.perm // self.universe.balls_per_box).astype(np.int64)
-
 
 def _permutation(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).permutation(n)
@@ -328,9 +337,13 @@ def dump_market(market: Market, file) -> None:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def phase_ends(n: int, phase_count: int) -> np.ndarray:
     """Last position of each phase, partitioning 1..n into ``phase_count``
-    contiguous blocks of size floor(n/p) or ceil(n/p), larger blocks first."""
+    contiguous blocks of size floor(n/p) or ceil(n/p), larger blocks first.
+
+    Every game builds its GameState from this, so results are cached; the
+    array is shared between callers and therefore read-only."""
     if phase_count < 1:
         raise ValueError("phase_count must be >= 1")
     if phase_count > n:
@@ -338,7 +351,9 @@ def phase_ends(n: int, phase_count: int) -> np.ndarray:
     base, extra = divmod(n, phase_count)
     sizes = np.full(phase_count, base, dtype=np.int64)
     sizes[:extra] += 1
-    return np.cumsum(sizes)
+    ends = np.cumsum(sizes)
+    ends.flags.writeable = False
+    return ends
 
 
 def phase_of_position(position: int, ends: np.ndarray) -> int:
@@ -959,8 +974,10 @@ class Outcome:
         return self.breaker_positions
 
 
-def _outcome_from_state(state: GameState, maker: Strategy,
+def _outcome_from_state(state: GameState, failure_phase: Optional[object],
                         details: Optional[dict] = None) -> Outcome:
+    """The Outcome of a finished game; ``failure_phase`` is recorded only
+    when the goal was not met."""
     market = state.market
     maker_positions = tuple(state.maker_positions)
     breaker_positions = tuple(state.breaker_positions)
@@ -983,7 +1000,7 @@ def _outcome_from_state(state: GameState, maker: Strategy,
         turns_used=state.turns_used,
         n=state.n,
         seed=state.seed_record,
-        failure_phase=None if state.goal_met else getattr(maker, "failure_phase", None),
+        failure_phase=None if state.goal_met else failure_phase,
         details=details,
     )
 
@@ -1039,4 +1056,4 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
             state.trace.append(("end", MAKER, state.maker_ptr, ctx.takes, False))
 
     details = {"trace": state.trace} if record_trace else None
-    return _outcome_from_state(state, maker, details)
+    return _outcome_from_state(state, getattr(maker, "failure_phase", None), details)

@@ -35,6 +35,7 @@ from .engine import (
     OwnAnyItem,
     RandomStrategy,
     ScheduleStrategy,
+    _opened,
     generate_market,
     mix_seed,
     play,
@@ -403,36 +404,30 @@ def export(agg: TrialAggregate, fmt: str, destination) -> None:
     ci95_low, ci95_high, seed, histogram).  JSON numbers round-trip exactly;
     CSV floats are printed at 17 significant digits.  ``destination`` is a
     path or a writable file object."""
-    close = False
-    if isinstance(destination, (str, bytes)):
-        try:
-            destination = open(destination, "w")
-        except OSError as exc:
-            raise OSError(f"cannot write export to {exc.filename}: {exc}") from exc
-        close = True
+    payload = _payload(agg)
+    if fmt == "json":
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        def fmt_val(key):
+            val = payload[key] if key in payload else None
+            if key == "ci95_low":
+                val = payload["ci95"][0] if payload["ci95"] else None
+            elif key == "ci95_high":
+                val = payload["ci95"][1] if payload["ci95"] else None
+            if val is None:
+                return ""
+            if isinstance(val, float):
+                return f"{val:.17g}"
+            if isinstance(val, dict):
+                return json.dumps(val, sort_keys=True).replace(",", ";")
+            return str(val)
+        text = ",".join(_CSV_COLUMNS) + "\n" + ",".join(fmt_val(c) for c in _CSV_COLUMNS) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
     try:
-        payload = _payload(agg)
-        if fmt == "json":
-            destination.write(json.dumps(payload, sort_keys=True))
-            destination.write("\n")
-        elif fmt == "csv":
-            def fmt_val(key):
-                val = payload[key] if key in payload else None
-                if key == "ci95_low":
-                    val = payload["ci95"][0] if payload["ci95"] else None
-                elif key == "ci95_high":
-                    val = payload["ci95"][1] if payload["ci95"] else None
-                if val is None:
-                    return ""
-                if isinstance(val, float):
-                    return f"{val:.17g}"
-                if isinstance(val, dict):
-                    return json.dumps(val, sort_keys=True).replace(",", ";")
-                return str(val)
-            destination.write(",".join(_CSV_COLUMNS) + "\n")
-            destination.write(",".join(fmt_val(c) for c in _CSV_COLUMNS) + "\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    finally:
-        if close:
-            destination.close()
+        with _opened(destination, "w") as out:
+            out.write(text)
+    except OSError as exc:
+        if exc.filename is None:  # a write failed, not the open
+            raise
+        raise OSError(f"cannot write export to {exc.filename}: {exc}") from exc

@@ -31,6 +31,7 @@ from .engine import (
     Strategy,
     TurnContext,
     View,
+    _opened,
     phase_ends,
 )
 
@@ -305,26 +306,12 @@ class PhasedMaker(Strategy):
 
 
 def save_schedule(file, schedule: ThresholdSchedule) -> None:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
+    with _opened(file, "w") as out:
         for v in schedule.values:
-            file.write(f"{v:.17g}\n")
-    finally:
-        if close:
-            file.close()
+            out.write(f"{v:.17g}\n")
 
 
 def load_schedule(file, role: str = "maker") -> ThresholdSchedule:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file)
-        close = True
-    try:
-        values = [float(line) for line in file if line.strip()]
-    finally:
-        if close:
-            file.close()
+    with _opened(file) as src:
+        values = [float(line) for line in src if line.strip()]
     return ThresholdSchedule(np.asarray(values), role=role)

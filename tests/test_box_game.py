@@ -27,7 +27,9 @@ from purchase_games.engine import (
     AlwaysTake,
     HiddenInformationError,
     NeverTake,
+    SlowTurns,
     Strategy,
+    View,
     mix_seed,
 )
 from purchase_games.oracle import box_minimax
@@ -47,12 +49,6 @@ class ScriptedBreaker(Strategy):
         take = self.i < len(self.bits) and bool(self.bits[self.i])
         self.i += 1
         return take
-
-
-class NoFastFocus(FocusBreaker):
-    """Focus breaker forced through the generic per-ball loop."""
-
-    box_turn = None
 
 
 def test_box_threshold_values():
@@ -138,11 +134,25 @@ def test_focus_switch_only_on_maker_acquisition():
 
 
 def test_focus_fast_path_matches_decide_loop():
-    for t in range(40):
-        cfg = BoxConfig(n=4, m=6, b=3, ordering="random")
-        fast = play_box(cfg, MinboxMaker(), FocusBreaker(), seed=mix_seed(9, t))
-        slow = play_box(cfg, MinboxMaker(), NoFastFocus(), seed=mix_seed(9, t))
-        assert fast == slow
+    # SlowTurns has no box_turn, so the driver takes the per-ball loop.
+    for ordering, t in itertools.product(("random", "scripted"), range(40)):
+        seed = mix_seed(9, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(4), 6)).tolist())
+        cfg = BoxConfig(n=4, m=6, b=3, ordering=ordering, sequence=sequence)
+        fast = play_box(cfg, MinboxMaker(), FocusBreaker(), seed=seed)
+        slow = play_box(cfg, MinboxMaker(), SlowTurns(FocusBreaker()), seed=seed)
+        assert fast == slow, (ordering, t)
+
+
+def test_scripted_ordering_needs_a_seed():
+    cfg = BoxConfig(n=2, m=3, b=1, ordering="scripted", sequence=(0, 1, 1, 0, 0, 1))
+    with pytest.raises(ValueError, match="scripted ordering needs a seed"):
+        play_box(cfg, MinboxMaker(), FocusBreaker())
+    seeded = BoxConfig(n=2, m=3, b=1, ordering="scripted", sequence=cfg.sequence, seed=0)
+    assert play_box(seeded, MinboxMaker(), FocusBreaker()).seed == 0
 
 
 def test_scripted_determinism():
@@ -212,10 +222,9 @@ def test_adversarial_maker_first_scan_sees_other_boxes():
 
 def test_scripted_ordering_roundtrip(tmp_path):
     seq = (0, 1, 2, 2, 1, 0)
-    path = str(tmp_path / "ordering.txt")
-    save_scripted_ordering(path, seq)
-    back = load_scripted_ordering(path, 3, 2)
-    assert back == seq
+    for path in (str(tmp_path / "as_str.txt"), tmp_path / "as_path.txt"):
+        save_scripted_ordering(path, seq)
+        assert load_scripted_ordering(path, 3, 2) == seq
     with pytest.raises(ValueError):
         load_scripted_ordering(io.StringIO("0\n1\n"), 2, 2)
     with pytest.raises(ValueError):
@@ -249,6 +258,7 @@ def test_box_view_hides_unrevealed():
         def decide(self, view, item):
             if not self.checked:
                 self.checked = True
+                assert isinstance(view, View)
                 assert view.box_of(item.position) == item.label[0]
                 with pytest.raises(RuntimeError):
                     view.box_of(item.position + 1)

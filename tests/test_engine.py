@@ -80,6 +80,16 @@ def test_phase_partition(n, p):
         assert start <= pos <= ends[j - 1]
 
 
+def test_phase_ends_is_computed_once_and_read_only():
+    first = phase_ends(1000, 7)
+    again = phase_ends(1000, 7)
+    assert np.array_equal(first, again)
+    for ends in (first, again):
+        with pytest.raises(ValueError):
+            ends[0] = 0
+    assert first[0] == 143
+
+
 # --------------------------------------------------------------------------
 # Markets
 # --------------------------------------------------------------------------

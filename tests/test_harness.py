@@ -168,12 +168,12 @@ def test_csv_column_order():
 
 def test_export_to_file(tmp_path):
     agg = run_trials(_cfg(trials=10))
-    path = str(tmp_path / "agg.json")
-    export(agg, "json", path)
-    with open(path) as fh:
-        assert json.load(fh)["trials"] == 10
-    with pytest.raises(OSError):
-        export(agg, "json", str(tmp_path / "missing" / "agg.json"))
+    for path in (str(tmp_path / "as_str.json"), tmp_path / "as_path.json"):
+        export(agg, "json", path)
+        with open(path) as fh:
+            assert json.load(fh)["trials"] == 10
+        with pytest.raises(OSError, match="cannot write export to"):
+            export(agg, "json", type(path)(tmp_path / "missing" / "agg.json"))
 
 
 def test_export_unknown_format():

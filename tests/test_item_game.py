@@ -297,10 +297,10 @@ def test_schedule_roundtrip(values):
 
 def test_schedule_file_roundtrip(tmp_path):
     sched = single_threshold_maker(17)
-    path = str(tmp_path / "sched.txt")
-    save_schedule(path, sched)
-    back = load_schedule(path)
-    assert np.array_equal(back.values, sched.values)
+    for path in (str(tmp_path / "as_str.txt"), tmp_path / "as_path.txt"):
+        save_schedule(path, sched)
+        back = load_schedule(path)
+        assert np.array_equal(back.values, sched.values)
 
 
 @pytest.mark.slow

@@ -15,6 +15,7 @@ import sys
 from typing import Optional
 
 from . import harness, item_game, oracle
+from .engine import _opened
 
 __all__ = ["main", "cli_main"]
 
@@ -101,11 +102,8 @@ def _build_parser() -> _Parser:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with _opened(sys.stdout if out is None else out, "w") as fh:
+        fh.write(text)
 
 
 def _run_game(args) -> int:
@@ -126,10 +124,7 @@ def _run_game(args) -> int:
         jobs=args.jobs or 0,
     )
     agg = harness.run_trials(cfg, jobs=args.jobs)
-    if args.out is None:
-        harness.export(agg, args.format, sys.stdout)
-    else:
-        harness.export(agg, args.format, args.out)
+    harness.export(agg, args.format, sys.stdout if args.out is None else args.out)
 
     failed = []
     if args.assert_min_success is not None and agg.success_rate < args.assert_min_success:

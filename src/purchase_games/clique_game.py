@@ -38,7 +38,7 @@ from .engine import (
     View,
     phase_ends,
 )
-from .item_game import phase_plan
+from .item_game import PhasePlan, PhasedMaker, phase_plan
 
 __all__ = [
     "alpha_k",
@@ -94,10 +94,6 @@ class CliquePlan(PhaseBounds):
     @property
     def ell(self) -> float:
         return float(self.ells[-1])
-
-    @property
-    def phase_count(self) -> int:
-        return self.k
 
     def identity_residuals(self) -> tuple[float, float]:
         """Relative errors of ell_i^2/ell_{i-1} = r and r = ell^(-4/7)."""
@@ -280,27 +276,25 @@ class TriangleMaker(StagedScanner):
         self.star_target = math.ceil(n ** (1.0 / 3.0))
         self.edge_count = n * (n - 1) // 2
         self.half = self.edge_count // 2
+        self.ends = (self.half, self.edge_count)
         self.root = 0
         self._reset()
 
     def _reset(self):
-        self._stage = 1
         self._leaves: set = set()
         self._leaf_mask = np.zeros(self.n, dtype=bool)
         self.failure_phase = None
 
-    def _sync(self, pos: int, view: View) -> None:
-        if self._stage == 1 and pos > self.half:
-            if len(self._leaves) < self.star_target:
-                self.failure_phase = "star"
-            self._stage = 2
+    def _close_phase(self, phase: int) -> None:
+        if phase == 1 and len(self._leaves) < self.star_target:
+            self.failure_phase = "star"
 
     def decide(self, view: View, item: Item) -> bool:
         self._sync(item.position, view)
-        if self.failure_phase:
+        if self._stage_bounds() is None:
             return False
         u, v = item.label
-        if self._stage == 1:
+        if self._phase == 1:
             if len(self._leaves) >= self.star_target:
                 return False
             if u != self.root and v != self.root:
@@ -315,14 +309,9 @@ class TriangleMaker(StagedScanner):
             return item.owner == UNOWNED
         return False
 
-    def _stage_bounds(self):
-        if self.failure_phase:
-            return None
-        return (0, self.half) if self._stage == 1 else (self.half, self.edge_count)
-
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
-        if self._stage == 1:
+        if self._phase == 1:
             mask = (seg_u == self.root) | (seg_v == self.root)
             return self._masked(lo, hi, mask, self.star_threshold)
         mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
@@ -381,12 +370,12 @@ class KCliqueMaker(StagedScanner):
 
     def __init__(self, plan: CliquePlan):
         self.plan = plan
+        self.ends = plan.ends
         self._reset()
 
     def _reset(self):
         plan = self.plan
         self.progress = CliqueProgress()
-        self._phase = 1
         self.failure_phase: Optional[str] = None
         self._root: Optional[int] = None
         self._leaf_mask = np.ones(plan.n, dtype=bool)  # L_0 = all vertices
@@ -396,10 +385,7 @@ class KCliqueMaker(StagedScanner):
         self._partner = np.full(plan.n, -1, dtype=np.int64)
         self._ext_count = 0
         self._live_closings: Optional[np.ndarray] = None
-        self._sub_thresholds: Optional[np.ndarray] = None
-        self._sub_ends: Optional[np.ndarray] = None
-        self._sub_attempted = 0
-        self._enter_phase(1, 0)
+        self._closer: Optional[PhasedMaker] = None
 
     # -- phase bookkeeping --------------------------------------------------
 
@@ -426,8 +412,6 @@ class KCliqueMaker(StagedScanner):
             self._prepare_closing(revealed)
 
     def _close_phase(self, phase: int) -> None:
-        if self.failure_phase:
-            return
         plan = self.plan
         kind = self._kind(phase)
         if kind == "star":
@@ -454,16 +438,6 @@ class KCliqueMaker(StagedScanner):
             if self._ext_count < plan.target_closing:
                 self.failure_phase = "extension"
 
-    def _sync(self, pos: int, view: View) -> None:
-        plan = self.plan
-        while self._phase <= plan.k and pos > plan.phase_end(self._phase):
-            self._close_phase(self._phase)
-            self._phase += 1
-            if self.failure_phase:
-                return
-            if self._phase <= plan.k:
-                self._enter_phase(self._phase, view.revealed_upto)
-
     def _prepare_closing(self, revealed: int) -> None:
         plan = self.plan
         start = plan.phase_start(plan.k)
@@ -474,22 +448,21 @@ class KCliqueMaker(StagedScanner):
             self.failure_phase = "closing"
             return
         self._live_closings = np.asarray(live, dtype=np.int64)
-        n_cand = len(live)
-        b = plan.b
+        # Candidate i is position i of the sub-stream the item-game Maker plays.
+        n_cand, b = len(live), plan.b
         if n_cand >= b + 1 and b >= 1:
-            curve = phase_plan(n_cand, b)
-            self._sub_ends = curve.ends
-            self._sub_thresholds = curve.position_thresholds
-        else:
-            self._sub_ends = np.array([n_cand], dtype=np.int64)
-            self._sub_thresholds = np.ones(n_cand)
-        self._sub_attempted = 0
+            sub_plan = phase_plan(n_cand, b)
+        else:  # too few to split: one phase, every threshold 1
+            sub_plan = PhasePlan(n=n_cand, b=0, alpha=math.inf, N=float(n_cand),
+                                 ends=phase_ends(n_cand, 1),
+                                 position_thresholds=np.ones(n_cand))
+        self._closer = PhasedMaker(sub_plan)
 
     # -- decisions ------------------------------------------------------------
 
     def decide(self, view: View, item: Item) -> bool:
         self._sync(item.position, view)
-        if self.failure_phase or self._phase > self.plan.k:
+        if self._stage_bounds() is None:
             return False
         plan = self.plan
         kind = self._kind(self._phase)
@@ -553,21 +526,10 @@ class KCliqueMaker(StagedScanner):
         idx = int(np.searchsorted(live, item.position))
         if idx >= len(live) or live[idx] != item.position:
             return False
-        sub_phase = int(np.searchsorted(self._sub_ends, idx + 1)) + 1
-        if sub_phase <= self._sub_attempted:
-            return False
-        if item.cost <= self._sub_thresholds[idx]:
-            self._sub_attempted = sub_phase
-            return item.owner == UNOWNED
-        return False
+        return self._closer.decide(view, Item(idx + 1, (u, v), item.cost, item.owner,
+                                              item.revealed))
 
     # -- fast scanning ----------------------------------------------------------
-
-    def _stage_bounds(self):
-        plan = self.plan
-        if self.failure_phase or self._phase > plan.k:
-            return None
-        return plan.phase_start(self._phase) - 1, plan.phase_end(self._phase)
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         plan = self.plan

@@ -377,6 +377,10 @@ class PhaseBounds:
     def phase_end(self, j: int) -> int:
         return int(self.ends[j - 1])
 
+    @property
+    def phase_count(self) -> int:
+        return len(self.ends)
+
 
 class Goal:
     """Incremental goal predicate over Maker's purchased labels.
@@ -868,25 +872,28 @@ class SlowTurns(Strategy):
         return self.inner.decide(view, item)
 
 
-class StagedScanner(Strategy):
-    """Fast turn loop shared by Makers that play an edge stream in stages.
+class StagedScanner(PhaseBounds, Strategy):
+    """Fast turn loop shared by Makers that play an edge stream in phases.
 
-    A stage is a stretch of the stream during which the Maker's candidate
+    A phase is a stretch of the stream during which the Maker's candidate
     set is fixed: on entering it, the Maker's state already determines
-    every position where ``decide`` could say yes.  The scanner builds that
-    sorted array once per stage, jumps the pointer from one candidate to the
-    next with ``skip_to``, and hands each candidate to ``decide``, so it
-    makes exactly the decisions of the per-item loop.  Without a prepared
-    market it falls back to that loop.
+    every position where ``decide`` could say yes.  The scanner walks the
+    phases, builds that sorted array once per phase, jumps the pointer from
+    one candidate to the next with ``skip_to``, and hands each candidate to
+    ``decide``, so it makes exactly the decisions of the per-item loop.
+    Without a prepared market it falls back to that loop.
 
-    Subclasses provide ``_reset()`` (fresh per-game state),
-    ``_sync(pos, view)`` (stage bookkeeping up to position ``pos``),
-    ``_stage_bounds()`` and ``_stage_candidates(lo, hi)``.  ``_u`` and
-    ``_v`` hold the market's per-position edge endpoints.
+    Subclasses set ``ends`` (the last position of each phase) and provide
+    ``_reset()`` (fresh per-game state, with ``failure_phase`` None),
+    ``_close_phase(phase)`` (judge a finished phase; may set
+    ``failure_phase``), ``_stage_candidates(lo, hi)`` and ``decide``, which
+    calls ``_sync`` first.  ``_enter_phase(phase, revealed)`` is optional.
+    ``_u`` and ``_v`` hold the market's per-position edge endpoints.
     """
 
     _market: Optional[Market] = None
     _scan: Optional[tuple] = None  # (stage bounds, candidates) last built
+    _phase = 1
 
     def prepare(self, market: Market) -> None:
         self._market = market
@@ -894,12 +901,29 @@ class StagedScanner(Strategy):
 
     def begin(self, view: View) -> None:
         self._reset()
+        self._phase = 1
         self._scan = None
+        self._enter_phase(1, 0)
+
+    def _enter_phase(self, phase: int, revealed: int) -> None:
+        """Set up ``phase``; ``revealed`` is the reveal frontier."""
+
+    def _sync(self, pos: int, view: View) -> None:
+        """Close each phase that ends before ``pos`` and enter the next,
+        stopping once ``failure_phase`` is set."""
+        while (self.failure_phase is None and self._phase <= self.phase_count
+               and pos > self.phase_end(self._phase)):
+            self._close_phase(self._phase)
+            self._phase += 1
+            if self.failure_phase is None and self._phase <= self.phase_count:
+                self._enter_phase(self._phase, view.revealed_upto)
 
     def _stage_bounds(self) -> Optional[tuple]:
-        """``(lo, hi)`` when the current stage spans positions lo+1..hi;
+        """``(lo, hi)`` when the current phase spans positions lo+1..hi;
         None once the strategy will take nothing more this game."""
-        raise NotImplementedError
+        if self.failure_phase is not None or self._phase > self.phase_count:
+            return None
+        return self.phase_start(self._phase) - 1, self.phase_end(self._phase)
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         """The sorted positions in lo+1..hi where ``decide`` could say yes."""

@@ -311,11 +311,14 @@ class TrialAggregate:
 
 def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregate:
     """Execute all trials and aggregate.  ``jobs`` defaults to the config's,
-    which defaults to the PG_JOBS environment variable, then 1.  Results are
-    reduced in trial-index order with exact summation, so the aggregate does
-    not depend on the worker count."""
+    which defaults to the PG_JOBS environment variable, then 1; a negative
+    worker count raises ValueError.  Results are reduced in trial-index order
+    with exact summation, so the aggregate does not depend on the worker
+    count."""
     if jobs is None:
         jobs = config.jobs or int(os.environ.get("PG_JOBS", "1"))
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     trials = config.trials
     if trials < 0:
         raise ValueError("trials must be >= 0")

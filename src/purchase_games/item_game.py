@@ -33,6 +33,7 @@ from .engine import (
     View,
     _opened,
     phase_ends,
+    phase_of_position,
 )
 
 __all__ = [
@@ -214,12 +215,8 @@ class PhasePlan(PhaseBounds):
     ends: np.ndarray              # last position of each phase
     position_thresholds: np.ndarray
 
-    @property
-    def phase_count(self) -> int:
-        return self.b + 1
-
     def phase_of(self, position: int) -> int:
-        return int(np.searchsorted(self.ends, position)) + 1
+        return phase_of_position(position, self.ends)
 
     def thresholds_for_phase(self, j: int) -> np.ndarray:
         start = self.phase_start(j)

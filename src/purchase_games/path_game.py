@@ -69,10 +69,6 @@ class PathPlan(PhaseBounds):
     ends: np.ndarray               # engine phase ends (3k phases)
 
     @property
-    def phase_count(self) -> int:
-        return 3 * self.k
-
-    @property
     def branching(self) -> float:
         return float(self.tree_targets[0])
 
@@ -197,6 +193,7 @@ class PathMaker(StagedScanner):
                 "degenerate; pass overrides to path_plan for desk-scale play"
             )
         self.plan = plan
+        self.ends = plan.ends
         self.u = u
         self.v = v
         self._reset()
@@ -208,10 +205,7 @@ class PathMaker(StagedScanner):
         self._in_tp = np.zeros(plan.n, dtype=bool)
         self._in_t[self.u] = True
         self._in_tp[self.v] = True
-        self._phase = 1
         self.failure_phase: Optional[int] = None
-        self._prev_mask = self._in_t.copy()
-        self._count = 0
         self._connect_thr: Optional[float] = None
 
     # -- phase bookkeeping ----------------------------------------------------
@@ -227,8 +221,10 @@ class PathMaker(StagedScanner):
         i = self._phase if self._growing_t() else self._phase - plan.k
         return int(plan.int_targets[i - 1])
 
-    def _enter_phase(self) -> None:
+    def _enter_phase(self, phase: int, revealed: int) -> None:
         if not self._growing():
+            # The trees stop changing once growth ends, so each connect
+            # phase recomputes the same threshold.
             t_size = int(self._in_t.sum())
             tp_size = int(self._in_tp.sum())
             self._connect_thr = self.plan.connect_threshold(t_size, tp_size)
@@ -236,28 +232,15 @@ class PathMaker(StagedScanner):
         self._prev_mask = (self._in_t if self._growing_t() else self._in_tp).copy()
         self._count = 0
 
-    def _close_phase(self) -> None:
-        if self.failure_phase is not None:
-            return
-        if self._growing():
-            if self._count < self._target():
-                self.failure_phase = self._phase
-
-    def _sync(self, pos: int, view: View) -> None:
-        plan = self.plan
-        while self._phase <= plan.phase_count and pos > plan.phase_end(self._phase):
-            self._close_phase()
-            self._phase += 1
-            if self.failure_phase is not None:
-                return
-            if self._phase <= 2 * plan.k + 1:  # connect phases 2k+1..3k share one entry
-                self._enter_phase()
+    def _close_phase(self, phase: int) -> None:
+        if self._growing() and self._count < self._target():
+            self.failure_phase = phase
 
     # -- decisions --------------------------------------------------------------
 
     def decide(self, view: View, item: Item) -> bool:
         self._sync(item.position, view)
-        if self.failure_phase is not None or self._phase > self.plan.phase_count:
+        if self._stage_bounds() is None:
             return False
         a, b = item.label
         if self._growing():
@@ -291,13 +274,6 @@ class PathMaker(StagedScanner):
         return item.owner == UNOWNED
 
     # -- fast scanning ------------------------------------------------------------
-
-    def _stage_bounds(self):
-        plan = self.plan
-        if self.failure_phase is not None or self._phase > plan.phase_count:
-            return None
-        hi = plan.phase_end(self._phase) if self._growing() else plan.edge_count
-        return plan.phase_start(self._phase) - 1, hi
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         seg_u = self._u[lo:hi]

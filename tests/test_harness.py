@@ -259,3 +259,23 @@ def test_pg_jobs_env_default(monkeypatch):
     a_env = run_trials(cfg)          # picks up PG_JOBS=2
     a_one = run_trials(cfg, jobs=1)
     assert a_env == a_one
+
+
+def test_negative_jobs_rejected(monkeypatch, capsys):
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        run_trials(_cfg(trials=3), jobs=-1)
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        run_trials(_cfg(trials=3, jobs=-2))
+    monkeypatch.setenv("PG_JOBS", "-1")
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        run_trials(_cfg(trials=3, jobs=0))
+    monkeypatch.delenv("PG_JOBS")
+    assert cli_main(["item", "--n", "200", "--trials", "3", "--jobs", "-1"]) == 1
+    assert "jobs must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_schedules_out_file(tmp_path, capsys):
+    path = tmp_path / "schedules.txt"
+    assert cli_main(["schedules", "--n", "5", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text().splitlines()[0] == "position maker_threshold breaker_threshold"

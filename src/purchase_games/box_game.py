@@ -22,6 +22,7 @@ moving first actually lets it win from m >= b(n-1)+1; see the oracle module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -126,9 +127,11 @@ class BoxState(Goal):
 
     Maker's goal is one ball in every box.  ``btb[box]`` counts the balls
     belonging to Breaker (taken by Breaker or passed by Maker's pointer).
-    ``max_uncovered`` caches max(btb over uncovered boxes) so the min-box rule
-    is O(1) per offer.  ``dead`` is set once an uncovered box has all its
-    balls belonging to Breaker, which ends the game with a Breaker win.
+    ``max_uncovered`` caches max(btb over uncovered boxes), the count at
+    which the min-box rule takes a ball; a Maker scan cannot raise it, so
+    the min-box Maker can jump straight to its next take.  ``dead`` is set
+    once an uncovered box has all its balls belonging to Breaker, which ends
+    the game with a Breaker win.
     """
 
     __slots__ = ("n", "m", "btb", "covered", "covered_count", "max_uncovered", "dead")
@@ -142,9 +145,9 @@ class BoxState(Goal):
         self.max_uncovered = 0
         self.dead = False
 
-    def breaker_gain(self, box: int) -> None:
-        """Register one ball of ``box`` newly belonging to Breaker."""
-        c = self.btb[box] + 1
+    def breaker_gain(self, box: int, count: int = 1) -> None:
+        """Register ``count`` balls of ``box`` newly belonging to Breaker."""
+        c = self.btb[box] + count
         self.btb[box] = c
         if not self.covered[box]:
             if c > self.max_uncovered:
@@ -157,18 +160,22 @@ class BoxState(Goal):
         if not self.covered[box]:
             self.covered[box] = True
             self.covered_count += 1
-            uncovered = ~self.covered
-            self.max_uncovered = int(self.btb[uncovered].max()) if uncovered.any() else 0
+            self.max_uncovered = int(self.btb.max(where=~self.covered, initial=0))
         return self.covered_count == self.n
 
 
 class _BoxRuntime:
     """Box-only driver state beside the engine's GameState, which holds the
     tape, pointers, ownership and purchases: the adversarial orderer and its
-    stock (None on a tape ordered in advance), each box's positions in stream
-    order (None on an adversarial tape), and the number of Breaker turns."""
+    stock (None on a tape ordered in advance), every box's positions in
+    stream order, box b's at indices b*m to b*m + m - 1 (None on an
+    adversarial tape), each box's positions that Breaker took ahead of
+    Maker's pointer, in stream order, and the number of Breaker turns.
+    ``box_positions`` is a memoryview of an int64 array, so that ``bisect``
+    reads Python ints from it rather than numpy scalars."""
 
-    __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "breaker_turns")
+    __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
+                 "breaker_turns")
 
     def __init__(self, cfg: BoxConfig, seed: Optional[int]):
         n, m, total = cfg.n, cfg.m, cfg.total
@@ -183,11 +190,14 @@ class _BoxRuntime:
         else:
             if seed is None:
                 raise ValueError(f"{cfg.ordering} ordering needs a seed")
+            # Box ids as the narrowest unsigned dtype that holds them: numpy
+            # sorts that by radix, and no int64 copy lives through the sort.
+            key = np.min_scalar_type(n - 1)
             if cfg.ordering == "random":
                 market = generate_market(total, seed, labels)
-                boxes = market.perm // m
+                boxes = (market.perm // m).astype(key)
             else:
-                boxes = np.asarray(cfg.sequence, dtype=np.int64)
+                boxes = np.asarray(cfg.sequence, dtype=key)
             # Stable, so box b's j-th ball in stream order is at order[b*m + j].
             order = np.argsort(boxes, kind="stable")
             if cfg.ordering == "scripted":
@@ -195,9 +205,11 @@ class _BoxRuntime:
                 perm[order] = np.arange(total)  # rank b*m + j
                 costs = np.random.Generator(np.random.PCG64(mix_seed(seed, 0))).random(total)
                 market = Market(total, costs, labels, seed, perm=perm)
-            self.box_positions = [order[b * m:(b + 1) * m] + 1 for b in range(n)]
+            order += 1
+            self.box_positions = memoryview(order)
         goal = self.goal = BoxState(n, m)
         self.state = GameState(market, GameRules(cfg.b, goal=lambda: goal), seed_record=seed)
+        self.claims = [[] for _ in range(n)]
         self.breaker_turns = 0
 
     def reveal_to(self, pos: int, player: int) -> None:
@@ -259,6 +271,57 @@ class MinboxMaker(Strategy):
             return False
         return state.btb_counts[box] >= state.max_uncovered_btb
 
+    def box_turn(self, rt: _BoxRuntime, view: BoxView) -> Optional[int]:
+        """Fast turn for tapes ordered in advance: jump straight to the ball
+        ``decide`` would take.  Returns the position taken, or None to fall
+        back to the generic per-ball loop.
+
+        While Maker scans, ``max_uncovered`` does not change: Maker passes a
+        ball of an uncovered box only while that box's count is below the
+        maximum.  So Maker takes the earliest, over uncovered boxes c, of the
+        (max - btb[c] + 1)-th ball of c past its pointer that Breaker does
+        not own, and every unowned ball it passes now belongs to Breaker.
+        Exactly m - btb[c] balls of c past the pointer are unowned, so while
+        no box is dead every uncovered box has that ball, and the scan never
+        runs off the end of the stream.
+        """
+        if rt.box_positions is None:
+            return None
+        state, goal = rt.state, rt.goal
+        start, top, m = state.maker_ptr, goal.max_uncovered, goal.m
+        take = min(_free_ball(rt.box_positions, box * m, box * m + m, rt.claims[box],
+                              start, top - count + 1)
+                   for box, (covered, count)
+                   in enumerate(zip(goal.covered.tolist(), goal.btb.tolist()))
+                   if not covered)
+        if take > start + 1:
+            passed = state.market.perm[start:take - 1][state.owner[start:take - 1] == UNOWNED]
+            goal.btb += np.bincount(passed // m, minlength=goal.n)
+        state.maker_ptr = take
+        if take > state.revealed_upto:
+            state.revealed_upto = take
+        state.assign(MAKER, take)
+        return take
+
+
+def _free_ball(positions, lo: int, hi: int, claims: list, after: int, k: int) -> int:
+    """The k-th of the sorted ``positions[lo:hi]`` past ``after`` that is not
+    in ``claims`` (a sorted subset of them).
+
+    Its index is that of the k-th ball past ``after`` plus the number of
+    claims between ``after`` and it; iterating that count from below
+    reaches the least such index, which is not a claim itself."""
+    kth = bisect_right(positions, after, lo, hi) + k - 1
+    skipped = bisect_right(claims, after)
+    idx = kth
+    while idx < hi:
+        pos = positions[idx]
+        nxt = kth + bisect_right(claims, pos) - skipped
+        if nxt == idx:
+            return pos
+        idx = nxt
+    raise RuntimeError(f"fewer than {k} unowned balls past position {after}")
+
 
 def minbox_maker(config: BoxConfig) -> MinboxMaker:
     return MinboxMaker()
@@ -296,30 +359,40 @@ class FocusBreaker(Strategy):
         return item.label[0] == self.focus
 
     def box_turn(self, rt: _BoxRuntime, view: BoxView, quota: int) -> Optional[int]:
-        """Fast turn for tapes ordered in advance: jump straight between
-        focus-box positions.  Returns the number of takes, or None to fall
-        back to the generic per-ball loop.
+        """Fast turn for tapes ordered in advance: take the next ``quota``
+        focus-box balls as one slice of its positions.  Returns the number
+        of takes, or None to fall back to the generic per-ball loop.
 
         The focus cannot change mid-turn (Maker does not move during
         Breaker's turn), and every focus-box ball ahead of Breaker's pointer
         is unowned: Maker owning one would mean the box is covered, and
-        Breaker only ever takes at its own pointer.
+        Breaker only ever takes at its own pointer.  The ball that kills the
+        focus box is its last one, so the slice ends there by itself.
         """
         if rt.box_positions is None:
             return None
         self._refresh(view)
-        state = rt.state
+        state, goal = rt.state, rt.goal
         if self.lost:
             state.breaker_ptr = state.revealed_upto = state.n
             return 0
-        positions = rt.box_positions[self.focus]
-        idx = int(np.searchsorted(positions, state.breaker_ptr + 1))
-        takes = 0
-        while takes < quota and not rt.goal.dead and idx < len(positions):
-            _breaker_claim(rt, int(positions[idx]))
-            idx += 1
-            takes += 1
-        if takes < quota and not rt.goal.dead:
+        m = goal.m
+        lo, hi = self.focus * m, self.focus * m + m
+        first = bisect_right(rt.box_positions, state.breaker_ptr, lo, hi)
+        taken = rt.box_positions[first:min(first + quota, hi)]
+        takes = len(taken)
+        if takes:
+            state.owner[np.asarray(taken) - 1] = BREAKER
+            taken = taken.tolist()
+            state.breaker_positions += taken
+            state.breaker_ptr = taken[-1]
+            if taken[-1] > state.revealed_upto:
+                state.revealed_upto = taken[-1]
+            # Balls behind Maker's pointer already belong to Breaker.
+            ahead = taken[bisect_right(taken, state.maker_ptr):]
+            rt.claims[self.focus] += ahead
+            goal.breaker_gain(self.focus, len(ahead))
+        if takes < quota and not goal.dead:
             # Ran out of focus-box balls: the scan sweeps to the stream end.
             state.breaker_ptr = state.revealed_upto = state.n
         return takes
@@ -390,13 +463,22 @@ def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
     if pos > state.revealed_upto:
         state.revealed_upto = pos
     if pos > state.maker_ptr:
-        rt.goal.breaker_gain(int(state.market.perm[pos - 1]) // rt.goal.m)
+        box = int(state.market.perm[pos - 1]) // rt.goal.m
+        rt.claims[box].append(pos)
+        rt.goal.breaker_gain(box)
 
 
 def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
     """Scan until Maker takes a ball; each unowned ball passed on the way
-    now belongs to Breaker.  Items are built eagerly from ``perm``: on this
-    per-ball path, GameState.item's deferred labels cost half again as much."""
+    now belongs to Breaker.  A Maker with a ``box_turn`` hook (the min-box
+    Maker) jumps straight to its take on a tape ordered in advance.  Other
+    Makers, and the adversarial tape, which is filled in as it is revealed,
+    are offered each ball in turn.  Those Items are built eagerly from
+    ``perm``: on this per-ball path, GameState.item's deferred labels cost
+    half again as much."""
+    hook = getattr(maker, "box_turn", None)
+    if hook is not None and hook(rt, view) is not None:
+        return
     state, goal = rt.state, rt.goal
     owner, costs, perm = state.owner, state.market.costs, state.market.perm
     m, total = goal.m, state.n

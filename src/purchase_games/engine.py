@@ -286,11 +286,20 @@ def _permutation(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).permutation(n)
 
 
+def _labels_of(universe, perm: np.ndarray, positions) -> tuple:
+    """Labels at ``positions`` (1-based), through one gather of ``perm``.
+    The ranks are read through a memoryview, one Python int at a time: a
+    list of them all would raise the heap's peak by an int per position.
+    The labels go into a list first, so the tuple is sized once; a tuple
+    grown from an iterator by reallocation fragments the heap over a run."""
+    ranks = perm[np.asarray(positions, dtype=np.int64) - 1]
+    return tuple(list(map(universe.label_of_rank, memoryview(ranks))))
+
+
 def _labels_at(universe, n: int, perm_seed: int, positions: tuple) -> tuple:
     """Labels at ``positions`` of a market whose permutation was never built,
     from the permutation's seed alone."""
-    perm = _permutation(n, perm_seed)
-    return tuple(universe.label_of_rank(int(perm[p - 1])) for p in positions)
+    return _labels_of(universe, _permutation(n, perm_seed), positions)
 
 
 def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Market:
@@ -467,14 +476,6 @@ class GameState:
         return self.market.n
 
     @property
-    def maker_labels(self) -> list:
-        return [self.market.label(p) for p in self.maker_positions]
-
-    @property
-    def breaker_labels(self) -> list:
-        return [self.market.label(p) for p in self.breaker_positions]
-
-    @property
     def maker_cost_paid(self) -> float:
         """Exact sum of Maker's purchase costs (correctly rounded)."""
         costs = self.market.costs
@@ -634,8 +635,8 @@ class View:
         return tuple(st.maker_positions if self.player == MAKER else st.breaker_positions)
 
     def my_labels(self) -> tuple:
-        st = self._state
-        return tuple(st.maker_labels if self.player == MAKER else st.breaker_labels)
+        market = self._state.market
+        return _labels_of(market.universe, market.perm, self.my_positions())
 
 
 # --------------------------------------------------------------------------
@@ -833,6 +834,9 @@ class NeverTake(Strategy):
     def decide(self, view: View, item: Item) -> bool:
         return False
 
+    def play_turn(self, ctx: TurnContext) -> None:
+        ctx.skip_to(ctx.stop)
+
 
 class RandomStrategy(Strategy):
     """Takes each offered unowned item with probability p, from its own seeded
@@ -1012,8 +1016,8 @@ def _outcome_from_state(state: GameState, failure_phase: Optional[object],
         pending["maker_items"] = partial(lookup, maker_positions)
         pending["breaker_items"] = partial(lookup, breaker_positions)
     else:
-        labels["maker_items"] = tuple(state.maker_labels)
-        labels["breaker_items"] = tuple(state.breaker_labels)
+        labels["maker_items"] = _labels_of(market.universe, market.perm, maker_positions)
+        labels["breaker_items"] = _labels_of(market.universe, market.perm, breaker_positions)
     return _deferred(
         Outcome, pending, **labels,
         success=state.goal_met,

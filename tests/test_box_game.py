@@ -27,6 +27,7 @@ from purchase_games.engine import (
     AlwaysTake,
     HiddenInformationError,
     NeverTake,
+    RandomStrategy,
     SlowTurns,
     Strategy,
     View,
@@ -145,6 +146,69 @@ def test_focus_fast_path_matches_decide_loop():
         fast = play_box(cfg, MinboxMaker(), FocusBreaker(), seed=seed)
         slow = play_box(cfg, MinboxMaker(), SlowTurns(FocusBreaker()), seed=seed)
         assert fast == slow, (ordering, t)
+
+
+class WatchedMinbox(MinboxMaker):
+    """The min-box Maker's fast turn, noting each result and the most
+    Breaker-owned balls ahead of Maker's pointer that a turn saw."""
+
+    def __init__(self):
+        self.results = []
+        self.most_ahead = 0
+
+    def box_turn(self, rt, view):
+        ptr = rt.state.maker_ptr
+        ahead = sum(p > ptr for p in rt.state.breaker_positions)
+        self.most_ahead = max(self.most_ahead, ahead)
+        self.results.append(super().box_turn(rt, view))
+        return self.results[-1]
+
+
+def test_minbox_fast_path_matches_decide_loop():
+    # SlowTurns has no box_turn, so play_box offers Maker every ball.
+    breakers = {
+        "focus": lambda seed: FocusBreaker(),
+        "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
+        "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
+    }
+    starved = most_ahead = 0
+    # (4, 6, 3) and (6, 5, 4) have m far below bn + 1: a box often starves.
+    for (n, m, b), ordering, breaker, t in itertools.product(
+            [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3), (6, 5, 4)],
+            ("random", "scripted"), breakers, range(12)):
+        seed = mix_seed(13, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+        cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        fast_log, slow_log = [], []
+        maker = WatchedMinbox()
+        fast = play_box(cfg, maker, breakers[breaker](seed), seed=seed, damage_log=fast_log)
+        slow = play_box(cfg, SlowTurns(MinboxMaker()), breakers[breaker](seed), seed=seed,
+                        damage_log=slow_log)
+        assert fast == slow and fast_log == slow_log, ((n, m, b), ordering, breaker, t)
+        assert None not in maker.results
+        starved += not fast.success
+        most_ahead = max(most_ahead, maker.most_ahead)
+    assert starved >= 100
+    assert most_ahead >= 10  # Breaker-owned balls the fast turn had to skip
+
+
+def test_focus_bulk_claim_stops_at_the_killing_ball():
+    # Box 2 dies on the second of the last turn's b = 3 claims; the first,
+    # at position 10, lies behind Maker's pointer (11) and adds nothing.
+    seq = (1, 1, 2, 0, 1, 1, 2, 0, 0, 2, 0, 2)
+    cfg = BoxConfig(n=3, m=4, b=3, ordering="scripted", sequence=seq)
+    fast_log, slow_log = [], []
+    fast = play_box(cfg, MinboxMaker(), FocusBreaker(), seed=1, damage_log=fast_log)
+    slow = play_box(cfg, MinboxMaker(), SlowTurns(FocusBreaker()), seed=1,
+                    damage_log=slow_log)
+    assert fast.maker_positions == (1, 11)
+    assert fast.breaker_positions == (4, 8, 9, 10, 12)
+    assert fast.details == {"winner": "breaker", "covered": 2, "btb": [3, 3, 4],
+                            "breaker_turns": 2}
+    assert fast == slow and fast_log == slow_log
 
 
 def test_scripted_ordering_needs_a_seed():

@@ -23,6 +23,7 @@ from purchase_games.engine import (
     Outcome,
     ProtocolViolation,
     RandomStrategy,
+    ScheduleStrategy,
     SlowTurns,
     dump_market,
     generate_market,
@@ -33,7 +34,12 @@ from purchase_games.engine import (
     play,
     reveal,
 )
-from purchase_games.clique_game import CliqueGoal, triangle_maker_unrestricted
+from purchase_games.clique_game import (
+    CliqueGoal,
+    clique_plan,
+    kclique_maker,
+    triangle_maker_unrestricted,
+)
 from purchase_games.item_game import (
     PhasedMaker,
     breaker_closed_form,
@@ -42,6 +48,7 @@ from purchase_games.item_game import (
     single_threshold_maker,
 )
 from purchase_games.oracle import item_b0_dp
+from purchase_games.path_game import PathGoal, path_maker, path_plan
 
 
 # --------------------------------------------------------------------------
@@ -413,6 +420,33 @@ def test_edge_game_outcome_labels_match_market():
     _, slow = game(SlowTurns(triangle_maker_unrestricted(n, 1)))
     assert slow == out and repr(slow) == repr(out)
     assert _with_fresh_fields(out) == out
+
+
+def _phased_game(game: str):
+    """(rules, fresh Maker with a fast turn, market of a seed) of a phased game."""
+    if game == "item":
+        rules = GameRules(b=2, phase_count=4)
+        return rules, lambda: ScheduleStrategy(0.01), lambda seed: generate_market(400, seed)
+    if game == "clique":
+        plan = clique_plan(60, 1, 3)
+        rules = GameRules(b=1, phase_count=3, goal=lambda: CliqueGoal(3))
+        return (rules, lambda: kclique_maker(plan),
+                lambda seed: generate_market(plan.edge_count, seed, EdgeLabels(60)))
+    plan = path_plan(120, 1, k_override=2, threshold_scale=1.0)
+    rules = GameRules(b=1, phase_count=plan.phase_count, goal=lambda: PathGoal(0, 1))
+    return (rules, lambda: path_maker(plan, 0, 1),
+            lambda seed: generate_market(plan.edge_count, seed, EdgeLabels(120)))
+
+
+@pytest.mark.parametrize("game", ["item", "clique", "path"])
+def test_never_take_fast_turn_matches_decide_loop(game):
+    rules, new_maker, market = _phased_game(game)
+    for seed in range(4):
+        fast = play(market(seed), rules, new_maker(), NeverTake(), record_trace=True)
+        slow = play(market(seed), rules, new_maker(), SlowTurns(NeverTake()),
+                    record_trace=True)
+        assert fast == slow and fast.details["trace"] == slow.details["trace"], seed
+        assert sum(ev[:2] == ("turn", BREAKER) for ev in fast.details["trace"]) >= 2
 
 
 def test_item_and_view_labels_look_up_the_market():

@@ -310,12 +310,12 @@ class TriangleMaker(StagedScanner):
         return False
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
-        seg_u, seg_v = self._u[lo:hi], self._v[lo:hi]
         if self._phase == 1:
-            mask = (seg_u == self.root) | (seg_v == self.root)
-            return self._masked(lo, hi, mask, self.star_threshold)
-        mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
-        return self._masked(lo, hi, mask, self.close_threshold)
+            root = self.root
+            return self._masked(lo, hi, lambda u, v: (u == root) | (v == root),
+                                self.star_threshold)
+        leaf = self._leaf_mask
+        return self._masked(lo, hi, lambda u, v: leaf[u] & leaf[v], self.close_threshold)
 
     # Bound in the class body, not only inherited, so each Maker class owns
     # a play_turn that perfbench/tracer.py can wrap on its own.
@@ -536,21 +536,14 @@ class KCliqueMaker(StagedScanner):
         kind = self._kind(self._phase)
         if kind == "closing":
             return self._live_closings
-        seg_u = self._u[lo:hi]
-        seg_v = self._v[lo:hi]
+        leaf, matched, root = self._leaf_mask, self._matched_mask, self._root
         if kind == "star":
-            thr = plan.star_thresholds[self._phase - 1]
-            root = self._root
-            mask = ((seg_u == root) & self._leaf_mask[seg_v]) | (
-                (seg_v == root) & self._leaf_mask[seg_u])
-        elif kind == "matching":
-            thr = plan.matching_threshold
-            mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
-        else:  # extension
-            thr = plan.extend_threshold
-            mask = self._leaf_mask[seg_u] & self._leaf_mask[seg_v]
-            mask &= self._matched_mask[seg_u] | self._matched_mask[seg_v]
-        return self._masked(lo, hi, mask, thr)
+            return self._masked(lo, hi, lambda u, v: ((u == root) & leaf[v]) | (
+                (v == root) & leaf[u]), plan.star_thresholds[self._phase - 1])
+        if kind == "matching":
+            return self._masked(lo, hi, lambda u, v: leaf[u] & leaf[v], plan.matching_threshold)
+        return self._masked(lo, hi, lambda u, v: leaf[u] & leaf[v] & (matched[u] | matched[v]),
+                            plan.extend_threshold)
 
     # Bound in the class body for the same reason as TriangleMaker's.
     play_turn = StagedScanner.play_turn

@@ -182,29 +182,56 @@ class EdgeLabels:
     """Label universe: edges of the complete graph on ``vertices`` vertices.
 
     Labels are pairs (u, v) with 0 <= u < v < vertices.  Ranks enumerate
-    edges in lexicographic order; endpoint arrays are exposed so edge-game
-    strategies can build per-position masks without materializing tuples.
+    edges in lexicographic order, and are unranked by arithmetic in the
+    combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): rank r is edge
+    j = size - 1 - r counted from the last, which lies in row
+    t = (isqrt(8j + 1) - 1) // 2 counted from the last row, so
+    u = vertices - 2 - t.  No per-rank array is kept: ``endpoints`` unranks
+    just the ranks it is given.
     """
 
     def __init__(self, vertices: int):
         if vertices < 2:
             raise ValueError("need at least 2 vertices")
+        if 4 * vertices * (vertices - 1) >= 2 ** 52:
+            raise ValueError(f"{vertices} vertices are too many to unrank in float64")
         self.vertices = vertices
         self.size = vertices * (vertices - 1) // 2
-        u, v = np.triu_indices(vertices, k=1)
-        self.rank_u = u.astype(np.int32)
-        self.rank_v = v.astype(np.int32)
-        # _row_offset[a] = rank of edge (a, a+1)
+        # _row_offset[a] = rank of edge (a, a+1) = a(2 vertices - 1 - a)/2
         degs = np.arange(vertices - 1, 0, -1, dtype=np.int64)
         self._row_offset = np.concatenate(([0], np.cumsum(degs)))
 
+    def endpoints(self, ranks: np.ndarray) -> tuple:
+        """Endpoint arrays (u, v) of the edges at ``ranks``.
+
+        8j + 1 is an integer below 2^52 (the constructor checks), so the
+        floor of its correctly rounded float64 square root s is its integer
+        square root, and t = floor((s - 1) / 2).  s - 1 and the halving are
+        exact too, so the rows need no correction."""
+        n = self.vertices
+        # t, with s the square root of 8j + 1; numpy reuses each temporary
+        u = ((np.sqrt(ranks * -8.0 + (4 * n * (n - 1) - 7)) - 1) * 0.5).astype(np.int64)
+        np.subtract(n - 2, u, out=u)
+        v = self._row_offset[u]
+        np.subtract(ranks, v, out=v)
+        v += u
+        v += 1
+        return u, v
+
+    # Endpoints of every rank, built on each read for perfbench/tracer.py;
+    # no game reads them.
+    rank_u = property(lambda self: np.triu_indices(self.vertices, 1)[0])
+    rank_v = property(lambda self: np.triu_indices(self.vertices, 1)[1])
+
     def label_of_rank(self, rank: int):
-        return (int(self.rank_u[rank]), int(self.rank_v[rank]))
+        n = self.vertices
+        u = n - 2 - ((math.isqrt(4 * n * (n - 1) - 7 - 8 * rank) - 1) >> 1)
+        return (u, rank + u + 1 - (u * (2 * n - 1 - u) >> 1))
 
     def edge_rank(self, a: int, b: int) -> int:
         if a > b:
             a, b = b, a
-        return int(self._row_offset[a]) + (b - a - 1)
+        return (a * (2 * self.vertices - 1 - a) >> 1) + (b - a - 1)
 
     def format_label(self, label) -> str:
         return f"{label[0]}-{label[1]}"
@@ -277,9 +304,9 @@ class Market:
         return float(self.costs[position - 1])
 
     def edge_endpoints(self):
-        """Per-position endpoint arrays (u, v) for edge-label markets."""
-        uni = self.universe
-        return uni.rank_u[self.perm], uni.rank_v[self.perm]
+        """Per-position endpoint arrays (u, v) for edge-label markets, all
+        n of them; the edge-game Makers unrank only their stages' ranks."""
+        return self.universe.endpoints(self.perm)
 
 
 def _permutation(n: int, seed: int) -> np.ndarray:
@@ -837,6 +864,16 @@ class NeverTake(Strategy):
     def play_turn(self, ctx: TurnContext) -> None:
         ctx.skip_to(ctx.stop)
 
+    def box_turn(self, rt, view, quota: Optional[int] = None) -> Optional[int]:
+        """A box-game Breaker turn sweeps to the end of the stream, which an
+        adversarial tape fills in for Breaker's scan; a Maker turn (no
+        quota) is left to the per-ball loop."""
+        if quota is None:
+            return None
+        rt.reveal_to(rt.state.n, BREAKER)
+        rt.state.breaker_ptr = rt.state.n
+        return 0
+
 
 class RandomStrategy(Strategy):
     """Takes each offered unowned item with probability p, from its own seeded
@@ -892,7 +929,9 @@ class StagedScanner(PhaseBounds, Strategy):
     ``_close_phase(phase)`` (judge a finished phase; may set
     ``failure_phase``), ``_stage_candidates(lo, hi)`` and ``decide``, which
     calls ``_sync`` first.  ``_enter_phase(phase, revealed)`` is optional.
-    ``_u`` and ``_v`` hold the market's per-position edge endpoints.
+    ``_stage_candidates`` passes ``_masked`` a vertex-mask test on endpoint
+    arrays and a cost threshold; below a threshold of 1, ``_masked`` keeps
+    the positions whose cost passes first and unranks only their edges.
     """
 
     _market: Optional[Market] = None
@@ -901,7 +940,6 @@ class StagedScanner(PhaseBounds, Strategy):
 
     def prepare(self, market: Market) -> None:
         self._market = market
-        self._u, self._v = market.edge_endpoints()
 
     def begin(self, view: View) -> None:
         self._reset()
@@ -933,12 +971,17 @@ class StagedScanner(PhaseBounds, Strategy):
         """The sorted positions in lo+1..hi where ``decide`` could say yes."""
         raise NotImplementedError
 
-    def _masked(self, lo: int, hi: int, mask: np.ndarray, threshold: float) -> np.ndarray:
-        """Positions lo+1..hi where ``mask`` (over that slice) holds and the
-        cost is at most ``threshold``."""
+    def _masked(self, lo: int, hi: int, keep: Callable, threshold: float) -> np.ndarray:
+        """Positions lo+1..hi whose cost is at most ``threshold`` and whose
+        edge passes ``keep(u, v)``, a bool mask over endpoint arrays.  Below
+        a threshold of 1 the costs are filtered first, so only the positions
+        that pass are gathered from ``perm`` and unranked."""
+        market = self._market
+        ranks = market.perm[lo:hi]
         if threshold < 1.0:
-            mask &= self._market.costs[lo:hi] <= threshold
-        return np.flatnonzero(mask) + lo + 1
+            pos = np.flatnonzero(market.costs[lo:hi] <= threshold)
+            return pos[keep(*market.universe.endpoints(ranks[pos]))] + (lo + 1)
+        return np.flatnonzero(keep(*market.universe.endpoints(ranks))) + (lo + 1)
 
     def play_turn(self, ctx: TurnContext) -> None:
         if self._market is None:

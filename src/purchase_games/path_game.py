@@ -276,17 +276,13 @@ class PathMaker(StagedScanner):
     # -- fast scanning ------------------------------------------------------------
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
-        seg_u = self._u[lo:hi]
-        seg_v = self._v[lo:hi]
         if self._growing():
             prev = self._prev_mask
-            mask = prev[seg_u] ^ prev[seg_v]
-            thr = self.plan.growth_threshold
-        else:
-            mask = (self._in_t[seg_u] & self._in_tp[seg_v]) | (
-                self._in_t[seg_v] & self._in_tp[seg_u])
-            thr = self._connect_thr
-        return self._masked(lo, hi, mask, thr)
+            return self._masked(lo, hi, lambda a, b: prev[a] ^ prev[b],
+                                self.plan.growth_threshold)
+        in_t, in_tp = self._in_t, self._in_tp
+        return self._masked(lo, hi, lambda a, b: (in_t[a] & in_tp[b]) | (in_t[b] & in_tp[a]),
+                            self._connect_thr)
 
     # Bound in the class body, not only inherited, so that perfbench/tracer.py
     # can wrap this class's own play_turn.

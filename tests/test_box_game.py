@@ -211,6 +211,29 @@ def test_focus_bulk_claim_stops_at_the_killing_ball():
     assert fast == slow and fast_log == slow_log
 
 
+def test_never_take_box_turn_matches_decide_loop():
+    # SlowTurns has no box_turn, so play_box offers its Breaker every ball.
+    makers = {
+        "minbox": lambda seed: MinboxMaker(),
+        "slow_minbox": lambda seed: SlowTurns(MinboxMaker()),
+        "random": lambda seed: RandomStrategy(0.3, mix_seed(seed, 4)),
+    }
+    for (n, m, b), ordering, maker, t in itertools.product(
+            [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3)],
+            ("random", "scripted", "adversarial"), makers, range(6)):
+        seed = mix_seed(17, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+        cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        fast_log, slow_log = [], []
+        fast = play_box(cfg, makers[maker](seed), NeverTake(), seed=seed, damage_log=fast_log)
+        slow = play_box(cfg, makers[maker](seed), SlowTurns(NeverTake()), seed=seed,
+                        damage_log=slow_log)
+        assert fast == slow and fast_log == slow_log, ((n, m, b), ordering, maker, t)
+
+
 def test_scripted_ordering_needs_a_seed():
     cfg = BoxConfig(n=2, m=3, b=1, ordering="scripted", sequence=(0, 1, 1, 0, 0, 1))
     with pytest.raises(ValueError, match="scripted ordering needs a seed"):

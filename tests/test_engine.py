@@ -158,6 +158,40 @@ def test_edge_labels_rank_roundtrip():
         assert uni.edge_rank(v, u) == rank
 
 
+def test_edge_labels_unrank_every_rank():
+    for n in range(2, 81):
+        uni = EdgeLabels(n)
+        u, v = uni.endpoints(np.arange(uni.size))
+        want_u, want_v = np.triu_indices(n, 1)
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v), n
+        labels = [uni.label_of_rank(r) for r in range(uni.size)]
+        assert labels == list(zip(u.tolist(), v.tolist())), n
+
+
+@pytest.mark.parametrize("n", [3000, 2**16])
+def test_edge_labels_unrank_row_boundaries(n):
+    # The float square root is nearest to rounding the wrong way at each
+    # row's first and last edge, so check those and their neighbours only.
+    uni = EdgeLabels(n)
+    a = np.arange(n - 1)
+    first = a * (2 * n - 1 - a) // 2  # rank of edge (a, a + 1)
+    last = first + (n - 2 - a)        # rank of edge (a, n - 1)
+    ranks = np.unique(np.clip(np.concatenate([first - 1, first, first + 1,
+                                              last - 1, last, last + 1]), 0, uni.size - 1))
+    u, v = uni.endpoints(ranks)
+    row = np.searchsorted(first, ranks, side="right") - 1
+    assert np.array_equal(u, row)
+    assert np.array_equal(v, ranks - first[row] + row + 1)
+    ranks = ranks.tolist()
+    assert list(map(uni.label_of_rank, ranks)) == list(zip(u.tolist(), v.tolist()))
+    assert [uni.edge_rank(*uni.label_of_rank(r)) for r in ranks] == ranks
+
+
+def test_edge_labels_rejects_unrankable_sizes():
+    with pytest.raises(ValueError):
+        EdgeLabels(2**26)
+
+
 # --------------------------------------------------------------------------
 # Protocol basics
 # --------------------------------------------------------------------------

@@ -1,0 +1,160 @@
+"""The edge-game Makers' stage candidates against whole-stream endpoints.
+
+A Maker builds each stage's candidates by unranking only the positions
+whose cost its threshold lets through (every position when the threshold
+is at least 1).  Here each build is recomputed the slow way: the endpoint
+arrays of the whole stream from ``Market.edge_endpoints()``, a vertex mask
+over the stage's slice of them, and the cost test.
+"""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+from purchase_games.clique_game import (
+    CliqueGoal,
+    KCliqueMaker,
+    TriangleMaker,
+    clique_plan,
+    plan_mimic_breaker,
+    triangle_mimic_breaker,
+)
+from purchase_games.engine import (
+    EdgeLabels,
+    GameRules,
+    RandomStrategy,
+    generate_market,
+    mix_seed,
+    play,
+)
+from purchase_games.path_game import PathGoal, PathMaker, path_mimic_breaker, path_plan
+
+
+def _reference(maker, lo: int, hi: int):
+    """(stage kind, threshold, candidates) from whole-stream endpoints, or
+    None for the k-clique closing phase, whose candidates are registered
+    positions rather than a mask."""
+    u, v = maker._market.edge_endpoints()
+    u, v = u[lo:hi], v[lo:hi]
+    if isinstance(maker, TriangleMaker):
+        leaf = maker._leaf_mask
+        if maker._phase == 1:
+            kind, thr = "star", maker.star_threshold
+            mask = (u == maker.root) | (v == maker.root)
+        else:
+            kind, thr = "close", maker.close_threshold
+            mask = leaf[u] & leaf[v]
+    elif isinstance(maker, KCliqueMaker):
+        kind, plan = maker._kind(maker._phase), maker.plan
+        leaf, matched, root = maker._leaf_mask, maker._matched_mask, maker._root
+        if kind == "closing":
+            return None
+        if kind == "star":
+            thr = plan.star_thresholds[maker._phase - 1]
+            mask = ((u == root) & leaf[v]) | ((v == root) & leaf[u])
+        elif kind == "matching":
+            thr = plan.matching_threshold
+            mask = leaf[u] & leaf[v]
+        else:
+            thr = plan.extend_threshold
+            mask = leaf[u] & leaf[v] & (matched[u] | matched[v])
+    else:
+        if maker._growing():
+            kind, thr = "growth", maker.plan.growth_threshold
+            prev = maker._prev_mask
+            mask = prev[u] ^ prev[v]
+        else:
+            kind, thr = "connect", maker._connect_thr
+            in_t, in_tp = maker._in_t, maker._in_tp
+            mask = (in_t[u] & in_tp[v]) | (in_t[v] & in_tp[u])
+    if thr < 1.0:
+        mask &= maker._market.costs[lo:hi] <= thr
+    return kind, thr, np.flatnonzero(mask) + lo + 1
+
+
+class Recorded:
+    """Records each stage build: its bounds, the candidates the Maker built
+    and the reference recomputed from the Maker's state at that moment."""
+
+    def prepare(self, market):
+        super().prepare(market)
+        self.records = []
+
+    def _stage_candidates(self, lo, hi):
+        cands = super()._stage_candidates(lo, hi)
+        self.records.append(((lo, hi), cands, _reference(self, lo, hi)))
+        return cands
+
+
+class RecordedTriangle(Recorded, TriangleMaker):
+    pass
+
+
+class RecordedKClique(Recorded, KCliqueMaker):
+    pass
+
+
+class RecordedPath(Recorded, PathMaker):
+    pass
+
+
+def _triangle(n, b):
+    return (n, GameRules(b=b, goal=lambda: CliqueGoal(3)), lambda: RecordedTriangle(n, b),
+            lambda: triangle_mimic_breaker(n, b))
+
+
+def _kclique(n, b, k):
+    plan = clique_plan(n, b, k)
+    return (n, GameRules(b=b, phase_count=k, goal=lambda: CliqueGoal(k)),
+            lambda: RecordedKClique(plan), lambda: plan_mimic_breaker(plan))
+
+
+def _path(n, b, k, scale):
+    plan = path_plan(n, b, k_override=k, threshold_scale=scale)
+    return (n, GameRules(b=b, phase_count=plan.phase_count, goal=lambda: PathGoal(0, 1)),
+            lambda: RecordedPath(plan), lambda: path_mimic_breaker(plan))
+
+
+GAMES = {
+    "triangle/n80b2": (_triangle, (80, 2)),
+    "triangle/n200b1": (_triangle, (200, 1)),
+    "kclique/k3n60b1": (_kclique, (60, 1, 3)),
+    "kclique/k3n150b0": (_kclique, (150, 0, 3)),
+    "kclique/k4n100b1": (_kclique, (100, 1, 4)),
+    "path/k1n300b1s0.5": (_path, (300, 1, 1, 0.5)),
+    "path/k3n120b1s20": (_path, (120, 1, 3, 20.0)),
+    "path/k1n200b1s50": (_path, (200, 1, 1, 50.0)),
+}
+SEEDS = [0, 1, 2]
+
+# the stage kinds that each family's games above must build
+EXPECTED = {
+    "triangle": {"star", "close"},
+    "kclique": {"star", "matching", "extension"},
+    "path": {"growth", "connect"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED))
+def test_stage_candidates_match_whole_stream_endpoints(family):
+    kinds, routes = set(), set()
+    for game, seed in itertools.product([g for g in GAMES if g.startswith(family)], SEEDS):
+        builder, args = GAMES[game]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regime warnings at desk sizes
+            n, rules, new_maker, mimic = builder(*args)
+        stream = n * (n - 1) // 2
+        for breaker in (mimic(), RandomStrategy(0.05, mix_seed(seed, 4))):
+            maker = new_maker()
+            play(generate_market(stream, seed, EdgeLabels(n)), rules, maker, breaker)
+            for bounds, cands, ref in maker.records:
+                if ref is None:
+                    continue
+                kind, thr, expected = ref
+                assert np.array_equal(cands, expected), (game, seed, bounds, kind)
+                kinds.add(kind)
+                routes.add(bool(thr < 1.0))
+    assert kinds == EXPECTED[family]
+    assert routes == {True, False}  # cost-first and whole-slice unranking

@@ -311,11 +311,9 @@ class TriangleMaker(StagedScanner):
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         if self._phase == 1:
-            root = self.root
-            return self._masked(lo, hi, lambda u, v: (u == root) | (v == root),
-                                self.star_threshold)
-        leaf = self._leaf_mask
-        return self._masked(lo, hi, lambda u, v: leaf[u] & leaf[v], self.close_threshold)
+            return self._masked(lo, hi, np.arange(self.n) == self.root,
+                                np.ones(self.n, dtype=bool), self.star_threshold)
+        return self._masked(lo, hi, self._leaf_mask, self._leaf_mask, self.close_threshold)
 
     # Bound in the class body, not only inherited, so each Maker class owns
     # a play_turn that perfbench/tracer.py can wrap on its own.
@@ -334,10 +332,8 @@ def triangle_mimic_breaker(n: int, b: int) -> ScheduleStrategy:
     """Generic adversary pricing edges like the triangle Maker: the star bar
     in the first half of the stream, the closing bar in the second."""
     maker = TriangleMaker(n, b)
-    values = np.empty(maker.edge_count)
-    values[: maker.half] = min(1.0, maker.star_threshold)
-    values[maker.half:] = min(1.0, maker.close_threshold)
-    return ScheduleStrategy(values)
+    return ScheduleStrategy(np.minimum(1.0, [maker.star_threshold, maker.close_threshold]),
+                            ends=maker.ends)
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +380,8 @@ class KCliqueMaker(StagedScanner):
         self._matched_mask = np.zeros(plan.n, dtype=bool)
         self._partner = np.full(plan.n, -1, dtype=np.int64)
         self._ext_count = 0
+        self._ext_cands: Optional[np.ndarray] = None
+        self._closing_at: dict = {}
         self._live_closings: Optional[np.ndarray] = None
         self._closer: Optional[PhasedMaker] = None
 
@@ -408,6 +406,8 @@ class KCliqueMaker(StagedScanner):
             self.progress.roots.append(root)
         elif kind == "matching":
             self._collected = []
+        elif kind == "extension":
+            self._prepare_extension(phase)
         elif kind == "closing":
             self._prepare_closing(revealed)
 
@@ -437,6 +437,22 @@ class KCliqueMaker(StagedScanner):
         elif kind == "extension":
             if self._ext_count < plan.target_closing:
                 self.failure_phase = "extension"
+
+    def _prepare_extension(self, phase: int) -> None:
+        """The phase's candidates, and the positions past the phase start of
+        the closing edges they would register, by rank; a closing edge
+        before the phase is revealed before any candidate is offered."""
+        plan, market = self.plan, self._market
+        lo, leaf, matched = plan.phase_start(phase) - 1, self._leaf_mask, self._matched_mask
+        self._ext_cands = self._masked(lo, plan.phase_end(phase), leaf & matched, leaf,
+                                       plan.extend_threshold)
+        u, v = market.universe.endpoints(market.perm[self._ext_cands - 1])
+        shared, other = np.where(matched[u], u, v), np.where(matched[u], v, u)
+        mate = self._partner[shared]
+        hit = np.zeros(market.universe.size, dtype=bool)
+        hit[market.universe.edge_rank(mate, other)[mate != other]] = True
+        pos = np.flatnonzero(hit[market.perm[lo:]]) + lo
+        self._closing_at = dict(zip(market.perm[pos].tolist(), (pos + 1).tolist()))
 
     def _prepare_closing(self, revealed: int) -> None:
         plan = self.plan
@@ -507,8 +523,7 @@ class KCliqueMaker(StagedScanner):
             if mate == other:
                 return False  # the matching edge itself (owned anyway)
             closing = (mate, other) if mate < other else (other, mate)
-            rank = self._market.universe.edge_rank(*closing)
-            closing_pos = int(self._market.inverse_perm[rank]) + 1
+            closing_pos = self._closing_at.get(int(self._market.universe.edge_rank(*closing)), 0)
             if closing_pos <= view.revealed_upto:
                 return False  # already offered to someone
             if closing_pos in self.progress.pending_closings:
@@ -536,14 +551,13 @@ class KCliqueMaker(StagedScanner):
         kind = self._kind(self._phase)
         if kind == "closing":
             return self._live_closings
-        leaf, matched, root = self._leaf_mask, self._matched_mask, self._root
+        leaf = self._leaf_mask
         if kind == "star":
-            return self._masked(lo, hi, lambda u, v: ((u == root) & leaf[v]) | (
-                (v == root) & leaf[u]), plan.star_thresholds[self._phase - 1])
+            return self._masked(lo, hi, np.arange(plan.n) == self._root, leaf,
+                                plan.star_thresholds[self._phase - 1])
         if kind == "matching":
-            return self._masked(lo, hi, lambda u, v: leaf[u] & leaf[v], plan.matching_threshold)
-        return self._masked(lo, hi, lambda u, v: leaf[u] & leaf[v] & (matched[u] | matched[v]),
-                            plan.extend_threshold)
+            return self._masked(lo, hi, leaf, leaf, plan.matching_threshold)
+        return self._ext_cands
 
     # Bound in the class body for the same reason as TriangleMaker's.
     play_turn = StagedScanner.play_turn
@@ -556,15 +570,6 @@ def kclique_maker(plan: CliquePlan) -> KCliqueMaker:
 def plan_mimic_breaker(plan: CliquePlan) -> ScheduleStrategy:
     """Generic adversary pricing every position with the plan's phase
     threshold (the extension bar stands in during the closing phase)."""
-    values = np.empty(plan.edge_count)
-    for phase in range(1, plan.k + 1):
-        lo = plan.phase_start(phase) - 1
-        hi = plan.phase_end(phase)
-        if phase <= plan.k - 3:
-            t = plan.star_thresholds[phase - 1]
-        elif phase == plan.k - 2:
-            t = plan.matching_threshold
-        else:
-            t = plan.extend_threshold
-        values[lo:hi] = min(1.0, float(t))
-    return ScheduleStrategy(values)
+    levels = [*plan.star_thresholds, plan.matching_threshold,
+              plan.extend_threshold, plan.extend_threshold]
+    return ScheduleStrategy(np.minimum(1.0, levels), ends=plan.ends)

@@ -228,10 +228,23 @@ class EdgeLabels:
         u = n - 2 - ((math.isqrt(4 * n * (n - 1) - 7 - 8 * rank) - 1) >> 1)
         return (u, rank + u + 1 - (u * (2 * n - 1 - u) >> 1))
 
-    def edge_rank(self, a: int, b: int) -> int:
-        if a > b:
+    def edge_rank(self, a, b):
+        """Rank of the edge {a, b}, a != b; ``a`` and ``b`` may also be int
+        arrays of one shape, ranked elementwise."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return self._row_offset[lo] + (hi - lo - 1)
+
+    def pair_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Bool mask over the ranks, set at the edges {x, y} with x in the
+        vertex mask ``a`` and y in ``b``.  It is ranked one vertex of the
+        smaller mask at a time, so no array of all the pairs is made."""
+        if np.count_nonzero(a) > np.count_nonzero(b):
             a, b = b, a
-        return (a * (2 * self.vertices - 1 - a) >> 1) + (b - a - 1)
+        ys = np.flatnonzero(b)
+        hit = np.zeros(self.size, dtype=bool)
+        for x in np.flatnonzero(a).tolist():
+            hit[self.edge_rank(x, ys[ys != x])] = True
+        return hit
 
     def format_label(self, label) -> str:
         return f"{label[0]}-{label[1]}"
@@ -268,7 +281,7 @@ class Market:
     positions, costs and owners, never builds the permutation.
     """
 
-    __slots__ = ("n", "costs", "universe", "seed", "_perm", "_perm_seed", "_inverse")
+    __slots__ = ("n", "costs", "universe", "seed", "_perm", "_perm_seed")
 
     def __init__(self, n: int, costs: np.ndarray, universe, seed: Optional[int],
                  perm: Optional[np.ndarray] = None, perm_seed: Optional[int] = None):
@@ -280,22 +293,12 @@ class Market:
         self.seed = seed
         self._perm = perm
         self._perm_seed = perm_seed
-        self._inverse = None
 
     @property
     def perm(self) -> np.ndarray:
         if self._perm is None:
             self._perm = _permutation(self.n, self._perm_seed)
         return self._perm
-
-    @property
-    def inverse_perm(self) -> np.ndarray:
-        """Position (0-based) of each universe rank."""
-        if self._inverse is None:
-            inv = np.empty(self.n, dtype=np.int64)
-            inv[self.perm] = np.arange(self.n)
-            self._inverse = inv
-        return self._inverse
 
     def label(self, position: int):
         return self.universe.label_of_rank(int(self.perm[position - 1]))
@@ -305,7 +308,7 @@ class Market:
 
     def edge_endpoints(self):
         """Per-position endpoint arrays (u, v) for edge-label markets, all
-        n of them; the edge-game Makers unrank only their stages' ranks."""
+        n of them; the edge-game Makers build only their stages' candidates."""
         return self.universe.endpoints(self.perm)
 
 
@@ -313,20 +316,24 @@ def _permutation(n: int, seed: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).permutation(n)
 
 
-def _labels_of(universe, perm: np.ndarray, positions) -> tuple:
-    """Labels at ``positions`` (1-based), through one gather of ``perm``.
-    The ranks are read through a memoryview, one Python int at a time: a
-    list of them all would raise the heap's peak by an int per position.
-    The labels go into a list first, so the tuple is sized once; a tuple
-    grown from an iterator by reallocation fragments the heap over a run."""
-    ranks = perm[np.asarray(positions, dtype=np.int64) - 1]
+def _ranks_at(perm: np.ndarray, positions) -> np.ndarray:
+    """The universe ranks at ``positions`` (1-based), in one gather."""
+    return perm[np.asarray(positions, dtype=np.int64) - 1]
+
+
+def _labels_of(universe, ranks: np.ndarray) -> tuple:
+    """The labels of ``ranks``.  They are read through a memoryview, one
+    Python int at a time: a list of them all would raise the heap's peak by
+    an int per rank.  The labels go into a list first, so the tuple is sized
+    once; a tuple grown from an iterator by reallocation fragments the heap
+    over a run."""
     return tuple(list(map(universe.label_of_rank, memoryview(ranks))))
 
 
 def _labels_at(universe, n: int, perm_seed: int, positions: tuple) -> tuple:
     """Labels at ``positions`` of a market whose permutation was never built,
     from the permutation's seed alone."""
-    return _labels_of(universe, _permutation(n, perm_seed), positions)
+    return _labels_of(universe, _ranks_at(_permutation(n, perm_seed), positions))
 
 
 def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Market:
@@ -663,7 +670,7 @@ class View:
 
     def my_labels(self) -> tuple:
         market = self._state.market
-        return _labels_of(market.universe, market.perm, self.my_positions())
+        return _labels_of(market.universe, _ranks_at(market.perm, self.my_positions()))
 
 
 # --------------------------------------------------------------------------
@@ -714,10 +721,11 @@ class TurnContext:
         return self.state.item(pos)
 
     def seek(self, thresholds, *, include_owned: bool = False,
-             start: Optional[int] = None) -> Optional[Item]:
-        """Advance to the first position q in [start, stop] with
+             start: Optional[int] = None, end: Optional[int] = None) -> Optional[Item]:
+        """Advance to the first position q in [start, min(stop, end)] with
         cost[q] <= thresholds[q] (and unowned, unless include_owned), rejecting
-        everything in between; None (pointer at stop) if there is none.
+        everything in between; None (pointer at min(stop, end), or where it
+        was if that is behind it) if there is none.
 
         ``thresholds`` is a scalar or a length-n array indexed by position-1.
         Equivalent to offering every item in between and declining it.
@@ -728,10 +736,9 @@ class TurnContext:
         a = st.pointer(self.player) + 1
         if start is not None and start > a:
             a = start
-        b = self.stop
+        b = self.stop if end is None else min(self.stop, end)
         if a > b:
-            st._advance(self.player, b)
-            self._offered = None
+            self.skip_to(b)
             return None
         costs = st.market.costs
         owner = st.owner
@@ -806,11 +813,12 @@ class Strategy:
 
     def prepare(self, market: Market) -> None:
         """Optional pre-game hook handing fast-path strategies the market so
-        they can index static candidate positions (``StagedScanner`` takes
-        the edge endpoint arrays here).  Prepared data may only
-        accelerate the scan (jumping between positions where ``decide`` could
-        say yes) or answer revealed-information predicates in O(1); it must
-        never change a decision relative to the plain per-item path."""
+        they can index static candidate positions (``StagedScanner`` keeps
+        the market and reads its costs and permutation once per stage).
+        Prepared data may only accelerate the scan (jumping between
+        positions where ``decide`` could say yes) or answer predicates on
+        revealed information in O(1); it must never change a decision
+        relative to the plain per-item path."""
 
     def begin(self, view: View) -> None:
         pass
@@ -830,26 +838,41 @@ class Strategy:
 class ScheduleStrategy(Strategy):
     """Threshold rule: take any unowned offered item with cost <= t[position].
 
-    ``values`` is a scalar or a per-position array.  With Breaker's quota this
+    ``values`` is a scalar or a per-position array.  A schedule that is
+    constant on blocks of the stream, such as a phase plan's, passes one
+    level per block in ``values`` and the last position of each block in
+    ``ends`` (as ``PhaseBounds.ends``); it keeps no per-position array, and
+    ``play_turn`` seeks one block at a time.  With Breaker's quota this
     yields "remove the first b items under the schedule"; as Maker it takes
     the first affordable item each turn.
     """
 
-    def __init__(self, values: Union[float, np.ndarray]):
+    def __init__(self, values: Union[float, np.ndarray], ends: Optional[np.ndarray] = None):
         self.values = values if np.ndim(values) == 0 else np.asarray(values, dtype=float)
+        self.ends = None if ends is None else np.asarray(ends, dtype=np.int64)
+        if self.ends is not None and self.ends.shape != np.shape(self.values):
+            raise ValueError("a block schedule needs one level per block end")
 
     def decide(self, view: View, item: Item) -> bool:
         if item.owner != UNOWNED:
             return False
-        t = self.values if np.ndim(self.values) == 0 else self.values[item.position - 1]
+        if self.ends is not None:
+            t = self.values[np.searchsorted(self.ends, item.position)]
+        else:
+            t = self.values if np.ndim(self.values) == 0 else self.values[item.position - 1]
         return item.cost <= t
 
     def play_turn(self, ctx: TurnContext) -> None:
-        while True:
-            item = ctx.seek(self.values)
-            if item is None:
-                return
-            ctx.take(item)
+        ends = self.ends
+        if ends is None:
+            while (item := ctx.seek(self.values)) is not None:
+                ctx.take(item)
+            return
+        while not ctx.turn_over():
+            j = int(np.searchsorted(ends, ctx.next_position))
+            item = ctx.seek(float(self.values[j]), end=int(ends[j]))
+            if item is not None:
+                ctx.take(item)
 
 
 class AlwaysTake(Strategy):
@@ -929,9 +952,9 @@ class StagedScanner(PhaseBounds, Strategy):
     ``_close_phase(phase)`` (judge a finished phase; may set
     ``failure_phase``), ``_stage_candidates(lo, hi)`` and ``decide``, which
     calls ``_sync`` first.  ``_enter_phase(phase, revealed)`` is optional.
-    ``_stage_candidates`` passes ``_masked`` a vertex-mask test on endpoint
-    arrays and a cost threshold; below a threshold of 1, ``_masked`` keeps
-    the positions whose cost passes first and unranks only their edges.
+    Every stage's edges are those with one end in a vertex mask A and the
+    other in a vertex mask B, so ``_stage_candidates`` passes ``_masked``
+    the two masks and a cost threshold.
     """
 
     _market: Optional[Market] = None
@@ -971,17 +994,34 @@ class StagedScanner(PhaseBounds, Strategy):
         """The sorted positions in lo+1..hi where ``decide`` could say yes."""
         raise NotImplementedError
 
-    def _masked(self, lo: int, hi: int, keep: Callable, threshold: float) -> np.ndarray:
+    def _masked(self, lo: int, hi: int, a: np.ndarray, b: np.ndarray,
+                threshold: float) -> np.ndarray:
         """Positions lo+1..hi whose cost is at most ``threshold`` and whose
-        edge passes ``keep(u, v)``, a bool mask over endpoint arrays.  Below
-        a threshold of 1 the costs are filtered first, so only the positions
-        that pass are gathered from ``perm`` and unranked."""
-        market = self._market
-        ranks = market.perm[lo:hi]
+        edge {u, v} has one end in the vertex mask ``a`` and the other in
+        ``b``: ``a[u] & b[v] | a[v] & b[u]``.
+
+        Below a threshold of 1 the costs are filtered first, so only the
+        positions that pass are gathered from ``perm``.  Then, when there
+        are fewer vertex pairs (|a| |b|) than ranks left, the pairs are
+        ranked and their mask over the universe is gathered through those
+        ranks; otherwise the ranks are unranked and tested on the masks."""
+        ranks = self._market.perm[lo:hi]
+        pos = None
         if threshold < 1.0:
-            pos = np.flatnonzero(market.costs[lo:hi] <= threshold)
-            return pos[keep(*market.universe.endpoints(ranks[pos]))] + (lo + 1)
-        return np.flatnonzero(keep(*market.universe.endpoints(ranks))) + (lo + 1)
+            pos = np.flatnonzero(self._market.costs[lo:hi] <= threshold)
+            ranks = ranks[pos]
+        if np.count_nonzero(a) * np.count_nonzero(b) < len(ranks):
+            keep = self._by_pairs(ranks, a, b)
+        else:
+            keep = self._by_unranking(ranks, a, b)
+        return (np.flatnonzero(keep) if pos is None else pos[keep]) + (lo + 1)
+
+    def _by_pairs(self, ranks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._market.universe.pair_mask(a, b)[ranks]
+
+    def _by_unranking(self, ranks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        u, v = self._market.universe.endpoints(ranks)
+        return a[u] & b[v] | a[v] & b[u]
 
     def play_turn(self, ctx: TurnContext) -> None:
         if self._market is None:
@@ -1024,7 +1064,8 @@ class Outcome:
     was met.  B lists the positions Breaker took.  failure_phase carries the
     acting Maker strategy's self-reported failing stage, when it gave up.
     maker_items and breaker_items are the labels bought; ``play`` leaves them
-    to be looked up on first read when the game never built the permutation.
+    to be looked up on first read, from the ranks it gathered at the end of
+    the game or, when the game never built the permutation, from its seed.
     """
 
     success: bool
@@ -1052,17 +1093,17 @@ def _outcome_from_state(state: GameState, failure_phase: Optional[object],
     market = state.market
     maker_positions = tuple(state.maker_positions)
     breaker_positions = tuple(state.breaker_positions)
-    pending, labels = {}, {}
-    if market._perm is None:
-        # Defer, keeping only what the labels derive from (not the costs).
-        lookup = partial(_labels_at, market.universe, market.n, market._perm_seed)
-        pending["maker_items"] = partial(lookup, maker_positions)
-        pending["breaker_items"] = partial(lookup, breaker_positions)
-    else:
-        labels["maker_items"] = _labels_of(market.universe, market.perm, maker_positions)
-        labels["breaker_items"] = _labels_of(market.universe, market.perm, breaker_positions)
+
+    def labels(positions):
+        # Keep only what the labels derive from: the permutation's seed, or
+        # the ranks gathered now, not the costs or the whole permutation.
+        if market._perm is None:
+            return partial(_labels_at, market.universe, market.n, market._perm_seed, positions)
+        return partial(_labels_of, market.universe, _ranks_at(market.perm, positions))
+
     return _deferred(
-        Outcome, pending, **labels,
+        Outcome, {"maker_items": labels(maker_positions),
+                  "breaker_items": labels(breaker_positions)},
         success=state.goal_met,
         maker_cost=state.maker_cost_paid,
         maker_positions=maker_positions,

@@ -115,6 +115,14 @@ def _triangle_maker(cfg: TrialConfig):
     return _fresh(clique_game.TriangleMaker, cfg.n, cfg.b)
 
 
+def _clique_mimic(cfg: TrialConfig):
+    mimic = (clique_game.triangle_mimic_breaker(cfg.n, cfg.b)
+             if _clique_k(cfg) == 3 and cfg.phases <= 1
+             else clique_game.plan_mimic_breaker(
+                 clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg))))
+    return _fresh(ScheduleStrategy, mimic.values, mimic.ends)
+
+
 def maker_catalog(game: str) -> dict:
     """Maker entries of ``game`` by name.  An entry does a config's fixed
     work once, ``entry(cfg)``, and returns the per-trial factory
@@ -163,11 +171,7 @@ def breaker_catalog(game: str) -> dict:
         }
     if game == "clique":
         return {
-            "mimic": lambda cfg: _fresh(ScheduleStrategy, (
-                clique_game.triangle_mimic_breaker(cfg.n, cfg.b)
-                if _clique_k(cfg) == 3 and cfg.phases <= 1
-                else clique_game.plan_mimic_breaker(
-                    clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg)))).values),
+            "mimic": _clique_mimic,
             "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker,
                                              _edge_stream_length(cfg), max(1, cfg.b)),
             "never": lambda cfg: _fresh(NeverTake),

@@ -278,11 +278,8 @@ class PathMaker(StagedScanner):
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         if self._growing():
             prev = self._prev_mask
-            return self._masked(lo, hi, lambda a, b: prev[a] ^ prev[b],
-                                self.plan.growth_threshold)
-        in_t, in_tp = self._in_t, self._in_tp
-        return self._masked(lo, hi, lambda a, b: (in_t[a] & in_tp[b]) | (in_t[b] & in_tp[a]),
-                            self._connect_thr)
+            return self._masked(lo, hi, prev, ~prev, self.plan.growth_threshold)
+        return self._masked(lo, hi, self._in_t, self._in_tp, self._connect_thr)
 
     # Bound in the class body, not only inherited, so that perfbench/tracer.py
     # can wrap this class's own play_turn.

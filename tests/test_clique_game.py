@@ -2,6 +2,7 @@
 k-clique strategies with in-trace legality checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,3 +346,22 @@ def test_kclique_fast_equals_slow_with_random_breaker():
         o2 = play(generate_market(E, seed, EdgeLabels(n)), _edge_rules(b, k, k),
                   SlowTurns(kclique_maker(plan)), RandomStrategy(0.02, seed + 5))
         assert o1 == o2
+
+
+def test_triangle_game_memory_stays_below_two_stream_arrays():
+    """Building the mimic Breaker and playing one triangle game, the
+    permutation included, allocates less than two 8-byte arrays of the
+    stream plus the owner array: no stage or schedule is stream-sized."""
+    n, b = 600, 3
+    N = n * (n - 1) // 2
+    for seed in range(2):
+        market = generate_market(N, seed, EdgeLabels(n))
+        tracemalloc.start()
+        try:
+            out = play(market, GameRules(b=b, goal=lambda: CliqueGoal(3)),
+                       TriangleMaker(n, b), triangle_mimic_breaker(n, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.success, seed  # so it built its closing stage
+        assert peak < 2 * N * 8 + N * np.dtype(np.int8).itemsize, (seed, peak)

@@ -25,6 +25,8 @@ from purchase_games.engine import (
     RandomStrategy,
     ScheduleStrategy,
     SlowTurns,
+    TurnContext,
+    View,
     dump_market,
     generate_market,
     mix_seed,
@@ -497,3 +499,51 @@ def test_item_and_view_labels_look_up_the_market():
     for position, label, mine, my_labels in seen:
         assert label == market.label(position)
         assert my_labels == tuple(market.label(p) for p in mine)
+
+
+# --------------------------------------------------------------------------
+# Block schedules
+# --------------------------------------------------------------------------
+
+
+def test_seek_stops_at_end():
+    state = GameState(generate_market(60, 3), GameRules(b=1))
+    ctx = TurnContext(state, BREAKER, View(state, BREAKER), 1, 50)
+    assert ctx.seek(-1.0, end=20) is None  # no cost is negative
+    assert state.breaker_ptr == 20 and state.revealed_upto == 20
+    assert ctx.seek(1.0, end=10) is None  # an end behind the pointer moves nothing
+    assert state.breaker_ptr == 20
+    item = ctx.seek(1.0, end=30)
+    assert item.position == 21 and state.breaker_ptr == 21
+    ctx.take(item)
+    ctx.quota = 1
+    assert ctx.seek(-1.0, end=80) is None  # the turn's stop comes first
+    assert state.breaker_ptr == 50 and state.revealed_upto == 50
+
+
+def test_block_schedule_matches_its_per_position_form_and_decide_loop():
+    """A Breaker priced by block equals the same schedule spelled out per
+    position, and SlowTurns of itself, traces included, in games where one
+    Breaker turn passes a block end."""
+    n, ends, levels = 400, np.array([120, 150, 330, 400]), np.array([0.02, 0.9, 0.01, 0.3])
+    per_position = np.repeat(levels, np.diff(ends, prepend=0))
+    straddled = 0
+    for seed in range(6):
+        rules = GameRules(b=3, phase_count=1 + seed % 2 * 3)
+        runs = [play(generate_market(n, seed), rules, ScheduleStrategy(0.004), breaker,
+                     record_trace=True)
+                for breaker in (ScheduleStrategy(levels, ends),
+                                SlowTurns(ScheduleStrategy(levels, ends)),
+                                ScheduleStrategy(per_position))]
+        assert runs[0] == runs[1] == runs[2], seed
+        trace = runs[0].details["trace"]
+        assert trace == runs[1].details["trace"] == runs[2].details["trace"], seed
+        starts = [ev[2] for ev in trace if ev[:2] == ("turn", BREAKER)]
+        stops = [ev[2] for ev in trace if ev[:2] == ("end", BREAKER)]
+        straddled += any(np.any((a < ends) & (ends < z)) for a, z in zip(starts, stops))
+    assert straddled >= 3
+
+
+def test_block_schedule_needs_a_level_per_block():
+    with pytest.raises(ValueError):
+        ScheduleStrategy(np.array([0.1, 0.2]), ends=np.array([10, 20, 30]))

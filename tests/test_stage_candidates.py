@@ -1,10 +1,11 @@
 """The edge-game Makers' stage candidates against whole-stream endpoints.
 
-A Maker builds each stage's candidates by unranking only the positions
-whose cost its threshold lets through (every position when the threshold
-is at least 1).  Here each build is recomputed the slow way: the endpoint
-arrays of the whole stream from ``Market.edge_endpoints()``, a vertex mask
-over the stage's slice of them, and the cost test.
+A Maker builds each stage's candidates from the positions whose cost its
+threshold lets through (every position when the threshold is at least 1),
+either by ranking the stage's vertex pairs or by unranking those positions.
+Here each build is recomputed the slow way: the endpoint arrays of the
+whole stream from ``Market.edge_endpoints()``, a vertex mask over the
+stage's slice of them, and the cost test.
 """
 
 import itertools
@@ -25,6 +26,7 @@ from purchase_games.engine import (
     EdgeLabels,
     GameRules,
     RandomStrategy,
+    StagedScanner,
     generate_market,
     mix_seed,
     play,
@@ -157,4 +159,54 @@ def test_stage_candidates_match_whole_stream_endpoints(family):
                 kinds.add(kind)
                 routes.add(bool(thr < 1.0))
     assert kinds == EXPECTED[family]
-    assert routes == {True, False}  # cost-first and whole-slice unranking
+    assert routes == {True, False}  # cost-first and whole-slice builds
+
+
+class PairsOnly(StagedScanner):
+    _by_unranking = StagedScanner._by_pairs
+
+
+class UnrankingOnly(StagedScanner):
+    _by_pairs = StagedScanner._by_unranking
+
+
+def _vertices(n, rng, size):
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, size, replace=False)] = True
+    return mask
+
+
+def test_masked_routes_agree_on_every_stage_kind():
+    """Both routes of ``_masked``, each forced on one market, against whole-
+    stream endpoints, for the vertex masks of every stage kind; in the star
+    stages the root is in both masks."""
+    n = 90
+    market = generate_market(n * (n - 1) // 2, 3, EdgeLabels(n))
+    u, v = market.edge_endpoints()
+    rng = np.random.default_rng(7)
+    root, every = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    root[4] = True
+    leaves, tree, tree2 = _vertices(n, rng, 30), _vertices(n, rng, 6), _vertices(n, rng, 5)
+    leaves[4] = True
+    matched = leaves & _vertices(n, rng, 45)
+    kinds = {
+        "triangle star": (root, every), "triangle close": (leaves, leaves),
+        "k-clique star": (root, leaves), "matching": (leaves, leaves),
+        "extension": (leaves & matched, leaves), "growth": (tree, ~tree),
+        "connect": (tree, tree2),
+    }
+    routes = set()
+    for kind, (a, b) in kinds.items():
+        for lo, hi, thr in [(0, 2000, 0.3), (1500, market.n, 0.05), (100, 3000, 1.0),
+                            (3000, market.n, 7.5)]:
+            mask = a[u[lo:hi]] & b[v[lo:hi]] | a[v[lo:hi]] & b[u[lo:hi]]
+            if thr < 1.0:
+                mask &= market.costs[lo:hi] <= thr
+            expected = np.flatnonzero(mask) + lo + 1
+            for scanner in (PairsOnly(), UnrankingOnly(), StagedScanner()):
+                scanner.prepare(market)
+                got = scanner._masked(lo, hi, a, b, thr)
+                assert np.array_equal(got, expected), (kind, lo, hi, thr, type(scanner))
+            left = np.count_nonzero(market.costs[lo:hi] <= thr)
+            routes.add(np.count_nonzero(a) * np.count_nonzero(b) < left)
+    assert routes == {True, False}  # the unforced scanner took both routes

@@ -10,7 +10,11 @@ summation, so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
 Everything about a config that is the same in each trial (threshold
 schedules, the stopping DP, the phase and game plans, the rules) is built
 once per ``run_trials`` call in each process; a trial only makes fresh
-strategies and its market.
+strategies and its market.  A one-phase item game between two threshold
+rules (a plain ``ScheduleStrategy``, ``AlwaysTake`` or ``NeverTake`` on
+each side) is two turns, so its trials are played in bulk instead: a block
+of trials' market costs at a time, answered by whole-block array
+operations that make the per-trial engine's decisions, bit for bit.
 """
 
 from __future__ import annotations
@@ -263,7 +267,63 @@ def run_one_trial(cfg: TrialConfig, index: int):
     return out.success, out.maker_cost, tag
 
 
+def _threshold(strategy):
+    """The threshold, a scalar or one per position, of a rule that takes
+    every unowned offered item priced at or under it and plays no other way:
+    a plain ``ScheduleStrategy``, ``AlwaysTake`` (+inf) or ``NeverTake``
+    (-inf).  None for any other rule."""
+    kind = type(strategy)
+    if kind is ScheduleStrategy and strategy.ends is None:
+        return strategy.values
+    return {AlwaysTake: math.inf, NeverTake: -math.inf}.get(kind)
+
+
+def _item_thresholds(cfg: TrialConfig, new_maker, new_breaker):
+    """(Maker's, Breaker's) thresholds when ``cfg`` is a one-phase item game
+    between two threshold rules, which ``_run_item_block`` plays in bulk;
+    else None."""
+    if cfg.game != "item" or cfg.phases != 1:
+        return None
+    t = _threshold(new_maker(0))
+    s = _threshold(new_breaker(0))
+    return None if t is None or s is None else (t, s)
+
+
+def _run_item_block(cfg: TrialConfig, start: int, count: int, t, s):
+    """Trials ``start .. start+count-1`` of a one-phase item game between
+    threshold rules (Maker's ``t``, Breaker's ``s``), as ``_run_chunk``
+    returns them, with the per-trial engine's exact results.
+
+    Such a game is two turns.  Breaker's takes the first b positions priced
+    at most s[p]; then Maker takes the first position Breaker did not take
+    priced at most t[p], and the goal is met, or finds none and the trial is
+    unmet.  Each trial's costs are its market's, stacked into blocks of at
+    most 2**15 costs, so no more than one block is ever held."""
+    n, b = cfg.n, cfg.b
+    success = np.zeros(count, dtype=bool)
+    cost = np.zeros(count, dtype=np.float64)
+    rows = max(1, 2**15 // n)
+    block = np.empty((min(rows, count), n))
+    for lo in range(0, count, rows):
+        r = min(rows, count - lo)
+        costs = block[:r]
+        for j in range(r):
+            costs[j] = generate_market(n, mix_seed(cfg.master_seed, start + lo + j)).costs
+        open_ = costs <= t
+        if b > 0:
+            hit = costs <= s
+            open_ &= ~(hit & (np.cumsum(hit, axis=1) <= b))
+        first = np.arange(r), np.argmax(open_, axis=1)
+        success[lo:lo + r] = met = open_[first]
+        cost[lo:lo + r] = np.where(met, costs[first], 0.0)
+    return success, cost, ["unmet"] * (count - int(np.count_nonzero(success)))
+
+
 def _run_chunk(cfg: TrialConfig, start: int, count: int):
+    new_maker, new_breaker, _ = _build(cfg)
+    thresholds = _item_thresholds(cfg, new_maker, new_breaker)
+    if thresholds is not None:
+        return _run_item_block(cfg, start, count, *thresholds)
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
     tags: list = []
@@ -313,14 +373,25 @@ class TrialAggregate:
         return math.sqrt(max(var, 0.0) / self.trials)
 
 
+def _env_jobs() -> int:
+    text = os.environ.get("PG_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"PG_JOBS must be an integer, got {text!r}") from None
+
+
 def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregate:
     """Execute all trials and aggregate.  ``jobs`` defaults to the config's,
     which defaults to the PG_JOBS environment variable, then 1; a negative
-    worker count raises ValueError.  Results are reduced in trial-index order
-    with exact summation, so the aggregate does not depend on the worker
-    count."""
+    worker count raises ValueError, and so does a PG_JOBS that is not an
+    integer.  Each process builds the config once; then a trial only makes
+    fresh strategies and its market, or, for a one-phase item game between
+    threshold rules, only its market costs, played in blocks with the same
+    results.  Results are reduced in trial-index order with exact summation,
+    so the aggregate does not depend on the worker count."""
     if jobs is None:
-        jobs = config.jobs or int(os.environ.get("PG_JOBS", "1"))
+        jobs = config.jobs or _env_jobs()
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     trials = config.trials

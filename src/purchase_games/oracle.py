@@ -87,12 +87,13 @@ def item_b0_dp(n: int) -> StoppingDP:
     from below (v_1 is approximately 2/(n+3))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = np.empty(n)
-    v[n - 1] = 0.5
+    # Python floats are IEEE doubles rounded as numpy's are, so the loop
+    # runs on them and fills the array once, bit for bit the same.
+    v = [0.5] * n
     for i in range(n - 2, -1, -1):
         nxt = v[i + 1]
         v[i] = nxt - nxt * nxt / 2.0
-    return StoppingDP(v)
+    return StoppingDP(np.array(v))
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from purchase_games import harness
@@ -106,6 +108,122 @@ def test_phased_run_warns_once_per_call():
         warnings.simplefilter("always", UserWarning)
         run_trials(cfg, jobs=1)
     assert len([w for w in caught if "cost guarantee degrades" in str(w.message)]) == 1
+
+
+# --------------------------------------------------------------------------
+# item trials in bulk
+# --------------------------------------------------------------------------
+
+BULK_MAKERS = ("single_threshold", "dp", "always")
+BULK_BREAKERS = ("closed_form", "best_response", "cheap_grab", "mimic", "never", "always")
+
+
+def _bulk(cfg):
+    new_maker, new_breaker, _ = harness._build(cfg)
+    return harness._item_thresholds(cfg, new_maker, new_breaker) is not None
+
+
+def test_bulk_item_pairs_are_the_threshold_rules():
+    makers, breakers = harness.maker_catalog("item"), harness.breaker_catalog("item")
+    try:
+        bulk = {(m, b) for m in makers for b in breakers
+                if _bulk(_cfg(n=40, b=2, maker=m, breaker=b))}
+        assert not _bulk(_cfg(phases=2))
+    finally:
+        harness._build.cache_clear()
+    assert bulk == {(m, b) for m in BULK_MAKERS for b in BULK_BREAKERS}
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("maker", BULK_MAKERS)
+def test_bulk_item_trials_match_the_per_trial_engine(monkeypatch, maker, grid):
+    """With ``grid``, every cost is snapped to a multiple of 1/4, so costs
+    equal to a threshold (0, 1/4, 1/2 or 1) are common."""
+    if grid:
+        real_market = harness.generate_market
+
+        def grid_market(*args, **kwargs):
+            market = real_market(*args, **kwargs)
+            market.costs = np.round(market.costs * 4.0) / 4.0
+            return market
+
+        monkeypatch.setattr(harness, "generate_market", grid_market)
+    breaker_takes = []  # (b, Breaker's takes) of each game the engine played
+    real_play = harness.play
+
+    def recording_play(market, rules, *args, **kwargs):
+        out = real_play(market, rules, *args, **kwargs)
+        breaker_takes.append((rules.b, len(out.breaker_positions)))
+        return out
+
+    monkeypatch.setattr(harness, "play", recording_play)
+    start, count = 5, 40
+    tags = []
+    try:
+        for breaker in BULK_BREAKERS:
+            for n in (2, 3, 40, 257):
+                for b in (0, 1, 2, n + 1):
+                    cfg = _cfg(n=n, b=b, trials=start + count, master_seed=n * 31 + b,
+                               maker=maker, breaker=breaker)
+                    played = len(breaker_takes)
+                    success, cost, unmet = harness._run_chunk(cfg, start, count)
+                    assert len(breaker_takes) == played  # no trial reached the engine
+                    ref = [harness.run_one_trial(cfg, start + i) for i in range(count)]
+                    assert success.tolist() == [s for s, _, _ in ref], cfg
+                    assert [c.hex() for c in cost.tolist()] == [c.hex() for _, c, _ in ref], cfg
+                    assert unmet == [t for _, _, t in ref if t is not None], cfg
+                    tags += [t for _, _, t in ref]
+    finally:
+        harness._build.cache_clear()
+    assert "unmet" in tags and None in tags
+    assert any(0 < taken < b for b, taken in breaker_takes)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(phases=2),
+    dict(maker="phased", breaker="cheap_grab", b=2),
+    dict(maker="random"),
+    dict(breaker="random"),
+])
+def test_other_item_configs_play_each_trial(monkeypatch, changes):
+    calls = []
+    real = harness.run_one_trial
+
+    def counting(cfg, index):
+        calls.append(index)
+        return real(cfg, index)
+
+    monkeypatch.setattr(harness, "run_one_trial", counting)
+    run_trials(_cfg(n=40, trials=12, **changes), jobs=1)
+    assert calls == list(range(12))
+
+
+def test_bulk_chunks_join_to_one_chunk():
+    cfg = _cfg(n=200, trials=1000)
+    try:
+        whole = harness._run_chunk(cfg, 0, 1000)
+        parts = [harness._run_chunk(cfg, 0, 373), harness._run_chunk(cfg, 373, 627)]
+    finally:
+        harness._build.cache_clear()
+    assert whole[0].tolist() == parts[0][0].tolist() + parts[1][0].tolist()
+    assert whole[1].tobytes() == parts[0][1].tobytes() + parts[1][1].tobytes()
+    assert whole[2] == parts[0][2] + parts[1][2]
+
+
+def test_bulk_item_chunk_holds_one_block_of_costs():
+    trials, n = 20_000, 200
+    cfg = _cfg(n=n, trials=trials)
+    harness._build(cfg)
+    tracemalloc.start()
+    try:
+        success, _, _ = harness._run_chunk(cfg, 0, trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        harness._build.cache_clear()
+    assert success.all()
+    # Every trial's costs would take trials * n * 8 bytes; one block, 2**18.
+    assert peak < trials * n
 
 
 # --------------------------------------------------------------------------
@@ -272,6 +390,16 @@ def test_negative_jobs_rejected(monkeypatch, capsys):
     monkeypatch.delenv("PG_JOBS")
     assert cli_main(["item", "--n", "200", "--trials", "3", "--jobs", "-1"]) == 1
     assert "jobs must be >= 0" in capsys.readouterr().err
+
+
+def test_pg_jobs_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("PG_JOBS", "abc")
+    with pytest.raises(ValueError) as err:
+        run_trials(_cfg(trials=3, jobs=0))
+    assert str(err.value) == "PG_JOBS must be an integer, got 'abc'"
+    assert run_trials(_cfg(trials=3, jobs=1)).trials == 3  # an explicit count wins
+    assert cli_main(["item", "--n", "20", "--trials", "3"]) == 1
+    assert "PG_JOBS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_cli_schedules_out_file(tmp_path, capsys):

@@ -33,6 +33,18 @@ def test_dp_terminal_values():
     assert dp.v[-2] == 0.375  # one backward step: 1/2 - 1/8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 10_000])
+def test_dp_matches_the_numpy_scalar_recursion_bit_for_bit(n):
+    v = np.empty(n)
+    v[n - 1] = 0.5
+    for i in range(n - 2, -1, -1):
+        nxt = v[i + 1]
+        v[i] = nxt - nxt * nxt / 2.0
+    dp = item_b0_dp(n)
+    assert dp.v.dtype == np.float64 and dp.v.shape == (n,)
+    assert dp.v.tobytes() == v.tobytes()
+
+
 def test_dp_strictly_increasing_in_position():
     dp = item_b0_dp(300)
     assert np.all(np.diff(dp.v) > 0)

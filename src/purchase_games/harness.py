@@ -3,9 +3,13 @@
 A TrialConfig names a game, a Maker and a Breaker from the strategy catalog,
 and all game parameters; ``run_trials`` executes the trials with per-trial
 seeds derived from the master seed by a fixed 64-bit mix, optionally fanned
-out across processes.  Aggregation is exact and order-independent: per-trial
-results are gathered in trial-index order and reduced with correctly rounded
-summation, so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
+out across processes.  The fan-out's workers are forked at the first
+parallel call with a given worker count and reused by later calls with that
+count, so module state changed after that fork (a monkeypatch, a warnings
+filter) does not reach them.  Aggregation is exact and order-independent:
+per-trial results are gathered in trial-index order and reduced with
+correctly rounded summation, so a run with ``jobs=8`` is bitwise identical
+to ``jobs=1``.
 
 Everything about a config that is the same in each trial (threshold
 schedules, the stopping DP, the phase and game plans, the rules) is built
@@ -23,6 +27,7 @@ import functools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -247,8 +252,9 @@ def _game(cfg: TrialConfig):
 @functools.lru_cache(maxsize=1)
 def _build(cfg: TrialConfig):
     """The config's per-trial factories (maker, breaker, game), built once.
-    ``run_trials`` drops the build when it returns; edge labels and markets
-    are made per trial and never kept here."""
+    ``run_trials`` drops the calling process's build when it returns; a pool
+    worker keeps at most the build of its last chunk until its next chunk.
+    Edge labels and markets are made per trial and never kept here."""
     make_maker, make_breaker = _resolve(cfg)
     return make_maker(cfg), make_breaker(cfg), _game(cfg)
 
@@ -381,12 +387,42 @@ def _env_jobs() -> int:
         raise ValueError(f"PG_JOBS must be an integer, got {text!r}") from None
 
 
+_pool = None  # (pid, workers, executor) of the fan-out's worker pool
+_pool_lock = threading.Lock()  # held by a parallel call until its last chunk is in
+
+
+def _worker_pool(workers: int):
+    """This process's pool of ``workers`` processes: forked on the first call
+    with that count, then reused.  A pool of another count is shut down
+    first."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _drop_pool()
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[2]
+
+
+def _drop_pool() -> None:
+    """Forget the pool, shutting it down and cancelling its queued chunks if
+    this process made it; one inherited through a fork is its parent's."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(wait=True, cancel_futures=True)
+    _pool = None
+
+
 def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregate:
     """Execute all trials and aggregate.  ``jobs`` defaults to the config's,
     which defaults to the PG_JOBS environment variable, then 1; a negative
     worker count raises ValueError, and so does a PG_JOBS that is not an
-    integer.  Each process builds the config once; then a trial only makes
-    fresh strategies and its market, or, for a one-phase item game between
+    integer.  With ``jobs`` > 1 the trials run in up to ``jobs * 4`` chunks
+    on at most one worker per chunk.  The workers are forked at the first
+    parallel call with that worker count and reused by later calls, so a
+    monkeypatch made after that fork does not reach them.  Parallel calls
+    from several threads take turns on the pool; an error while the chunks
+    run shuts it down, and the next parallel call forks a new one.  Each
+    process builds the config once; then a trial only makes fresh
+    strategies and its market, or, for a one-phase item game between
     threshold rules, only its market costs, played in blocks with the same
     results.  Results are reduced in trial-index order with exact summation,
     so the aggregate does not depend on the worker count."""
@@ -408,10 +444,15 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
             chunk_size = max(1, math.ceil(trials / (jobs * 4)))
             spans = [(start, min(chunk_size, trials - start))
                      for start in range(0, trials, chunk_size)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_chunk, config, start, count)
-                           for start, count in spans]
-                chunks = [f.result() for f in futures]
+            with _pool_lock:
+                pool = _worker_pool(min(jobs, len(spans)))
+                try:
+                    futures = [pool.submit(_run_chunk, config, start, count)
+                               for start, count in spans]
+                    chunks = [f.result() for f in futures]
+                except BaseException:
+                    _drop_pool()
+                    raise
     finally:
         _build.cache_clear()  # the config's build lives as long as this call
 

@@ -2,10 +2,12 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,6 +52,94 @@ def test_parallel_matches_serial_bitwise():
     export(a1, "json", b1)
     export(a4, "json", b4)
     assert b1.getvalue() == b4.getvalue()
+
+
+@pytest.fixture
+def fresh_pool():
+    """No cached worker pool before the test, and none left after it."""
+    harness._drop_pool()
+    yield
+    harness._drop_pool()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its worker count and runs
+    each submitted chunk inline, starting no process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_has_no_more_workers_than_chunks(fresh_pool, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "made", [])
+    cfg = _cfg(trials=3)
+    assert run_trials(cfg, jobs=64) == run_trials(cfg, jobs=1)
+    assert _InlinePool.made == [3]
+
+
+def _worker_processes():
+    return list(harness._pool[2]._processes.values())
+
+
+def test_parallel_calls_reuse_one_pool_per_worker_count(fresh_pool):
+    cfg = _cfg(trials=64)
+    serial = run_trials(cfg, jobs=1)
+    assert run_trials(cfg, jobs=2) == serial
+    first = _worker_processes()
+    assert len(first) == 2
+    assert run_trials(cfg, jobs=2) == serial
+    assert {p.pid for p in _worker_processes()} == {p.pid for p in first}
+
+    assert run_trials(cfg, jobs=3) == serial
+    assert len(_worker_processes()) == 3
+    assert not any(p.is_alive() for p in first)
+
+
+def test_pool_inherited_through_fork_is_left_alone(fresh_pool):
+    calls = []
+
+    class Inherited:
+        def submit(self, *args):
+            calls.append("submit")
+
+        def shutdown(self, *args, **kwargs):
+            calls.append("shutdown")
+
+    harness._pool = (os.getppid(), 2, Inherited())
+    cfg = _cfg(trials=64)
+    assert run_trials(cfg, jobs=2) == run_trials(cfg, jobs=1)
+    assert calls == []
+    assert harness._pool[:2] == (os.getpid(), 2)
+
+
+def test_failed_parallel_call_drops_the_pool(fresh_pool):
+    bad = TrialConfig(game="box", n=3, b=1, m=None, trials=20, master_seed=5,
+                      maker="minbox", breaker="focus")
+    with pytest.raises(ValueError, match="needs m"):
+        run_trials(bad, jobs=2)
+    assert harness._pool is None
+    cfg = _cfg(trials=64)
+    assert run_trials(cfg, jobs=2) == run_trials(cfg, jobs=1)
+
+
+def test_threads_take_turns_on_the_pool(fresh_pool):
+    cfg = _cfg(trials=64)
+    serial = run_trials(cfg, jobs=1)
+    with ThreadPoolExecutor(4) as threads:
+        results = list(threads.map(lambda jobs: run_trials(cfg, jobs=jobs), [2, 3] * 4,
+                                   timeout=120))
+    assert results == [serial] * 8
 
 
 def test_unknown_strategy_lists_catalog():
@@ -369,6 +459,19 @@ def test_cli_entrypoint_subprocess():
     rec = json.loads(proc.stdout)
     assert rec["inputs"]["n"] == 100
     assert 0 < rec["value"] < 1
+
+
+def test_cli_parallel_run_exits_with_the_serial_bytes():
+    """The idle worker pool must not hold up interpreter exit."""
+    def cli(jobs):
+        return subprocess.run(
+            [sys.executable, "-m", "purchase_games.cli", "item", "--n", "200",
+             "--trials", "2000", "--seed", "7", "--jobs", str(jobs)],
+            capture_output=True, timeout=120)
+
+    parallel, serial = cli(2), cli(1)
+    assert parallel.returncode == 0 and serial.returncode == 0
+    assert parallel.stdout == serial.stdout
 
 
 def test_pg_jobs_env_default(monkeypatch):

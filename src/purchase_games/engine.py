@@ -98,6 +98,18 @@ def mix_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_seeds(master, index) -> np.ndarray:
+    """``mix_seed`` elementwise over uint64 arrays; either argument may also
+    be a Python int, reduced mod 2**64 first as ``mix_seed`` reduces its sum.
+    uint64 array arithmetic wraps mod 2**64, which is ``mix_seed``'s mask."""
+    master, index = (np.asarray(x % 2**64 if isinstance(x, int) else x, dtype=np.uint64)
+                     for x in (master, index))
+    z = master + (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 @contextmanager
 def _opened(file, mode: str = "r"):
     """``file`` itself when it is an open file object; a path (``str``,
@@ -363,6 +375,69 @@ def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Marke
         if costs.shape != (n,) or np.any(costs < 0) or np.any(costs > 1):
             raise ValueError("cost_sampler must return n costs in [0, 1]")
     return Market(n, costs, labeler, seed, perm=None, perm_seed=mix_seed(seed, 1))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# default multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
+    """What ``np.random.PCG64(s)`` seeds itself from, for each s of the uint64
+    ``seeds``: row i is ``SeedSequence(seeds[i]).generate_state(4,
+    np.uint64)``, and ``_pcg64_state`` turns a row into that generator's
+    start state.  ``generate_market(n, seed)`` draws its costs from
+    ``PCG64(mix_seed(seed, 0))``.
+
+    The hash runs on uint32 arrays, which wrap as its C code does.  A 64-bit
+    seed is two entropy words, and a seed under 2**32 is one, padded with
+    the hash of 0 that a zero second word gives too.  Row 0 is checked
+    against ``PCG64(seeds[0]).state``, so a numpy that seeds otherwise
+    raises RuntimeError instead of drawing other costs."""
+    entropy = np.asarray(seeds, dtype=np.uint64)
+    u32 = np.uint32
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ u32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * u32(const)
+            return value ^ (value >> u32(16))
+        return hashmix
+
+    def mix(x, y):
+        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return r ^ (r >> u32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(entropy.shape, dtype=u32)
+    pool = [hashmix(word) for word in ((entropy & np.uint64(0xFFFFFFFF)).astype(u32),
+                                       (entropy >> np.uint64(32)).astype(u32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hashmix = hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    words = words.astype("<u4").view("<u8").astype(np.uint64)
+    if entropy.size:
+        expected = np.random.PCG64(int(entropy[0])).state["state"]
+        if _pcg64_state(words[0].tolist()) != (expected["state"], expected["inc"]):
+            raise RuntimeError("numpy's PCG64 no longer seeds as _pcg64_seed_words assumes")
+    return words
+
+
+def _pcg64_state(words) -> tuple:
+    """(state, inc) of a PCG64 seeded from four seed words (Python ints):
+    pcg64_set_seed's two steps of the 128-bit LCG, from state 0."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    return ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def dump_market(market: Market, file) -> None:

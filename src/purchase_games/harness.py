@@ -3,22 +3,26 @@
 A TrialConfig names a game, a Maker and a Breaker from the strategy catalog,
 and all game parameters; ``run_trials`` executes the trials with per-trial
 seeds derived from the master seed by a fixed 64-bit mix, optionally fanned
-out across processes.  The fan-out's workers are forked at the first
-parallel call with a given worker count and reused by later calls with that
-count, so module state changed after that fork (a monkeypatch, a warnings
-filter) does not reach them.  Aggregation is exact and order-independent:
-per-trial results are gathered in trial-index order and reduced with
-correctly rounded summation, so a run with ``jobs=8`` is bitwise identical
-to ``jobs=1``.
+out across processes.  The fan-out's workers are forked (by ``fork``,
+whatever the default start method) at the first parallel call with a given
+worker count and reused by later calls with that count, so module state
+changed after that fork (a monkeypatch, a warnings filter) does not reach
+them.  Aggregation is exact and order-independent: per-trial results are
+gathered in trial-index order and reduced with correctly rounded summation,
+so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
 
 Everything about a config that is the same in each trial (threshold
 schedules, the stopping DP, the phase and game plans, the rules) is built
 once per ``run_trials`` call in each process; a trial only makes fresh
 strategies and its market.  A one-phase item game between two threshold
 rules (a plain ``ScheduleStrategy``, ``AlwaysTake`` or ``NeverTake`` on
-each side) is two turns, so its trials are played in bulk instead: a block
-of trials' market costs at a time, answered by whole-block array
-operations that make the per-trial engine's decisions, bit for bit.
+each side) is two turns, so its trials are played in bulk instead, with no
+market: the seeds of a batch of trials' cost streams are computed with
+uint64 array operations and checked against numpy's own seeding, each
+trial's costs are drawn in growing column windows until a window decides
+it, and whole-window array operations make the per-trial engine's
+decisions, bit for bit.  A pool worker exits when its parent process is
+gone, so a parent killed by a signal leaves no idle worker behind.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -44,7 +50,10 @@ from .engine import (
     OwnAnyItem,
     RandomStrategy,
     ScheduleStrategy,
+    _mix_seeds,
     _opened,
+    _pcg64_seed_words,
+    _pcg64_state,
     generate_market,
     mix_seed,
     play,
@@ -295,34 +304,85 @@ def _item_thresholds(cfg: TrialConfig, new_maker, new_breaker):
     return None if t is None or s is None else (t, s)
 
 
+_SEED_BATCH = 2**12  # trials whose cost streams are seeded in one pass
+_BLOCK = 2**15       # costs held at once, unless one window of one row is wider
+
+
 def _run_item_block(cfg: TrialConfig, start: int, count: int, t, s):
     """Trials ``start .. start+count-1`` of a one-phase item game between
     threshold rules (Maker's ``t``, Breaker's ``s``), as ``_run_chunk``
     returns them, with the per-trial engine's exact results.
 
-    Such a game is two turns.  Breaker's takes the first b positions priced
+    Such a game is two turns.  Breaker takes the first b positions priced
     at most s[p]; then Maker takes the first position Breaker did not take
     priced at most t[p], and the goal is met, or finds none and the trial is
-    unmet.  Each trial's costs are its market's, stacked into blocks of at
-    most 2**15 costs, so no more than one block is ever held."""
+    unmet.
+
+    No market is built.  For 2**12 trials at a time, the seeds of the cost
+    streams ``generate_market`` would draw from are computed with array
+    operations (``_pcg64_seed_words`` raises RuntimeError unless the first
+    reproduces ``PCG64(seed).state``), and each trial's costs are drawn from
+    its start state on one reused generator.  Rows are read in column
+    windows, the first ``max(256, n // 4)`` wide and each later one as wide
+    as all before it, reached by restarting the row's stream and advancing
+    it.  Breaker's takes in a window are its first hits there, up to the
+    takes it has left, so a window that holds Maker's take decides the row,
+    and only undecided rows read the next window.  At most 2**15 costs, or
+    one window of one row, are held at once."""
     n, b = cfg.n, cfg.b
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
-    rows = max(1, 2**15 // n)
-    block = np.empty((min(rows, count), n))
-    for lo in range(0, count, rows):
-        r = min(rows, count - lo)
-        costs = block[:r]
-        for j in range(r):
-            costs[j] = generate_market(n, mix_seed(cfg.master_seed, start + lo + j)).costs
-        open_ = costs <= t
-        if b > 0:
-            hit = costs <= s
-            open_ &= ~(hit & (np.cumsum(hit, axis=1) <= b))
-        first = np.arange(r), np.argmax(open_, axis=1)
-        success[lo:lo + r] = met = open_[first]
-        cost[lo:lo + r] = np.where(met, costs[first], 0.0)
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).random
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    buffer = np.empty(min(max(_BLOCK, n), count * n))
+    first = min(n, max(256, n // 4))
+    for lo in range(0, count, _SEED_BATCH):
+        live = np.arange(lo, min(count, lo + _SEED_BATCH))  # rows still undecided
+        seeds = _mix_seeds(_mix_seeds(cfg.master_seed, (start + live).astype(np.uint64)), 0)
+        words = _pcg64_seed_words(seeds)  # generate_market's cost streams
+        need = np.full(live.size, b)  # Breaker's takes still to come, per live row
+        a, e = 0, first
+        while True:
+            w = e - a
+            rows = max(1, _BLOCK // w)
+            tw, sw = (x[a:e] if np.ndim(x) else x for x in (t, s))
+            for g in range(0, live.size, rows):
+                group = live[g:g + rows]
+                costs = buffer[:group.size * w].reshape(group.size, w)
+                for row, row_words in zip(costs, words[group - lo].tolist()):
+                    pcg["state"], pcg["inc"] = _pcg64_state(row_words)
+                    bits.state = state
+                    if a:
+                        bits.advance(a)
+                    draw(out=row)
+                met, at = _maker_takes(costs, tw, sw, need[g:g + rows])
+                success[group[met]] = True
+                cost[group[met]] = costs[met, at[met]]
+            undecided = ~success[live]  # a row is decided by Maker's take
+            if e == n or not undecided.any():
+                break
+            live, need = live[undecided], need[undecided]
+            a, e = e, min(n, 2 * e)
     return success, cost, ["unmet"] * (count - int(np.count_nonzero(success)))
+
+
+def _maker_takes(costs, t, s, need):
+    """Whether Maker takes a column of each row of the window ``costs``, and
+    which: the first priced at most ``t`` that Breaker does not take.
+    Breaker takes the first ``need[row]`` columns priced at most ``s``, and
+    ``need`` is decreased in place by the takes the window holds."""
+    open_ = costs <= t
+    if need.any():
+        hits = np.flatnonzero(costs <= s)
+        hit_row = hits // costs.shape[1]
+        per_row = np.bincount(hit_row, minlength=len(costs))
+        rank = np.arange(hits.size) - (np.cumsum(per_row) - per_row)[hit_row]
+        open_.ravel()[hits[rank < need[hit_row]]] = False
+        need -= np.minimum(per_row, need)
+    at = open_.argmax(axis=1)
+    return open_[np.arange(len(costs)), at], at
 
 
 def _run_chunk(cfg: TrialConfig, start: int, count: int):
@@ -391,6 +451,13 @@ _pool = None  # (pid, workers, executor) of the fan-out's worker pool
 _pool_lock = threading.Lock()  # held by a parallel call until its last chunk is in
 
 
+# The pool forks whatever the default start method (Python 3.14 makes it
+# 'forkserver' on Linux, whose workers are the fork server's children and
+# would outlive a killed creator).
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
 def _worker_pool(workers: int):
     """This process's pool of ``workers`` processes: forked on the first call
     with that count, then reused.  A pool of another count is shut down
@@ -398,8 +465,26 @@ def _worker_pool(workers: int):
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         _drop_pool()
-        _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+        _pool = (os.getpid(), workers,
+                 ProcessPoolExecutor(max_workers=workers, mp_context=_FORK,
+                                     initializer=_exit_with_parent))
     return _pool[2]
+
+
+def _exit_with_parent() -> None:
+    """Pool worker initializer: a daemon thread ends the worker within about
+    a second of its parent process going away.  A worker otherwise sleeps on
+    its call queue forever when its parent is killed before it can shut the
+    pool down.  Workers are forked straight from the pool's creator, so
+    that is the parent read here."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def _drop_pool() -> None:
@@ -423,9 +508,12 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     run shuts it down, and the next parallel call forks a new one.  Each
     process builds the config once; then a trial only makes fresh
     strategies and its market, or, for a one-phase item game between
-    threshold rules, only its market costs, played in blocks with the same
-    results.  Results are reduced in trial-index order with exact summation,
-    so the aggregate does not depend on the worker count."""
+    threshold rules, only as many of its market costs as decide it, drawn
+    from seeds computed in batches and played in column windows with the
+    same results (see ``_run_item_block``; it raises RuntimeError if numpy
+    seeds PCG64 otherwise than it assumes).  Results are reduced in
+    trial-index order with exact summation, so the aggregate does not depend
+    on the worker count."""
     if jobs is None:
         jobs = config.jobs or _env_jobs()
     if jobs < 0:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from purchase_games import engine
 from purchase_games.engine import (
     BREAKER,
     MAKER,
@@ -68,6 +69,45 @@ def test_mix_seed_is_deterministic_64bit(master, index):
 def test_mix_seed_spreads():
     seen = {mix_seed(12345, i) for i in range(10000)}
     assert len(seen) == 10000
+
+
+@pytest.mark.parametrize("master", [0, 11, -5, 2**64 - 1, 2**64 + 5, -(2**70)])
+def test_vectorised_mix_equals_mix_seed(master):
+    index = np.arange(3000, dtype=np.uint64)
+    mixed = engine._mix_seeds(master, index)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix_seed(master, i) for i in range(3000)]
+    assert engine._mix_seeds(mixed, 0).tolist() == [mix_seed(m, 0) for m in mixed.tolist()]
+
+
+def test_pcg64_seed_words_reproduce_pcg64_state():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    rng = np.random.default_rng(2024)
+    seeds = np.concatenate([np.array(edges, dtype=np.uint64),
+                            rng.integers(0, 2**64, 1200, dtype=np.uint64, endpoint=False)])
+    words = engine._pcg64_seed_words(seeds)
+    assert words.shape == (seeds.size, 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds.tolist(), words.tolist()):
+        state = np.random.PCG64(seed).state["state"]
+        assert engine._pcg64_state(row) == (state["state"], state["inc"]), seed
+
+
+def test_pcg64_seed_words_draw_the_market_costs():
+    seeds = engine._mix_seeds(7, np.arange(5, dtype=np.uint64))
+    words = engine._pcg64_seed_words(engine._mix_seeds(seeds, 0))
+    bits = np.random.PCG64(0)
+    for seed, row in zip(seeds.tolist(), words.tolist()):
+        state, inc = engine._pcg64_state(row)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        costs = np.random.Generator(bits).random(50)
+        assert costs.tobytes() == generate_market(50, seed).costs.tobytes()
+
+
+def test_pcg64_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
+    monkeypatch.setattr(engine, "_PCG64_MULT", engine._PCG64_MULT + 2)
+    with pytest.raises(RuntimeError, match="PCG64"):
+        engine._pcg64_seed_words(np.arange(3, dtype=np.uint64))
 
 
 @given(st.integers(1, 500), st.integers(1, 60))

@@ -2,9 +2,13 @@
 
 import io
 import json
+import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -14,6 +18,7 @@ import pytest
 
 from purchase_games import harness
 from purchase_games.cli import cli_main
+from purchase_games.engine import mix_seed
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
 from purchase_games.item_game import breaker_closed_form, single_threshold_maker
 
@@ -68,7 +73,7 @@ class _InlinePool:
 
     made: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None, initializer=None):
         self.made.append(max_workers)
 
     def submit(self, fn, *args):
@@ -142,6 +147,55 @@ def test_threads_take_turns_on_the_pool(fresh_pool):
     assert results == [serial] * 8
 
 
+_ORPHANING_RUN = """
+import multiprocessing, sys
+from purchase_games import harness
+multiprocessing.set_start_method(sys.argv[1])
+cfg = harness.TrialConfig(game="item", n=60, b=1, trials=40, master_seed=3,
+                          maker="single_threshold", breaker="closed_form")
+assert harness.run_trials(cfg, jobs=2) == harness.run_trials(cfg, jobs=1)
+print(*harness._pool[2]._processes, flush=True)
+sys.stdin.read()
+"""
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_pool_workers_exit_when_their_parent_is_killed(method):
+    """A SIGTERM skips every exit hook, so only the workers' own watch can
+    end them.  The pool forks its workers whatever the default start method
+    (``method``): a fork server's children would hold it alive, and it them."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method!r} start method here")
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHANING_RUN, method],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    workers = []
+    try:
+        assert select.select([proc.stdout], [], [], 120)[0]
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 2 and all(map(_running, workers))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, workers))
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_unknown_strategy_lists_catalog():
     with pytest.raises(ValueError, match="catalog"):
         run_trials(_cfg(maker="nope"))
@@ -178,6 +232,8 @@ def test_all_game_types_run():
     ("phased", "cheap_grab", 3),
 ])
 def test_item_trials_never_build_the_permutation(monkeypatch, maker, breaker, b):
+    """Trials played one at a time (the phased Maker's) build markets without
+    permutations; bulk trials (the threshold pairs') build no market."""
     markets = []
     real = harness.generate_market
 
@@ -188,7 +244,7 @@ def test_item_trials_never_build_the_permutation(monkeypatch, maker, breaker, b)
     monkeypatch.setattr(harness, "generate_market", recording)
     agg = run_trials(_cfg(n=400, b=b, trials=30, maker=maker, breaker=breaker), jobs=1)
     assert agg.success_count == 30
-    assert len(markets) == 30
+    assert len(markets) == (30 if maker == "phased" else 0)
     assert all(m._perm is None for m in markets)
 
 
@@ -228,7 +284,10 @@ def test_bulk_item_pairs_are_the_threshold_rules():
 @pytest.mark.parametrize("maker", BULK_MAKERS)
 def test_bulk_item_trials_match_the_per_trial_engine(monkeypatch, maker, grid):
     """With ``grid``, every cost is snapped to a multiple of 1/4, so costs
-    equal to a threshold (0, 1/4, 1/2 or 1) are common."""
+    equal to a threshold (0, 1/4, 1/2 or 1) are common.  The engine's costs
+    are snapped in its markets, and the bulk kernel's, which come from no
+    market, in each window it decides."""
+    snapped = []
     if grid:
         real_market = harness.generate_market
 
@@ -237,7 +296,15 @@ def test_bulk_item_trials_match_the_per_trial_engine(monkeypatch, maker, grid):
             market.costs = np.round(market.costs * 4.0) / 4.0
             return market
 
+        real_takes = harness._maker_takes
+
+        def grid_takes(costs, *args):
+            costs[:] = np.round(costs * 4.0) / 4.0
+            snapped.append(costs.size)
+            return real_takes(costs, *args)
+
         monkeypatch.setattr(harness, "generate_market", grid_market)
+        monkeypatch.setattr(harness, "_maker_takes", grid_takes)
     breaker_takes = []  # (b, Breaker's takes) of each game the engine played
     real_play = harness.play
 
@@ -267,6 +334,7 @@ def test_bulk_item_trials_match_the_per_trial_engine(monkeypatch, maker, grid):
         harness._build.cache_clear()
     assert "unmet" in tags and None in tags
     assert any(0 < taken < b for b, taken in breaker_takes)
+    assert bool(snapped) == grid
 
 
 @pytest.mark.parametrize("changes", [
@@ -314,6 +382,48 @@ def test_bulk_item_chunk_holds_one_block_of_costs():
     assert success.all()
     # Every trial's costs would take trials * n * 8 bytes; one block, 2**18.
     assert peak < trials * n
+
+
+@pytest.mark.parametrize("n", [2**12, 2**15, 10**5])
+def test_bulk_item_trials_match_the_engine_at_large_n(monkeypatch, n):
+    """Seed batches of 3 trials and 2 first-window rows at a time: a chunk
+    that starts inside a batch crosses batch, group and window boundaries,
+    and its rows are decided in the first window, in a later one, or never
+    (Breaker's mimic takes every item Maker wants when b > n)."""
+    monkeypatch.setattr(harness, "_SEED_BATCH", 3)
+    monkeypatch.setattr(harness, "_BLOCK", n // 2)
+    start, count = 2, 7
+    decided = set()
+    try:
+        for b, breaker in [(0, "never"), (1, "closed_form"), (10, "mimic"),
+                           (10, "cheap_grab"), (n + 1, "mimic")]:
+            cfg = _cfg(n=n, b=b, trials=start + count, master_seed=n + b, breaker=breaker)
+            success, cost, unmet = harness._run_chunk(cfg, start, count)
+            ref = [harness.run_one_trial(cfg, start + i) for i in range(count)]
+            assert success.tolist() == [s for s, _, _ in ref], cfg
+            assert [c.hex() for c in cost.tolist()] == [c.hex() for _, c, _ in ref], cfg
+            assert unmet == [t for _, _, t in ref if t is not None], cfg
+            for i, (met, c, _) in enumerate(ref):
+                if not met:
+                    decided.add("never")
+                    continue
+                costs = harness.generate_market(n, mix_seed(cfg.master_seed, start + i)).costs
+                decided.add("first" if np.flatnonzero(costs == c)[0] < n // 4 else "later")
+    finally:
+        harness._build.cache_clear()
+    assert decided == {"first", "later", "never"}
+
+
+@pytest.mark.parametrize("master", [-5, 2**64 + 5])
+def test_bulk_item_trials_reduce_the_master_seed_as_mix_seed_does(master):
+    cfg = _cfg(n=60, b=1, trials=50, master_seed=master)
+    try:
+        success, cost, _ = harness._run_chunk(cfg, 0, 50)
+        ref = [harness.run_one_trial(cfg, i) for i in range(50)]
+    finally:
+        harness._build.cache_clear()
+    assert success.tolist() == [s for s, _, _ in ref]
+    assert [c.hex() for c in cost.tolist()] == [c.hex() for _, c, _ in ref]
 
 
 # --------------------------------------------------------------------------

@@ -90,7 +90,7 @@ class BoxConfig:
 
     ordering is one of "random" (uses ``seed``), "adversarial", or
     "scripted" (uses ``sequence``, one box id per ball, and ``seed`` for
-    the costs).  ``eps`` feeds the b0 regime marker: for
+    the costs).  ``eps``, in (0, 1), feeds the b0 regime marker: for
     b >= b0 = 100 eps^-2 ln n and m <= (1-eps) b n the focus Breaker wins a
     randomly ordered game with high probability.
     """
@@ -106,6 +106,8 @@ class BoxConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.b < 1:
             raise ValueError("need n, m, b >= 1")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.ordering not in ("random", "adversarial", "scripted"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
         if self.ordering == "scripted":

@@ -14,15 +14,17 @@ so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
 Everything about a config that is the same in each trial (threshold
 schedules, the stopping DP, the phase and game plans, the rules) is built
 once per ``run_trials`` call in each process; a trial only makes fresh
-strategies and its market.  A one-phase item game between two threshold
-rules (a plain ``ScheduleStrategy``, ``AlwaysTake`` or ``NeverTake`` on
-each side) is two turns, so its trials are played in bulk instead, with no
-market: the seeds of a batch of trials' cost streams are computed with
-uint64 array operations and checked against numpy's own seeding, each
-trial's costs are drawn in growing column windows until a window decides
-it, and whole-window array operations make the per-trial engine's
-decisions, bit for bit.  A pool worker exits when its parent process is
-gone, so a parent killed by a signal leaves no idle worker behind.
+strategies and its market.  A one-phase item game whose Breaker is a
+threshold rule (a plain ``ScheduleStrategy``, ``AlwaysTake`` or
+``NeverTake``) and whose Maker is a threshold rule or a ``PhasedMaker`` is
+two turns, so its trials are played in bulk instead, with no market: the
+seeds of a batch of trials' cost streams are computed with uint64 array
+operations and checked against numpy's own seeding, each trial's costs are
+drawn in growing column windows, the first sized to hold one expected
+Maker hit, until a window decides it, and whole-window array operations
+make the per-trial engine's decisions, bit for bit.  A pool worker exits
+when its parent process is gone, so a parent killed by a signal leaves no
+idle worker behind.
 """
 
 from __future__ import annotations
@@ -294,41 +296,63 @@ def _threshold(strategy):
 
 
 def _item_thresholds(cfg: TrialConfig, new_maker, new_breaker):
-    """(Maker's, Breaker's) thresholds when ``cfg`` is a one-phase item game
-    between two threshold rules, which ``_run_item_block`` plays in bulk;
-    else None."""
+    """(t, ends, s) when ``cfg`` is a one-phase item game that
+    ``_run_item_block`` plays in bulk, else None.  Maker is a threshold
+    rule, with thresholds ``t`` and ``ends`` None, or a ``PhasedMaker``,
+    with its plan's thresholds and phase ends; Breaker is a threshold rule,
+    with thresholds ``s``."""
     if cfg.game != "item" or cfg.phases != 1:
         return None
-    t = _threshold(new_maker(0))
+    maker = new_maker(0)
+    if type(maker) is item_game.PhasedMaker:
+        t, ends = maker.plan.position_thresholds, maker.plan.ends
+    else:
+        t, ends = _threshold(maker), None
     s = _threshold(new_breaker(0))
-    return None if t is None or s is None else (t, s)
+    return None if t is None or s is None else (t, ends, s)
 
 
 _SEED_BATCH = 2**12  # trials whose cost streams are seeded in one pass
 _BLOCK = 2**15       # costs held at once, unless one window of one row is wider
+_WINDOW = 2**10      # columns of the narrowest first window
 
 
-def _run_item_block(cfg: TrialConfig, start: int, count: int, t, s):
-    """Trials ``start .. start+count-1`` of a one-phase item game between
-    threshold rules (Maker's ``t``, Breaker's ``s``), as ``_run_chunk``
-    returns them, with the per-trial engine's exact results.
+def _first_window(n: int, t) -> int:
+    """Columns of a block's first window: ``_WINDOW`` (at most n), doubled
+    until it holds at least one expected Maker hit, ``t[:w].sum() >= 1``
+    (``t * w`` for a scalar), or reaches n."""
+    w = min(n, _WINDOW)
+    while w < n and (t * w if np.ndim(t) == 0 else t[:w].sum()) < 1:
+        w = min(n, 2 * w)
+    return w
+
+
+def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
+    """Trials ``start .. start+count-1`` of a one-phase item game played in
+    bulk (Maker's thresholds ``t`` and phase ends ``ends``, Breaker's
+    thresholds ``s``, as ``_item_thresholds`` returns them), as
+    ``_run_chunk`` returns them, with the per-trial engine's exact results.
 
     Such a game is two turns.  Breaker takes the first b positions priced
-    at most s[p]; then Maker takes the first position Breaker did not take
-    priced at most t[p], and the goal is met, or finds none and the trial is
-    unmet.
+    at most s[p].  Then a threshold Maker takes the first position Breaker
+    did not take priced at most t[p]; a ``PhasedMaker`` attempts the first
+    position priced at most t[p] in each phase of its plan, owned or not,
+    and takes the first attempt Breaker did not take.  The goal is met, or
+    Maker takes nothing and the trial is unmet.
 
     No market is built.  For 2**12 trials at a time, the seeds of the cost
     streams ``generate_market`` would draw from are computed with array
     operations (``_pcg64_seed_words`` raises RuntimeError unless the first
     reproduces ``PCG64(seed).state``), and each trial's costs are drawn from
     its start state on one reused generator.  Rows are read in column
-    windows, the first ``max(256, n // 4)`` wide and each later one as wide
-    as all before it, reached by restarting the row's stream and advancing
-    it.  Breaker's takes in a window are its first hits there, up to the
-    takes it has left, so a window that holds Maker's take decides the row,
-    and only undecided rows read the next window.  At most 2**15 costs, or
-    one window of one row, are held at once."""
+    windows, the first ``_first_window(n, t)`` wide and each later one as
+    wide as all before it, reached by restarting the row's stream and
+    advancing it.  Breaker's takes in a window are its first hits there, up
+    to the takes it has left, and Maker's attempts are its first hits in
+    each phase after the last phase it attempted; both are carried from
+    window to window per row.  So a window that holds Maker's take decides
+    the row, and only undecided rows read the next window.  At most 2**15
+    costs, or one window of one row, are held at once."""
     n, b = cfg.n, cfg.b
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
@@ -337,17 +361,19 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, s):
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     buffer = np.empty(min(max(_BLOCK, n), count * n))
-    first = min(n, max(256, n // 4))
+    first = _first_window(n, t)
     for lo in range(0, count, _SEED_BATCH):
         live = np.arange(lo, min(count, lo + _SEED_BATCH))  # rows still undecided
         seeds = _mix_seeds(_mix_seeds(cfg.master_seed, (start + live).astype(np.uint64)), 0)
         words = _pcg64_seed_words(seeds)  # generate_market's cost streams
         need = np.full(live.size, b)  # Breaker's takes still to come, per live row
+        tried = np.full(live.size, -1)  # the last phase Maker attempted, per live row
         a, e = 0, first
         while True:
             w = e - a
             rows = max(1, _BLOCK // w)
             tw, sw = (x[a:e] if np.ndim(x) else x for x in (t, s))
+            ew = None if ends is None else ends - (a + 1)  # phases' last columns
             for g in range(0, live.size, rows):
                 group = live[g:g + rows]
                 costs = buffer[:group.size * w].reshape(group.size, w)
@@ -357,23 +383,38 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, s):
                     if a:
                         bits.advance(a)
                     draw(out=row)
-                met, at = _maker_takes(costs, tw, sw, need[g:g + rows])
+                met, at = _maker_takes(costs, tw, sw, need[g:g + rows], ew, tried[g:g + rows])
                 success[group[met]] = True
                 cost[group[met]] = costs[met, at[met]]
             undecided = ~success[live]  # a row is decided by Maker's take
             if e == n or not undecided.any():
                 break
-            live, need = live[undecided], need[undecided]
+            live, need, tried = live[undecided], need[undecided], tried[undecided]
             a, e = e, min(n, 2 * e)
     return success, cost, ["unmet"] * (count - int(np.count_nonzero(success)))
 
 
-def _maker_takes(costs, t, s, need):
+def _maker_takes(costs, t, s, need, ends, tried):
     """Whether Maker takes a column of each row of the window ``costs``, and
-    which: the first priced at most ``t`` that Breaker does not take.
-    Breaker takes the first ``need[row]`` columns priced at most ``s``, and
-    ``need`` is decreased in place by the takes the window holds."""
+    which: the first of its candidates that Breaker does not take.  Breaker
+    takes the first ``need[row]`` columns priced at most ``s``, and ``need``
+    is decreased in place by the takes the window holds.  With ``ends``
+    None, Maker's candidates are the columns priced at most ``t``.
+    Otherwise ``ends`` are the last columns of Maker's phases, counted from
+    the window's first, and its candidates are its attempts: the first
+    column priced at most ``t`` in each phase after phase ``tried[row]``
+    (0-based); ``tried`` is raised in place to the last phase attempted."""
     open_ = costs <= t
+    if ends is not None:
+        hits = np.flatnonzero(open_)
+        row, col = np.divmod(hits, costs.shape[1])
+        phase = np.searchsorted(ends, col)
+        attempt = phase > tried[row]
+        attempt[1:] &= (row[1:] != row[:-1]) | (phase[1:] != phase[:-1])
+        open_.ravel()[hits[~attempt]] = False
+        row, phase = row[attempt], phase[attempt]
+        last = np.diff(row, append=-1) != 0  # each row's last attempt
+        tried[row[last]] = phase[last]
     if need.any():
         hits = np.flatnonzero(costs <= s)
         hit_row = hits // costs.shape[1]
@@ -507,11 +548,12 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     from several threads take turns on the pool; an error while the chunks
     run shuts it down, and the next parallel call forks a new one.  Each
     process builds the config once; then a trial only makes fresh
-    strategies and its market, or, for a one-phase item game between
-    threshold rules, only as many of its market costs as decide it, drawn
-    from seeds computed in batches and played in column windows with the
-    same results (see ``_run_item_block``; it raises RuntimeError if numpy
-    seeds PCG64 otherwise than it assumes).  Results are reduced in
+    strategies and its market, or, for a one-phase item game between a
+    threshold or phased Maker and a threshold Breaker, only as many of its
+    market costs as decide it, drawn from seeds computed in batches and
+    played in column windows with the same results (see
+    ``_run_item_block``; it raises RuntimeError if numpy seeds PCG64
+    otherwise than it assumes).  Results are reduced in
     trial-index order with exact summation, so the aggregate does not depend
     on the worker count."""
     if jobs is None:

@@ -100,10 +100,13 @@ def path_plan(n: int, b: int, k_override: Optional[int] = None,
     A plan whose branching factor is at most 1 cannot grow trees; it is still
     returned fully populated (so its constants can be inspected) but flagged
     degenerate, with a warning when no override was given.  Constructing a
-    strategy from a degenerate, un-overridden plan raises.
+    strategy from a degenerate, un-overridden plan raises.  A
+    ``threshold_scale`` that is not positive and finite raises ValueError.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if not 0.0 < threshold_scale < math.inf:
+        raise ValueError(f"threshold_scale must be positive and finite, got {threshold_scale}")
     overridden = k_override is not None or threshold_scale != 1.0
     k = k_override if k_override is not None else math.ceil(math.log(math.log(n)))
     if k < 1:

@@ -15,6 +15,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purchase_games import harness
 from purchase_games.cli import cli_main
@@ -232,8 +234,8 @@ def test_all_game_types_run():
     ("phased", "cheap_grab", 3),
 ])
 def test_item_trials_never_build_the_permutation(monkeypatch, maker, breaker, b):
-    """Trials played one at a time (the phased Maker's) build markets without
-    permutations; bulk trials (the threshold pairs') build no market."""
+    """These pairs, the phased Maker's included, are played in bulk, which
+    builds no market and so no permutation either."""
     markets = []
     real = harness.generate_market
 
@@ -244,8 +246,7 @@ def test_item_trials_never_build_the_permutation(monkeypatch, maker, breaker, b)
     monkeypatch.setattr(harness, "generate_market", recording)
     agg = run_trials(_cfg(n=400, b=b, trials=30, maker=maker, breaker=breaker), jobs=1)
     assert agg.success_count == 30
-    assert len(markets) == (30 if maker == "phased" else 0)
-    assert all(m._perm is None for m in markets)
+    assert markets == []
 
 
 def test_phased_run_warns_once_per_call():
@@ -260,7 +261,7 @@ def test_phased_run_warns_once_per_call():
 # item trials in bulk
 # --------------------------------------------------------------------------
 
-BULK_MAKERS = ("single_threshold", "dp", "always")
+BULK_MAKERS = ("single_threshold", "dp", "always")  # threshold rules; "phased" plays too
 BULK_BREAKERS = ("closed_form", "best_response", "cheap_grab", "mimic", "never", "always")
 
 
@@ -277,7 +278,7 @@ def test_bulk_item_pairs_are_the_threshold_rules():
         assert not _bulk(_cfg(phases=2))
     finally:
         harness._build.cache_clear()
-    assert bulk == {(m, b) for m in BULK_MAKERS for b in BULK_BREAKERS}
+    assert bulk == {(m, b) for m in BULK_MAKERS + ("phased",) for b in BULK_BREAKERS}
 
 
 @pytest.mark.parametrize("grid", [False, True])
@@ -339,7 +340,7 @@ def test_bulk_item_trials_match_the_per_trial_engine(monkeypatch, maker, grid):
 
 @pytest.mark.parametrize("changes", [
     dict(phases=2),
-    dict(maker="phased", breaker="cheap_grab", b=2),
+    dict(maker="phased", breaker="random", b=2),
     dict(maker="random"),
     dict(breaker="random"),
 ])
@@ -390,8 +391,9 @@ def test_bulk_item_trials_match_the_engine_at_large_n(monkeypatch, n):
     that starts inside a batch crosses batch, group and window boundaries,
     and its rows are decided in the first window, in a later one, or never
     (Breaker's mimic takes every item Maker wants when b > n)."""
+    first = harness._first_window(n, single_threshold_maker(n).values)
     monkeypatch.setattr(harness, "_SEED_BATCH", 3)
-    monkeypatch.setattr(harness, "_BLOCK", n // 2)
+    monkeypatch.setattr(harness, "_BLOCK", 2 * first)
     start, count = 2, 7
     decided = set()
     try:
@@ -408,10 +410,112 @@ def test_bulk_item_trials_match_the_engine_at_large_n(monkeypatch, n):
                     decided.add("never")
                     continue
                 costs = harness.generate_market(n, mix_seed(cfg.master_seed, start + i)).costs
-                decided.add("first" if np.flatnonzero(costs == c)[0] < n // 4 else "later")
+                decided.add("first" if np.flatnonzero(costs == c)[0] < first else "later")
     finally:
         harness._build.cache_clear()
     assert decided == {"first", "later", "never"}
+
+
+def _window_of(column: int, first: int) -> int:
+    """Index of the bulk kernel's window that holds 0-based ``column``: the
+    first is ``first`` columns wide, and each later one as wide as all
+    before it."""
+    return (int(column) // first).bit_length()
+
+
+def _attempt_carried(plan, first, costs, out) -> bool:
+    """Whether the phased Maker of ``out`` made an attempt that Breaker had
+    pre-empted, with more of its hits in that phase before its take, in a
+    later window than the attempt."""
+    take = out.M - 1 if out.success else len(costs)
+    hits = np.flatnonzero(costs <= plan.position_thresholds)
+    hits = hits[hits < take]
+    phase = np.searchsorted(plan.ends, hits + 1)
+    owned = set(out.breaker_positions)
+    for p in np.unique(phase):
+        h = hits[phase == p]
+        if h[0] + 1 in owned and _window_of(h[-1], first) > _window_of(h[0], first):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [40, 400, 2**12, 10**5])
+def test_bulk_phased_trials_match_the_engine_at_large_n(monkeypatch, n):
+    """The phased Maker in bulk against the engine, trial by trial, with seed
+    batches of 3 trials and blocks of 64 costs, first with 3-column and
+    then with 2**10-column narrowest first windows: a chunk that starts
+    inside a batch crosses batch, group and window boundaries.  Up to
+    n = 2**12, some rows have an attempt that Breaker pre-empted and more of
+    Maker's hits in that phase in a later window, which only the carried
+    last attempted phase keeps Maker from taking.  At n = 10**5 an attempt
+    is pre-empted too rarely to count on: about 1 trial in 25 against the
+    always Breaker at b = 10."""
+    games = []  # (costs, Outcome) of each game the engine played
+    real_play = harness.play
+
+    def recording_play(market, *args, **kwargs):
+        out = real_play(market, *args, **kwargs)
+        games.append((market.costs, out))
+        return out
+
+    monkeypatch.setattr(harness, "play", recording_play)
+    monkeypatch.setattr(harness, "_SEED_BATCH", 3)
+    monkeypatch.setattr(harness, "_BLOCK", 64)
+    start, count = 2, 7
+    carried = 0
+    try:
+        for window in (3, 2**10):
+            monkeypatch.setattr(harness, "_WINDOW", window)
+            for b in (1, 3, 10):
+                for breaker in ("cheap_grab", "mimic", "closed_form", "always", "never"):
+                    cfg = _cfg(n=n, b=b, trials=start + count, master_seed=n + b,
+                               maker="phased", breaker=breaker)
+                    success, cost, unmet = harness._run_chunk(cfg, start, count)
+                    assert games == []  # no trial reached the engine
+                    ref = [harness.run_one_trial(cfg, start + i) for i in range(count)]
+                    assert success.tolist() == [s for s, _, _ in ref], cfg
+                    assert [c.hex() for c in cost.tolist()] == [c.hex() for _, c, _ in ref], cfg
+                    assert unmet == [t for _, _, t in ref if t is not None], cfg
+                    plan = harness._build(cfg)[0](0).plan
+                    first = harness._first_window(n, plan.position_thresholds)
+                    carried += sum(_attempt_carried(plan, first, *game) for game in games)
+                    games.clear()
+    finally:
+        harness._build.cache_clear()
+    assert carried or n == 10**5
+
+
+@st.composite
+def _bulk_cfgs(draw):
+    """One-phase item configs that ``_run_chunk`` plays in bulk, n <= 300."""
+    n = draw(st.integers(2, 300))
+    maker = draw(st.sampled_from(BULK_MAKERS + ("phased",)))
+    b = draw(st.integers(1, n - 1) if maker == "phased" else st.integers(0, n + 1))
+    master = draw(st.one_of(st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                            st.integers(2**64, 2**70)))
+    return _cfg(n=n, b=b, master_seed=master, maker=maker,
+                breaker=draw(st.sampled_from(BULK_BREAKERS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_bulk_cfgs(), start=st.integers(0, 40), count=st.integers(1, 12),
+       window=st.sampled_from([1, 2, 5, 2**10]), batch=st.sampled_from([1, 3, 2**12]),
+       block=st.sampled_from([1, 50, 2**15]))
+def test_bulk_chunk_equals_the_engine_trial_by_trial(cfg, start, count, window, batch,
+                                                     block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_WINDOW", window)
+        mp.setattr(harness, "_SEED_BATCH", batch)
+        mp.setattr(harness, "_BLOCK", block)
+        try:
+            assert _bulk(cfg)
+            success, cost, unmet = harness._run_chunk(cfg, start, count)
+            ref = [harness.run_one_trial(cfg, start + i) for i in range(count)]
+        finally:
+            harness._build.cache_clear()
+    assert success.tolist() == [s for s, _, _ in ref]
+    assert [c.hex() for c in cost.tolist()] == [c.hex() for _, c, _ in ref]
+    assert unmet == [t for _, _, t in ref if t is not None]
 
 
 @pytest.mark.parametrize("master", [-5, 2**64 + 5])
@@ -541,6 +645,18 @@ def test_cli_unknown_flag_exits_1(capsys):
 
 def test_cli_bad_config_exits_1(capsys):
     assert cli_main(["item", "--n", "10", "--maker", "nope", "--trials", "5"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "--n", "30", "--override-scale", "-1"],
+    ["path", "--n", "30", "--override-scale", "nan"],
+    ["path", "--n", "30", "--override-scale", "inf"],
+    ["box", "--n", "3", "--m", "4", "--eps", "0"],
+    ["box", "--n", "3", "--m", "4", "--eps", "1"],
+])
+def test_cli_bad_game_parameter_exits_1(capsys, argv):
+    assert cli_main(argv + ["--trials", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_assert_mode_exit_codes(capsys):

@@ -310,19 +310,26 @@ def _free_ball(positions, lo: int, hi: int, claims: list, after: int, k: int) ->
     """The k-th of the sorted ``positions[lo:hi]`` past ``after`` that is not
     in ``claims`` (a sorted subset of them).
 
-    Its index is that of the k-th ball past ``after`` plus the number of
-    claims between ``after`` and it; iterating that count from below
-    reaches the least such index, which is not a claim itself."""
+    Its index is the least i with i - (claims <= positions[i]) + (claims
+    <= after) >= kth, the index of the k-th ball past ``after``: the left
+    side counts unclaimed balls and never falls as i grows, so a binary
+    search finds it, at most kth plus the claims ahead.  The least such i
+    is not a claim itself.  The search starts from kth plus the claims in
+    (after, positions[kth]], a lower bound on it that is the answer itself
+    when there are none, as on most turns."""
     kth = bisect_right(positions, after, lo, hi) + k - 1
     skipped = bisect_right(claims, after)
-    idx = kth
-    while idx < hi:
-        pos = positions[idx]
-        nxt = kth + bisect_right(claims, pos) - skipped
-        if nxt == idx:
-            return pos
-        idx = nxt
-    raise RuntimeError(f"fewer than {k} unowned balls past position {after}")
+    i = kth + bisect_right(claims, positions[kth]) - skipped if kth < hi else kth
+    j = min(hi, kth + len(claims) - skipped) if i > kth else i
+    while i < j:
+        mid = (i + j) // 2
+        if mid - bisect_right(claims, positions[mid]) + skipped >= kth:
+            j = mid
+        else:
+            i = mid + 1
+    if i >= hi:
+        raise RuntimeError(f"fewer than {k} unowned balls past position {after}")
+    return positions[i]
 
 
 def minbox_maker(config: BoxConfig) -> MinboxMaker:

@@ -14,7 +14,10 @@ so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
 Everything about a config that is the same in each trial (threshold
 schedules, the stopping DP, the phase and game plans, the rules) is built
 once per ``run_trials`` call in each process; a trial only makes fresh
-strategies and its market.  A one-phase item game whose Breaker is a
+strategies and its market.  Two of those builds are cheaper from the
+second call on in a process: ``oracle.item_b0_dp`` slices one shared table
+of iterates, and ``item_game.phase_plan`` memoises its last 8 plans.  A
+one-phase item game whose Breaker is a
 threshold rule (a plain ``ScheduleStrategy``, ``AlwaysTake`` or
 ``NeverTake``) and whose Maker is a threshold rule or a ``PhasedMaker`` is
 two turns, so its trials are played in bulk instead, with no market: the

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -228,7 +229,8 @@ def phased_maker_plan(n: int, b: int) -> PhasePlan:
 
     Requires b >= 1 (at b = 0 use single_threshold_maker or the optimal
     stopping thresholds).  Warns outside 1 <= b <= n/ln^4 n, where the cost
-    guarantee degrades.
+    guarantee degrades, on every call: the plan is ``phase_plan``'s shared,
+    read-only one.
     """
     if b < 1:
         raise ValueError("phased plan needs b >= 1; use single_threshold_maker for b = 0")
@@ -243,9 +245,15 @@ def phased_maker_plan(n: int, b: int) -> PhasePlan:
     return phase_plan(n, b)
 
 
+@lru_cache(maxsize=8)
 def phase_plan(n: int, b: int) -> PhasePlan:
     """The plan ``phased_maker_plan`` returns, without its checks or its
-    warning: the caller guarantees 1 <= b and b + 1 <= n."""
+    warning: the caller guarantees 1 <= b and b + 1 <= n.
+
+    Plans are memoised per (n, b), at most 8 of them (the least recently
+    used goes first), so a process that asks for the same plan again, such
+    as each ``run_trials`` call of a seed sweep, builds it once; its arrays
+    are shared and therefore read-only."""
     alpha = 10.0 + 10.0 * math.ceil(math.log(b))
     bigN = n / (b + 1)
     ends = phase_ends(n, b + 1)
@@ -259,6 +267,7 @@ def phase_plan(n: int, b: int) -> PhasePlan:
         t[-1] = 1.0
         thresholds[start - 1 : e] = t
         start = e + 1
+    thresholds.flags.writeable = False
     return PhasePlan(n=n, b=b, alpha=alpha, N=bigN, ends=ends,
                      position_thresholds=thresholds)
 

@@ -82,18 +82,33 @@ class StoppingDP:
         return ScheduleStrategy(self.thresholds)
 
 
+_ITERATES = np.array([0.5])  # w_0 = 1/2, w_(j+1) = w_j - w_j^2/2; read-only
+_ITERATES.flags.writeable = False
+
+
 def item_b0_dp(n: int) -> StoppingDP:
     """Backward recursion for the optimal stopping value; n * v_1 tends to 2
-    from below (v_1 is approximately 2/(n+3))."""
+    from below (v_1 is approximately 2/(n+3)).
+
+    v_i(n) = w_(n-1-i) for iterates w_j that do not depend on n, so one
+    module-level table of them serves every n: it is extended only past its
+    length and holds 8 bytes per iterate up to the largest n asked in the
+    process.  Each call returns a fresh copy of its slice."""
+    global _ITERATES
     if n < 1:
         raise ValueError("n must be >= 1")
-    # Python floats are IEEE doubles rounded as numpy's are, so the loop
-    # runs on them and fills the array once, bit for bit the same.
-    v = [0.5] * n
-    for i in range(n - 2, -1, -1):
-        nxt = v[i + 1]
-        v[i] = nxt - nxt * nxt / 2.0
-    return StoppingDP(np.array(v))
+    w = _ITERATES
+    if n > len(w):
+        # Python floats are IEEE doubles rounded as numpy's are, so the loop
+        # runs on them, bit for bit the same as a numpy recursion.
+        x, more = float(w[-1]), []
+        for _ in range(n - len(w)):
+            x -= x * x / 2.0
+            more.append(x)
+        w = np.concatenate([w, more])
+        w.flags.writeable = False
+        _ITERATES = w
+    return StoppingDP(w[n - 1::-1].copy())
 
 
 # --------------------------------------------------------------------------

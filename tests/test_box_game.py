@@ -3,9 +3,12 @@ orderings, and the engine-vs-oracle comparisons."""
 
 import io
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purchase_games.box_game import (
     AdversarialOrderer,
@@ -19,6 +22,7 @@ from purchase_games.box_game import (
     minbox_maker,
     play_box,
     save_scripted_ordering,
+    _free_ball,
 )
 from purchase_games.engine import (
     BREAKER,
@@ -193,6 +197,44 @@ def test_minbox_fast_path_matches_decide_loop():
         most_ahead = max(most_ahead, maker.most_ahead)
     assert starved >= 100
     assert most_ahead >= 10  # Breaker-owned balls the fast turn had to skip
+
+
+def _free_ball_walk(positions, lo, hi, claims, after, k):
+    """Reference for ``_free_ball``: walk the index of the k-th ball past
+    ``after`` plus the claims up to it, one claim count at a time, to its
+    least fixed point."""
+    kth = bisect_right(positions, after, lo, hi) + k - 1
+    skipped = bisect_right(claims, after)
+    idx = kth
+    while idx < hi:
+        pos = positions[idx]
+        nxt = kth + bisect_right(claims, pos) - skipped
+        if nxt == idx:
+            return pos
+        idx = nxt
+    raise RuntimeError(f"fewer than {k} unowned balls past position {after}")
+
+
+@st.composite
+def _free_ball_cases(draw):
+    positions = sorted(draw(st.sets(st.integers(1, 200), min_size=1, max_size=40)))
+    lo = draw(st.integers(0, len(positions) - 1))
+    hi = draw(st.integers(lo + 1, len(positions)))
+    claims = sorted(draw(st.sets(st.sampled_from(positions[lo:hi]))))
+    after = draw(st.integers(0, 201))
+    k = draw(st.integers(1, hi - lo + 1))
+    return positions, lo, hi, claims, after, k
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_free_ball_cases())
+def test_free_ball_search_matches_the_walk(case):
+    def answer(find):
+        try:
+            return find(*case)
+        except RuntimeError as exc:
+            return str(exc)
+    assert answer(_free_ball) == answer(_free_ball_walk)
 
 
 def test_focus_bulk_claim_stops_at_the_killing_ball():

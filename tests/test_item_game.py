@@ -19,6 +19,7 @@ from purchase_games.item_game import (
     expected_cost,
     load_schedule,
     mimic_threshold_breaker,
+    phase_plan,
     phased_maker_plan,
     save_schedule,
     single_threshold_maker,
@@ -189,6 +190,23 @@ def test_phased_plan_structure():
 def test_phased_plan_rejects_b0():
     with pytest.raises(ValueError):
         phased_maker_plan(100, 0)
+
+
+def test_phase_plans_are_memoised_and_read_only():
+    plan = phase_plan(5000, 3)
+    assert phase_plan(5000, 3) is plan
+    assert phase_plan(5000, 4) is not plan
+    with pytest.raises(ValueError):
+        plan.position_thresholds[0] = 0.5
+    with pytest.raises(ValueError):
+        plan.ends[0] = 1
+
+
+def test_memoised_plan_still_warns_on_every_call():
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="cost guarantee degrades"):
+            plan = phased_maker_plan(900, 8)
+        assert plan is phase_plan(900, 8)
 
 
 def test_phased_maker_one_attempt_per_phase():

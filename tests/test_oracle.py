@@ -33,16 +33,39 @@ def test_dp_terminal_values():
     assert dp.v[-2] == 0.375  # one backward step: 1/2 - 1/8
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000, 10_000])
-def test_dp_matches_the_numpy_scalar_recursion_bit_for_bit(n):
+def _dp_recursion(n):
+    """Reference: the backward recursion for v on numpy scalars, run from
+    v_n = 1/2 for this n alone."""
     v = np.empty(n)
     v[n - 1] = 0.5
     for i in range(n - 2, -1, -1):
         nxt = v[i + 1]
         v[i] = nxt - nxt * nxt / 2.0
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 10_000])
+def test_dp_matches_the_numpy_scalar_recursion_bit_for_bit(n):
     dp = item_b0_dp(n)
     assert dp.v.dtype == np.float64 and dp.v.shape == (n,)
-    assert dp.v.tobytes() == v.tobytes()
+    assert dp.v.tobytes() == _dp_recursion(n).tobytes()
+
+
+def test_dp_table_matches_the_recursion_in_any_call_order():
+    # Non-monotone, so the shared table is both extended and sliced short.
+    for n in (5, 1, 3000, 2, 10_000, 777, 10_001):
+        assert item_b0_dp(n).v.tobytes() == _dp_recursion(n).tobytes(), n
+
+
+def test_dp_returns_a_copy_of_the_table():
+    first = item_b0_dp(40)
+    first.v[:] = -1.0
+    assert item_b0_dp(40).v.tobytes() == _dp_recursion(40).tobytes()
+
+
+def test_dp_rejects_an_empty_stream():
+    with pytest.raises(ValueError):
+        item_b0_dp(0)
 
 
 def test_dp_strictly_increasing_in_position():

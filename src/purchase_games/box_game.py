@@ -17,6 +17,15 @@ box ties for the fewest balls not yet belonging to Breaker among uncovered
 boxes) wins against every ordering and every Breaker: after Breaker's i-th
 turn no uncovered box has more than b*i balls belonging to Breaker.  Maker
 moving first actually lets it win from m >= b(n-1)+1; see the oracle module.
+
+``play_box`` plays one game of any ordering and strategies.
+``play_adversarial_block`` is a second implementation of the same turn rules
+for one case, the adversarial ordering between the min-box Maker and a
+Breaker that takes each unowned offered ball with a fixed probability: it
+plays a block of such games in lock-step with numpy arrays, and gives each
+game's winner exactly as ``play_box`` does.  The harness plays large chunks
+of such trials with it; random tapes and every other pair of strategies stay
+with ``play_box``.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ __all__ = [
     "AdversarialOrderer",
     "adversarial_ordering",
     "play_box",
+    "play_adversarial_block",
     "load_scripted_ordering",
     "save_scripted_ordering",
 ]
@@ -458,6 +468,106 @@ def adversarial_ordering(config: BoxConfig, trace) -> tuple:
             raise ValueError(f"trace over-reveals box {box}")
     box = AdversarialOrderer(config.n).next_box(player, stock)
     return (box, config.m - stock[box])
+
+
+_COVERED = -2**62  # a covered box's count in play_adversarial_block: below any threshold
+
+
+def play_adversarial_block(n: int, m: int, b: int, p: float, rows: int,
+                           draws: Optional[np.ndarray] = None) -> np.ndarray:
+    """Whether Maker wins each of ``rows`` adversarially ordered games of the
+    min-box Maker against a Breaker that takes each unowned ball it is
+    offered with probability ``p``, played in lock-step with ``play_box``'s
+    results, game by game.
+
+    ``draws[row]`` holds the n*m doubles of that game's Breaker, used one
+    per unowned ball it is offered, in order; it takes the ball when the
+    double is below ``p``.  With ``p`` at most 0 or at least 1 no double
+    decides anything, and ``draws`` may be None.
+
+    Each step moves the scanning player's pointer one ball in every game
+    still running, under ``play_box``'s rules: Maker moves first, an unowned
+    ball Maker passes belongs to Breaker, Breaker's take counts against its
+    box only ahead of Maker's pointer, a starved uncovered box ends the game
+    mid-scan, and Breaker's turn ends at ``b`` takes or at the stream end.
+    Maker running past the stream end needs no test of its own: by then
+    every ball of an uncovered box belongs to Breaker, so the box starved
+    when its last ball was counted.  Each ball is placed when a pointer
+    first reaches it, as ``AdversarialOrderer`` places it: boxes 1 to n-1
+    are drawn lowest id first by either player, box 0 by Breaker first, and
+    each player falls back to the other pool when its own is empty.  A
+    covered box's count is ``_COVERED``, so the min-box rule, ``count >=
+    max over uncovered``, and the starvation test, ``count >= m``, read one
+    array.  Games that end leave the arrays of games still running.
+    Breaker is offered fewer than n*m unowned balls (Maker always takes
+    ball 1), so its next double is always inside its row."""
+    total, other = n * m, (n - 1) * m
+    owner = np.zeros(rows * total, dtype=np.int8)
+    boxat = np.zeros(rows * total, dtype=np.int64)
+    counts = np.zeros((rows, n), dtype=np.int64)
+    flat_counts = counts.ravel()
+    success = np.zeros(rows, dtype=bool)
+    row = np.arange(rows)
+    base, row_n = row * total, row * n   # each game's offset into owner/boxat, counts
+    mp, bp = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)  # pointers
+    zero_left = np.full(rows, m)      # box 0's stock
+    drawn = np.zeros(rows, dtype=np.int64)  # balls of boxes 1 .. n-1 placed
+    top = np.zeros(rows, dtype=np.int64)    # max count over uncovered boxes
+    covered = np.zeros(rows, dtype=np.int64)  # boxes covered
+    takes = np.zeros(rows, dtype=np.int64)  # Breaker's takes this turn
+    brk = np.zeros(rows, dtype=bool)        # Breaker is scanning
+    drawing = 0.0 < p < 1.0
+    if drawing:
+        flat_draws = draws.ravel()
+        next_draw = base.copy()  # each game's next double
+    while row.size:
+        cur = np.where(brk, bp, mp)  # the scanning pointer's next ball, 0-based
+        idx = base + cur
+        new = cur == np.maximum(mp, bp)  # the ball is unrevealed
+        zero = np.where(brk, zero_left > 0, drawn >= other)
+        box = np.where(new, np.where(zero, 0, 1 + drawn // m), boxat[idx])
+        boxat[idx] = box
+        from_zero = new & zero
+        zero_left -= from_zero
+        drawn += new ^ from_zero
+        free = owner[idx] == UNOWNED
+        slot = row_n + box
+        count = flat_counts[slot]
+        if drawing:
+            take_b = flat_draws[next_draw] < p
+            next_draw += brk & free
+        else:
+            take_b = p >= 1.0
+        take = free & np.where(brk, take_b, count >= top)
+        owner[idx[take]] = np.where(brk[take], BREAKER, MAKER)
+        gain = free & np.where(brk, take & (cur >= mp), ~take)
+        count += gain
+        flat_counts[slot] = count
+        dead = count >= m
+        np.maximum(top, count, out=top)
+        maker_take = take & ~brk
+        if maker_take.any():
+            flat_counts[slot[maker_take]] = _COVERED
+            covered += maker_take
+            top[maker_take] = counts[row[maker_take]].max(axis=1)
+        takes += take & brk
+        cur += 1
+        mp = np.where(brk, mp, cur)
+        bp = np.where(brk, cur, bp)
+        met = covered == n
+        turn_over = np.where(brk, (takes == b) | (bp == total), maker_take & (bp < total))
+        takes[turn_over & brk] = 0
+        brk ^= turn_over
+        done = met | dead
+        if done.any():
+            success[row[done]] = met[done]
+            keep = ~done
+            row, base, row_n, mp, bp, zero_left, drawn, top, covered, takes, brk = (
+                x[keep] for x in (row, base, row_n, mp, bp, zero_left, drawn, top, covered,
+                                  takes, brk))
+            if drawing:
+                next_draw = next_draw[keep]
+    return success
 
 
 # --------------------------------------------------------------------------

@@ -101,12 +101,14 @@ def mix_seed(master: int, index: int) -> int:
 def _mix_seeds(master, index) -> np.ndarray:
     """``mix_seed`` elementwise over uint64 arrays; either argument may also
     be a Python int, reduced mod 2**64 first as ``mix_seed`` reduces its sum.
-    uint64 array arithmetic wraps mod 2**64, which is ``mix_seed``'s mask."""
+    uint64 arithmetic wraps mod 2**64, which is ``mix_seed``'s mask (numpy
+    warns of that wrap on scalars, so the warning is silenced)."""
     master, index = (np.asarray(x % 2**64 if isinstance(x, int) else x, dtype=np.uint64)
                      for x in (master, index))
-    z = master + (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    with np.errstate(over="ignore"):
+        z = master + (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 

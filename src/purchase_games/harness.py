@@ -25,9 +25,18 @@ seeds of a batch of trials' cost streams are computed with uint64 array
 operations and checked against numpy's own seeding, each trial's costs are
 drawn in growing column windows, the first sized to hold one expected
 Maker hit, until a window decides it, and whole-window array operations
-make the per-trial engine's decisions, bit for bit.  A pool worker exits
-when its parent process is gone, so a parent killed by a signal leaves no
-idle worker behind.
+make the per-trial engine's decisions, bit for bit.  An adversarially
+ordered box game between the min-box Maker and a Breaker that takes each
+unowned offered ball with a fixed probability (the box Breakers random,
+always and never) is played in bulk too, by
+``box_game.play_adversarial_block``, when a chunk holds at least
+``_BOX_ROWS`` trials and that many games' balls fit in ``_BLOCK``; a random
+Breaker's doubles are drawn like the item costs, from seeds computed for a
+block at a time on one reused generator.  Smaller chunks, random tapes and
+every other box pair play each trial through ``box_game.play_box``; random
+tapes stay there so that a traced benchmark run still re-verifies their
+games.  A pool worker exits when its parent process is gone, so a parent
+killed by a signal leaves no idle worker behind.
 """
 
 from __future__ import annotations
@@ -234,12 +243,16 @@ def _game(cfg: TrialConfig):
     """The config's rules and stream shape; returns the per-trial game
     ``(seed, maker, breaker) -> Outcome``."""
     if cfg.game == "item":
+        if cfg.n < 1:  # the bulk kernel builds no market to refuse it
+            raise ValueError(f"market size must be >= 1, got {cfg.n}")
         rules = GameRules(b=cfg.b, phase_count=cfg.phases, goal=OwnAnyItem)
         return lambda seed, maker, breaker: play(
             generate_market(cfg.n, seed), rules, maker, breaker, seed_record=seed)
     if cfg.game == "clique":
         k = _clique_k(cfg)
         stream = _edge_stream_length(cfg)
+        if stream < 1:
+            raise ValueError("need at least 2 vertices")
         phases = cfg.phases if cfg.maker == "triangle" else k
         rules = GameRules(b=cfg.b, phase_count=phases,
                           goal=functools.partial(clique_game.CliqueGoal, k))
@@ -320,6 +333,26 @@ _BLOCK = 2**15       # costs held at once, unless one window of one row is wider
 _WINDOW = 2**10      # columns of the narrowest first window
 
 
+def _stream_filler():
+    """``fill(out, words, skip=0)``: fills ``out`` with the doubles of the
+    PCG64 stream seeded from the seed words ``words`` (a row of
+    ``_pcg64_seed_words``, as Python ints) past its first ``skip``, on one
+    reused generator, with one state set per call."""
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).random
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def fill(out, words, skip=0):
+        pcg["state"], pcg["inc"] = _pcg64_state(words)
+        bits.state = state
+        if skip:
+            bits.advance(skip)
+        draw(out=out)
+
+    return fill
+
+
 def _first_window(n: int, t) -> int:
     """Columns of a block's first window: ``_WINDOW`` (at most n), doubled
     until it holds at least one expected Maker hit, ``t[:w].sum() >= 1``
@@ -359,10 +392,7 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     n, b = cfg.n, cfg.b
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).random
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    fill = _stream_filler()
     buffer = np.empty(min(max(_BLOCK, n), count * n))
     first = _first_window(n, t)
     for lo in range(0, count, _SEED_BATCH):
@@ -381,11 +411,7 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
                 group = live[g:g + rows]
                 costs = buffer[:group.size * w].reshape(group.size, w)
                 for row, row_words in zip(costs, words[group - lo].tolist()):
-                    pcg["state"], pcg["inc"] = _pcg64_state(row_words)
-                    bits.state = state
-                    if a:
-                        bits.advance(a)
-                    draw(out=row)
+                    fill(row, row_words, a)
                 met, at = _maker_takes(costs, tw, sw, need[g:g + rows], ew, tried[g:g + rows])
                 success[group[met]] = True
                 cost[group[met]] = costs[met, at[met]]
@@ -429,11 +455,65 @@ def _maker_takes(costs, t, s, need, ends, tried):
     return open_[np.arange(len(costs)), at], at
 
 
+_BOX_ROWS = 64  # fewest games an adversarial box block plays at once
+
+
+def _box_breaker_p(cfg: TrialConfig, count: int, new_maker, new_breaker):
+    """Breaker's take probability p when ``count`` trials of ``cfg`` are an
+    adversarially ordered box game that ``_run_box_block`` plays in bulk,
+    else None: Maker is the min-box rule, Breaker takes each unowned offered
+    ball with probability p (``RandomStrategy``, ``AlwaysTake`` 1 or
+    ``NeverTake`` 0), and at least ``_BOX_ROWS`` games' n*m balls fit in
+    ``_BLOCK``."""
+    if cfg.game != "box" or cfg.ordering != "adversarial":
+        return None
+    if min(count, _BLOCK // (cfg.n * cfg.m)) < _BOX_ROWS:
+        return None
+    if type(new_maker(0)) is not box_game.MinboxMaker:
+        return None
+    breaker = new_breaker(0)
+    if type(breaker) is RandomStrategy:
+        return breaker.p
+    return {AlwaysTake: 1.0, NeverTake: 0.0}.get(type(breaker))
+
+
+def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
+    """Trials ``start .. start+count-1`` of an adversarially ordered box game
+    between the min-box Maker and a Breaker taking with probability ``p``,
+    as ``_run_chunk`` returns them, played by
+    ``box_game.play_adversarial_block`` in blocks of as many games as
+    ``_BLOCK`` holds balls.  A random Breaker's doubles are the n*m first of
+    its stream, ``PCG64(mix_seed(seed, 102))``, seeded from seed words
+    computed for a block at a time.  The tape has no market, so every cost
+    is 0.0 and every Breaker win is tagged "box-starved"."""
+    total = cfg.n * cfg.m
+    rows = _BLOCK // total
+    success = np.zeros(count, dtype=bool)
+    fill = _stream_filler()
+    draws = None
+    for lo in range(0, count, rows):
+        hi = min(count, lo + rows)
+        if 0.0 < p < 1.0:
+            trial_seeds = _mix_seeds(cfg.master_seed, np.arange(start + lo, start + hi,
+                                                                dtype=np.uint64))
+            words = _pcg64_seed_words(_mix_seeds(trial_seeds, 102))
+            draws = np.empty((hi - lo, total))
+            for row, row_words in zip(draws, words.tolist()):
+                fill(row, row_words)
+        success[lo:hi] = box_game.play_adversarial_block(cfg.n, cfg.m, cfg.b, p, hi - lo,
+                                                         draws)
+    met = int(np.count_nonzero(success))
+    return success, np.zeros(count), ["box-starved"] * (count - met)
+
+
 def _run_chunk(cfg: TrialConfig, start: int, count: int):
     new_maker, new_breaker, _ = _build(cfg)
     thresholds = _item_thresholds(cfg, new_maker, new_breaker)
     if thresholds is not None:
         return _run_item_block(cfg, start, count, *thresholds)
+    p = _box_breaker_p(cfg, count, new_maker, new_breaker)
+    if p is not None:
+        return _run_box_block(cfg, start, count, p)
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
     tags: list = []
@@ -556,9 +636,15 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     market costs as decide it, drawn from seeds computed in batches and
     played in column windows with the same results (see
     ``_run_item_block``; it raises RuntimeError if numpy seeds PCG64
-    otherwise than it assumes).  Results are reduced in
-    trial-index order with exact summation, so the aggregate does not depend
-    on the worker count."""
+    otherwise than it assumes).  A chunk of at least ``_BOX_ROWS``
+    adversarially ordered box games between the min-box Maker and the
+    random, always or never Breaker, whose games' balls fit ``_BLOCK`` that
+    many at a time, is played in lock-step blocks with the same results
+    (see ``_run_box_block``); random tapes, other box pairs and smaller
+    chunks play each trial.  A call with no trials still builds the config,
+    so a bad game parameter raises ValueError there too.  Results are
+    reduced in trial-index order with exact summation, so the aggregate
+    does not depend on the worker count."""
     if jobs is None:
         jobs = config.jobs or _env_jobs()
     if jobs < 0:
@@ -570,6 +656,7 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
 
     try:
         if trials == 0:
+            _build(config)  # checks the game's parameters, as each chunk's build does
             chunks = []
         elif jobs <= 1:
             chunks = [_run_chunk(config, 0, trials)]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import harness
+from purchase_games import box_game, harness
 from purchase_games.cli import cli_main
 from purchase_games.engine import mix_seed
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
@@ -533,6 +533,111 @@ def test_bulk_item_trials_reduce_the_master_seed_as_mix_seed_does(master):
 
 
 # --------------------------------------------------------------------------
+# adversarial box games in bulk
+# --------------------------------------------------------------------------
+
+BOX_BULK_BREAKERS = ("random", "always", "never")  # take probabilities 0.5, 1, 0
+
+
+def _box_cfg(**kw):
+    base = dict(game="box", n=3, m=4, b=1, trials=100, master_seed=3, maker="minbox",
+                breaker="random", ordering="adversarial")
+    base.update(kw)
+    return TrialConfig(**base)
+
+
+def _assert_chunk_matches_run_one_trial(cfg, start, count):
+    """``_run_chunk`` gives ``run_one_trial``'s results, trial by trial:
+    success, cost bits and tags; returns the per-trial tags."""
+    success, cost, tags = harness._run_chunk(cfg, start, count)
+    ref = [harness.run_one_trial(cfg, start + i) for i in range(count)]
+    assert success.tolist() == [s for s, _, _ in ref], cfg
+    assert [c.hex() for c in cost.tolist()] == [c.hex() for _, c, _ in ref], cfg
+    assert tags == [t for _, _, t in ref if t is not None], cfg
+    return [t for _, _, t in ref]
+
+
+@pytest.mark.parametrize("changes, bulk", [
+    (dict(ordering="random"), False),
+    (dict(ordering="random", breaker="always"), False),
+    (dict(breaker="focus"), False),
+    (dict(maker="random"), False),
+    (dict(breaker="random"), True),
+    (dict(breaker="always"), True),
+    (dict(breaker="never"), True),
+])
+def test_box_games_in_bulk_are_adversarial_minbox_blocks(monkeypatch, changes, bulk):
+    """A chunk plays no game through ``play_box`` exactly when it is an
+    adversarial min-box chunk against a take-with-probability-p Breaker
+    whose block holds ``_BOX_ROWS`` games; every other chunk plays one game
+    per trial."""
+    games = []
+    real = box_game.play_box
+
+    def counting(*args, **kwargs):
+        games.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(box_game, "play_box", counting)
+    rows = harness._BOX_ROWS
+    for trials, block in [(rows - 1, harness._BLOCK), (rows, harness._BLOCK),
+                          (rows, 12 * rows - 1)]:  # a block of 12-ball games too small
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        games.clear()
+        run_trials(_box_cfg(trials=trials, **changes), jobs=1)
+        in_bulk = bulk and trials >= rows and block >= 12 * rows
+        assert len(games) == (0 if in_bulk else trials)
+
+
+def test_bulk_box_trials_match_play_box_on_a_grid(monkeypatch):
+    """Every n <= 4 and b <= 3, with m in {1, 2, b(n-1), b(n-1)+1, bn,
+    bn+1}, so that both players win, against each take probability; blocks
+    of 7 games."""
+    monkeypatch.setattr(harness, "_BOX_ROWS", 1)
+    tags = []
+    try:
+        for n in range(1, 5):
+            for b in range(1, 4):
+                for m in sorted({1, 2, b * (n - 1), b * (n - 1) + 1, b * n, b * n + 1} - {0}):
+                    monkeypatch.setattr(harness, "_BLOCK", 7 * n * m)
+                    for breaker in BOX_BULK_BREAKERS:
+                        cfg = _box_cfg(n=n, m=m, b=b, trials=40, master_seed=n * 100 + m * 10 + b,
+                                       breaker=breaker)
+                        tags += _assert_chunk_matches_run_one_trial(cfg, 3, 30)
+    finally:
+        harness._build.cache_clear()
+    assert "box-starved" in tags and None in tags
+
+
+@st.composite
+def _box_bulk_cfgs(draw):
+    """Adversarial min-box configs that ``_run_chunk`` plays in bulk, with
+    m up to bn + 2, so that Breaker wins too."""
+    n, b = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    master = draw(st.one_of(st.integers(-2**70, -1), st.integers(0, 2**64 - 1),
+                            st.integers(2**64, 2**70)))
+    return _box_cfg(n=n, b=b, m=draw(st.integers(1, b * n + 2)), master_seed=master,
+                    breaker=draw(st.sampled_from(BOX_BULK_BREAKERS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_box_bulk_cfgs(), start=st.integers(0, 40), count=st.integers(1, 12),
+       rows=st.integers(1, 4), spare=st.integers(0, 1))
+def test_bulk_box_chunk_equals_play_box_trial_by_trial(cfg, start, count, rows, spare):
+    """Blocks of ``rows`` games, with ``_BLOCK`` exactly their balls or
+    one ball more."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_BOX_ROWS", 1)
+        mp.setattr(harness, "_BLOCK", rows * cfg.n * cfg.m + spare)
+        try:
+            new_maker, new_breaker, _ = harness._build(cfg)
+            assert harness._box_breaker_p(cfg, count, new_maker, new_breaker) is not None
+            _assert_chunk_matches_run_one_trial(cfg, start, count)
+        finally:
+            harness._build.cache_clear()
+
+
+# --------------------------------------------------------------------------
 # confidence intervals
 # --------------------------------------------------------------------------
 
@@ -655,10 +760,15 @@ def test_cli_bad_config_exits_1(capsys):
     ["path", "--n", "30", "--override-scale", "inf"],
     ["box", "--n", "3", "--m", "4", "--eps", "0"],
     ["box", "--n", "3", "--m", "4", "--eps", "1"],
+    ["box", "--n", "0", "--m", "3"],
+    ["item", "--n", "0"],
+    ["item", "--n", "0", "--maker", "always", "--breaker", "never"],
+    ["clique", "--n", "1"],
 ])
 def test_cli_bad_game_parameter_exits_1(capsys, argv):
-    assert cli_main(argv + ["--trials", "2"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    for trials in ("0", "2"):  # a run with no trials checks the game as well
+        assert cli_main(argv + ["--trials", trials]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_assert_mode_exit_codes(capsys):

@@ -41,13 +41,16 @@ from .engine import (
     BREAKER,
     MAKER,
     UNOWNED,
+    AlwaysTake,
     BoxLabels,
     GameRules,
     GameState,
     Goal,
     Item,
     Market,
+    NeverTake,
     Outcome,
+    RandomStrategy,
     Strategy,
     View,
     _opened,
@@ -88,9 +91,13 @@ def _checked_sequence(sequence, n: int, m: int) -> tuple:
     seq = tuple(int(x) for x in sequence)
     if len(seq) != n * m:
         raise ValueError(f"sequence must have exactly n*m = {n * m} entries, got {len(seq)}")
-    for box in range(n):
-        if seq.count(box) != m:
-            raise ValueError(f"box {box} appears {seq.count(box)} times, expected {m}")
+    # With the length right, an id outside 0..n-1 leaves some box short.
+    counts = np.bincount(np.array([box for box in seq if 0 <= box < n], dtype=np.int64),
+                         minlength=n)
+    wrong = np.flatnonzero(counts != m)
+    if wrong.size:
+        box = int(wrong[0])
+        raise ValueError(f"box {box} appears {counts[box]} times, expected {m}")
     return seq
 
 
@@ -137,13 +144,15 @@ class BoxConfig:
 class BoxState(Goal):
     """The box game's goal and scoreboard, shared with the strategies' views.
 
-    Maker's goal is one ball in every box.  ``btb[box]`` counts the balls
-    belonging to Breaker (taken by Breaker or passed by Maker's pointer).
-    ``max_uncovered`` caches max(btb over uncovered boxes), the count at
-    which the min-box rule takes a ball; a Maker scan cannot raise it, so
-    the min-box Maker can jump straight to its next take.  ``dead`` is set
-    once an uncovered box has all its balls belonging to Breaker, which ends
-    the game with a Breaker win.
+    Maker's goal is one ball in every box.  The scoreboard is two Python
+    lists of n entries, read and written one box at a time: ``btb[box]``
+    counts the balls belonging to Breaker (taken by Breaker or passed by
+    Maker's pointer), and ``covered[box]`` says whether Maker holds a ball
+    of the box.  ``max_uncovered`` caches max(btb over uncovered boxes), the
+    count at which the min-box rule takes a ball; a Maker scan cannot raise
+    it, so the min-box Maker can jump straight to its next take.  ``dead``
+    is set once an uncovered box has all its balls belonging to Breaker,
+    which ends the game with a Breaker win.
     """
 
     __slots__ = ("n", "m", "btb", "covered", "covered_count", "max_uncovered", "dead")
@@ -151,8 +160,8 @@ class BoxState(Goal):
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self.btb = np.zeros(n, dtype=np.int64)
-        self.covered = np.zeros(n, dtype=bool)
+        self.btb = [0] * n
+        self.covered = [False] * n
         self.covered_count = 0
         self.max_uncovered = 0
         self.dead = False
@@ -163,7 +172,7 @@ class BoxState(Goal):
         self.btb[box] = c
         if not self.covered[box]:
             if c > self.max_uncovered:
-                self.max_uncovered = int(c)
+                self.max_uncovered = c
             if c >= self.m:
                 self.dead = True
 
@@ -172,7 +181,8 @@ class BoxState(Goal):
         if not self.covered[box]:
             self.covered[box] = True
             self.covered_count += 1
-            self.max_uncovered = int(self.btb.max(where=~self.covered, initial=0))
+            self.max_uncovered = max((c for c, cov in zip(self.btb, self.covered) if not cov),
+                                     default=0)
         return self.covered_count == self.n
 
 
@@ -239,7 +249,9 @@ class _BoxRuntime:
 
 class BoxView(View):
     """A View of the box game that adds the scoreboard (derived from revealed
-    balls only) and each revealed ball's box."""
+    balls only) and each revealed ball's box.  ``covered`` and
+    ``btb_counts`` are the game's own scoreboard lists, not copies: a
+    strategy reads them and must not write to them."""
 
     __slots__ = ("_goal",)
 
@@ -248,11 +260,11 @@ class BoxView(View):
         self._goal = rt.goal
 
     @property
-    def covered(self) -> np.ndarray:
+    def covered(self) -> list:
         return self._goal.covered
 
     @property
-    def btb_counts(self) -> np.ndarray:
+    def btb_counts(self) -> list:
         return self._goal.btb
 
     @property
@@ -266,6 +278,11 @@ class BoxView(View):
 # --------------------------------------------------------------------------
 # Strategies
 # --------------------------------------------------------------------------
+
+
+# The longest Maker pass counted ball by ball: from about 50 balls one
+# np.bincount over the pass is cheaper (about 7 us against 0.11 us a ball).
+_LOOP_PASSES = 48
 
 
 class MinboxMaker(Strategy):
@@ -295,7 +312,9 @@ class MinboxMaker(Strategy):
         not own, and every unowned ball it passes now belongs to Breaker.
         Exactly m - btb[c] balls of c past the pointer are unowned, so while
         no box is dead every uncovered box has that ball, and the scan never
-        runs off the end of the stream.
+        runs off the end of the stream.  The balls passed are counted one by
+        one up to ``_LOOP_PASSES`` of them, and by one ``np.bincount`` past
+        that.
         """
         if rt.box_positions is None:
             return None
@@ -303,12 +322,18 @@ class MinboxMaker(Strategy):
         start, top, m = state.maker_ptr, goal.max_uncovered, goal.m
         take = min(_free_ball(rt.box_positions, box * m, box * m + m, rt.claims[box],
                               start, top - count + 1)
-                   for box, (covered, count)
-                   in enumerate(zip(goal.covered.tolist(), goal.btb.tolist()))
+                   for box, (covered, count) in enumerate(zip(goal.covered, goal.btb))
                    if not covered)
         if take > start + 1:
-            passed = state.market.perm[start:take - 1][state.owner[start:take - 1] == UNOWNED]
-            goal.btb += np.bincount(passed // m, minlength=goal.n)
+            ranks, owners = state.market.perm[start:take - 1], state.owner[start:take - 1]
+            btb = goal.btb
+            if take - start - 1 <= _LOOP_PASSES:
+                for rank, owner in zip(ranks.tolist(), owners.tolist()):
+                    if owner == UNOWNED:
+                        btb[rank // m] += 1
+            else:
+                counts = np.bincount(ranks[owners == UNOWNED] // m, minlength=goal.n).tolist()
+                btb[:] = [c + d for c, d in zip(btb, counts)]
         state.maker_ptr = take
         if take > state.revealed_upto:
             state.revealed_upto = take
@@ -361,13 +386,13 @@ class FocusBreaker(Strategy):
         self.lost = False
 
     def _refresh(self, view: BoxView) -> None:
-        if self.lost or not view.covered[self.focus]:
+        covered = view.covered
+        if self.lost or not covered[self.focus]:
             return
-        uncovered = np.flatnonzero(~view.covered)
-        if len(uncovered) == 0:
+        if all(covered):
             self.lost = True
         else:
-            self.focus = int(uncovered[0])
+            self.focus = covered.index(False)
 
     def decide(self, view: BoxView, item: Item) -> bool:
         if item.owner != UNOWNED:
@@ -618,16 +643,39 @@ def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
         goal.breaker_gain(label[0])
 
 
+def _take_probability(breaker: Strategy) -> Optional[float]:
+    """The probability p with which ``breaker`` takes each unowned ball it
+    is offered, for a Breaker that plays no other way: a ``RandomStrategy``
+    its p, ``AlwaysTake`` 1 and ``NeverTake`` 0.  None for any other
+    strategy, a subclass or a ``SlowTurns`` wrapper of these included."""
+    kind = type(breaker)
+    if kind is RandomStrategy:
+        return breaker.p
+    return {AlwaysTake: 1.0, NeverTake: 0.0}.get(kind)
+
+
 def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
+    """Scan until Breaker has taken ``b`` balls, an uncovered box is dead or
+    the stream ends.  A Breaker with a ``box_turn`` hook (the focus Breaker)
+    claims its quota in one step on a tape ordered in advance.  A Breaker
+    with a fixed take probability (``_take_probability``) is offered no
+    Item: the scan takes each unowned ball when a ``RandomStrategy``'s next
+    double is below p, drawn as its ``decide`` draws it, or always for
+    ``AlwaysTake``; ``NeverTake`` sweeps to the stream end in one step.
+    Other Breakers are offered each unowned ball in turn."""
     quota = view.b
     hook = getattr(breaker, "box_turn", None)
-    if hook is not None:
-        takes = hook(rt, view, quota)
-        if takes is not None:
-            return
+    if hook is not None and hook(rt, view, quota) is not None:
+        return
     state, goal = rt.state, rt.goal
     owner, costs, perm = state.owner, state.market.costs, state.market.perm
     m, total = goal.m, state.n
+    p = _take_probability(breaker)
+    draw = breaker._rng.random if type(breaker) is RandomStrategy else None
+    if p is not None and draw is None and p <= 0.0:
+        rt.reveal_to(total, BREAKER)
+        state.breaker_ptr = total
+        return
     takes = 0
     while takes < quota and not goal.dead and state.breaker_ptr < total:
         pos = state.breaker_ptr + 1
@@ -636,8 +684,12 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         state.breaker_ptr = pos
         if owner[pos - 1] != UNOWNED:
             continue
-        item = Item(pos, divmod(int(perm[pos - 1]), m), float(costs[pos - 1]), UNOWNED, True)
-        if breaker.decide(view, item):
+        if p is None:
+            item = Item(pos, divmod(int(perm[pos - 1]), m), float(costs[pos - 1]), UNOWNED, True)
+            take = breaker.decide(view, item)
+        else:
+            take = draw is None or draw() < p
+        if take:
             _breaker_claim(rt, pos)
             takes += 1
 
@@ -678,7 +730,7 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
     return _outcome_from_state(state, "box-starved", details={
         "winner": "maker" if state.goal_met else "breaker",
         "covered": goal.covered_count,
-        "btb": goal.btb.tolist(),
+        "btb": list(goal.btb),
         "breaker_turns": rt.breaker_turns,
     })
 

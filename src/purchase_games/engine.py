@@ -964,16 +964,6 @@ class NeverTake(Strategy):
     def play_turn(self, ctx: TurnContext) -> None:
         ctx.skip_to(ctx.stop)
 
-    def box_turn(self, rt, view, quota: Optional[int] = None) -> Optional[int]:
-        """A box-game Breaker turn sweeps to the end of the stream, which an
-        adversarial tape fills in for Breaker's scan; a Maker turn (no
-        quota) is left to the per-ball loop."""
-        if quota is None:
-            return None
-        rt.reveal_to(rt.state.n, BREAKER)
-        rt.state.breaker_ptr = rt.state.n
-        return 0
-
 
 class RandomStrategy(Strategy):
     """Takes each offered unowned item with probability p, from its own seeded

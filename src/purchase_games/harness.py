@@ -32,11 +32,14 @@ always and never) is played in bulk too, by
 ``box_game.play_adversarial_block``, when a chunk holds at least
 ``_BOX_ROWS`` trials and that many games' balls fit in ``_BLOCK``; a random
 Breaker's doubles are drawn like the item costs, from seeds computed for a
-block at a time on one reused generator.  Smaller chunks, random tapes and
-every other box pair play each trial through ``box_game.play_box``; random
-tapes stay there so that a traced benchmark run still re-verifies their
-games.  A pool worker exits when its parent process is gone, so a parent
-killed by a signal leaves no idle worker behind.
+block at a time on one reused generator.  A parallel call of such games is
+split into chunks of at least ``_BOX_ROWS`` trials, so that each plays in
+bulk.  Smaller calls, random tapes and every other box pair play each trial
+through ``box_game.play_box``, where a Breaker with a fixed take
+probability is played without per-ball offers; random tapes stay there so
+that a traced benchmark run still re-verifies their games.  A pool worker
+exits when its parent process is gone, so a parent killed by a signal
+leaves no idle worker behind.
 """
 
 from __future__ import annotations
@@ -458,23 +461,22 @@ def _maker_takes(costs, t, s, need, ends, tried):
 _BOX_ROWS = 64  # fewest games an adversarial box block plays at once
 
 
-def _box_breaker_p(cfg: TrialConfig, count: int, new_maker, new_breaker):
+def _box_breaker_p(cfg: TrialConfig, count: int):
     """Breaker's take probability p when ``count`` trials of ``cfg`` are an
     adversarially ordered box game that ``_run_box_block`` plays in bulk,
     else None: Maker is the min-box rule, Breaker takes each unowned offered
-    ball with probability p (``RandomStrategy``, ``AlwaysTake`` 1 or
-    ``NeverTake`` 0), and at least ``_BOX_ROWS`` games' n*m balls fit in
-    ``_BLOCK``."""
+    ball with a fixed probability p (``box_game._take_probability``), and
+    at least ``_BOX_ROWS`` games' n*m balls fit in ``_BLOCK``.  The config
+    is built, and its parameters checked, only when the game and tape
+    qualify."""
     if cfg.game != "box" or cfg.ordering != "adversarial":
         return None
+    new_maker, new_breaker, _ = _build(cfg)
     if min(count, _BLOCK // (cfg.n * cfg.m)) < _BOX_ROWS:
         return None
     if type(new_maker(0)) is not box_game.MinboxMaker:
         return None
-    breaker = new_breaker(0)
-    if type(breaker) is RandomStrategy:
-        return breaker.p
-    return {AlwaysTake: 1.0, NeverTake: 0.0}.get(type(breaker))
+    return box_game._take_probability(new_breaker(0))
 
 
 def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
@@ -511,7 +513,7 @@ def _run_chunk(cfg: TrialConfig, start: int, count: int):
     thresholds = _item_thresholds(cfg, new_maker, new_breaker)
     if thresholds is not None:
         return _run_item_block(cfg, start, count, *thresholds)
-    p = _box_breaker_p(cfg, count, new_maker, new_breaker)
+    p = _box_breaker_p(cfg, count)
     if p is not None:
         return _run_box_block(cfg, start, count, p)
     success = np.zeros(count, dtype=bool)
@@ -624,27 +626,29 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     """Execute all trials and aggregate.  ``jobs`` defaults to the config's,
     which defaults to the PG_JOBS environment variable, then 1; a negative
     worker count raises ValueError, and so does a PG_JOBS that is not an
-    integer.  With ``jobs`` > 1 the trials run in up to ``jobs * 4`` chunks
-    on at most one worker per chunk.  The workers are forked at the first
-    parallel call with that worker count and reused by later calls, so a
-    monkeypatch made after that fork does not reach them.  Parallel calls
-    from several threads take turns on the pool; an error while the chunks
-    run shuts it down, and the next parallel call forks a new one.  Each
-    process builds the config once; then a trial only makes fresh
-    strategies and its market, or, for a one-phase item game between a
-    threshold or phased Maker and a threshold Breaker, only as many of its
-    market costs as decide it, drawn from seeds computed in batches and
-    played in column windows with the same results (see
+    integer.  With ``jobs`` > 1 the trials run in up to ``jobs * 4`` chunks,
+    whose sizes differ by at most one, on at most one worker per chunk; a
+    call that plays adversarial box games in bulk takes fewer chunks when
+    needed, so that each holds at least ``_BOX_ROWS`` trials.  The workers
+    are forked at the first parallel call with that worker count and reused
+    by later calls, so a monkeypatch made after that fork does not reach
+    them.  Parallel calls from several threads take turns on the pool; an
+    error while the chunks run shuts it down, and the next parallel call
+    forks a new one.  Each process builds the config once; then a trial only
+    makes fresh strategies and its market, or, for a one-phase item game
+    between a threshold or phased Maker and a threshold Breaker, only as
+    many of its market costs as decide it, drawn from seeds computed in
+    batches and played in column windows with the same results (see
     ``_run_item_block``; it raises RuntimeError if numpy seeds PCG64
     otherwise than it assumes).  A chunk of at least ``_BOX_ROWS``
     adversarially ordered box games between the min-box Maker and the
     random, always or never Breaker, whose games' balls fit ``_BLOCK`` that
-    many at a time, is played in lock-step blocks with the same results
-    (see ``_run_box_block``); random tapes, other box pairs and smaller
-    chunks play each trial.  A call with no trials still builds the config,
-    so a bad game parameter raises ValueError there too.  Results are
-    reduced in trial-index order with exact summation, so the aggregate
-    does not depend on the worker count."""
+    many at a time, is played in lock-step blocks with the same results (see
+    ``_run_box_block``); random tapes, other box pairs and smaller calls
+    play each trial.  A call with no trials still builds the config, so a
+    bad game parameter raises ValueError there too.  Results are reduced in
+    trial-index order with exact summation, so the aggregate does not depend
+    on the worker count."""
     if jobs is None:
         jobs = config.jobs or _env_jobs()
     if jobs < 0:
@@ -661,9 +665,12 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
         elif jobs <= 1:
             chunks = [_run_chunk(config, 0, trials)]
         else:
-            chunk_size = max(1, math.ceil(trials / (jobs * 4)))
-            spans = [(start, min(chunk_size, trials - start))
-                     for start in range(0, trials, chunk_size)]
+            # Chunks as even as they can be, each of at least `least` trials:
+            # a chunk of adversarial box games plays in bulk from _BOX_ROWS.
+            least = _BOX_ROWS if _box_breaker_p(config, trials) is not None else 1
+            parts = min(jobs * 4, trials // least)
+            bounds = [trials * i // parts for i in range(parts + 1)]
+            spans = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
             with _pool_lock:
                 pool = _worker_pool(min(jobs, len(spans)))
                 try:

@@ -1,6 +1,7 @@
 """Box game tests: protocol, the min-box and focus strategies, adversarial
 orderings, and the engine-vs-oracle comparisons."""
 
+import functools
 import io
 import itertools
 from bisect import bisect_right
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purchase_games import box_game
 from purchase_games.box_game import (
     AdversarialOrderer,
     BoxConfig,
@@ -71,6 +73,24 @@ def test_config_validation():
         BoxConfig(n=2, m=2, b=1, ordering="weird")
     cfg = BoxConfig(n=20, m=10, b=1600, eps=0.5)
     assert cfg.b0 == pytest.approx(100 * 4 * np.log(20))
+
+
+@pytest.mark.parametrize("sequence, message", [
+    ((0, 1, 1, 0, 0), "sequence must have exactly n*m = 6 entries, got 5"),
+    ((0, 1, 1, 0, 1, 1), "box 0 appears 2 times, expected 3"),
+    ((0, 0, 0, 0, 1, 1), "box 0 appears 4 times, expected 3"),
+    ((0, 1, 1, -1, 0, 1), "box 0 appears 2 times, expected 3"),
+    ((0, 1, 2, 0, 0, 1), "box 1 appears 2 times, expected 3"),
+    ((0, 1, 2**64, 0, 0, 1), "box 1 appears 2 times, expected 3"),
+])
+def test_scripted_sequence_errors(sequence, message):
+    """An id outside 0..n-1 is reported as the lowest box it leaves short."""
+    with pytest.raises(ValueError) as exc:
+        BoxConfig(n=2, m=3, b=1, ordering="scripted", sequence=sequence)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        load_scripted_ordering(io.StringIO("".join(f"{box}\n" for box in sequence)), 2, 3)
+    assert str(exc.value) == message
 
 
 def test_single_ball_game():
@@ -153,18 +173,21 @@ def test_focus_fast_path_matches_decide_loop():
 
 
 class WatchedMinbox(MinboxMaker):
-    """The min-box Maker's fast turn, noting each result and the most
-    Breaker-owned balls ahead of Maker's pointer that a turn saw."""
+    """The min-box Maker's fast turn, noting each result, the most
+    Breaker-owned balls ahead of Maker's pointer that a turn saw and the
+    most balls a turn passed."""
 
     def __init__(self):
         self.results = []
         self.most_ahead = 0
+        self.longest_pass = 0
 
     def box_turn(self, rt, view):
         ptr = rt.state.maker_ptr
         ahead = sum(p > ptr for p in rt.state.breaker_positions)
         self.most_ahead = max(self.most_ahead, ahead)
         self.results.append(super().box_turn(rt, view))
+        self.longest_pass = max(self.longest_pass, self.results[-1] - ptr - 1)
         return self.results[-1]
 
 
@@ -175,10 +198,12 @@ def test_minbox_fast_path_matches_decide_loop():
         "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
         "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
     }
-    starved = most_ahead = 0
+    starved = most_ahead = longest_pass = 0
     # (4, 6, 3) and (6, 5, 4) have m far below bn + 1: a box often starves.
+    # Against the focus Breaker, (2, 60, 29) has Maker passes longer than
+    # box_game._LOOP_PASSES, which are counted by np.bincount.
     for (n, m, b), ordering, breaker, t in itertools.product(
-            [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3), (6, 5, 4)],
+            [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3), (6, 5, 4), (2, 60, 29)],
             ("random", "scripted"), breakers, range(12)):
         seed = mix_seed(13, t)
         sequence = None
@@ -195,8 +220,10 @@ def test_minbox_fast_path_matches_decide_loop():
         assert None not in maker.results
         starved += not fast.success
         most_ahead = max(most_ahead, maker.most_ahead)
+        longest_pass = max(longest_pass, maker.longest_pass)
     assert starved >= 100
     assert most_ahead >= 10  # Breaker-owned balls the fast turn had to skip
+    assert longest_pass > box_game._LOOP_PASSES
 
 
 def _free_ball_walk(positions, lo, hi, claims, after, k):
@@ -253,27 +280,63 @@ def test_focus_bulk_claim_stops_at_the_killing_ball():
     assert fast == slow and fast_log == slow_log
 
 
-def test_never_take_box_turn_matches_decide_loop():
-    # SlowTurns has no box_turn, so play_box offers its Breaker every ball.
+def _box_game_record(out, log):
+    return (out.success, out.maker_cost.hex(), out.maker_positions, out.breaker_positions,
+            out.turns_used, out.details, log)
+
+
+def test_fixed_p_breaker_turn_matches_decide_loop(monkeypatch):
+    """A Breaker that takes each unowned ball with a fixed probability plays
+    its turns without offers; SlowTurns has no ``box_turn`` and no fixed
+    probability, so play_box offers the wrapped twin every ball.  Both give
+    the same game, and a random Breaker's generator ends in the same state:
+    the fast turn draws exactly as ``decide`` does, on the last turn too."""
+    starved_mid_turn = []
+    real_turn = box_game._breaker_turn
+
+    def watched_turn(rt, breaker, view):
+        before = len(rt.state.breaker_positions)
+        real_turn(rt, breaker, view)
+        takes = len(rt.state.breaker_positions) - before
+        starved_mid_turn.append(rt.goal.dead and takes < view.b
+                                and rt.state.breaker_ptr < rt.state.n)
+
+    monkeypatch.setattr(box_game, "_breaker_turn", watched_turn)
+    breakers = {f"random{p}": functools.partial(RandomStrategy, p)
+                for p in (0.0, 0.2, 0.5, 0.8, 1.0)}
+    breakers.update(always=lambda seed: AlwaysTake(), never=lambda seed: NeverTake())
     makers = {
         "minbox": lambda seed: MinboxMaker(),
         "slow_minbox": lambda seed: SlowTurns(MinboxMaker()),
-        "random": lambda seed: RandomStrategy(0.3, mix_seed(seed, 4)),
+        "random": functools.partial(RandomStrategy, 0.3),
     }
-    for (n, m, b), ordering, maker, t in itertools.product(
-            [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3)],
-            ("random", "scripted", "adversarial"), makers, range(6)):
+    breaker_wins = mid_turn = 0
+    for (n, m, b), ordering, maker, breaker, t in itertools.product(
+            [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3), (6, 5, 4)],
+            ("random", "scripted", "adversarial"), makers, breakers, range(6)):
         seed = mix_seed(17, t)
         sequence = None
         if ordering == "scripted":
             rng = np.random.Generator(np.random.PCG64(seed))
             sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
         cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        fast_breaker = breakers[breaker](mix_seed(seed, 5))
+        slow_breaker = breakers[breaker](mix_seed(seed, 5))
         fast_log, slow_log = [], []
-        fast = play_box(cfg, makers[maker](seed), NeverTake(), seed=seed, damage_log=fast_log)
-        slow = play_box(cfg, makers[maker](seed), SlowTurns(NeverTake()), seed=seed,
-                        damage_log=slow_log)
-        assert fast == slow and fast_log == slow_log, ((n, m, b), ordering, maker, t)
+        starved_mid_turn.clear()
+        fast = play_box(cfg, makers[maker](mix_seed(seed, 4)), fast_breaker, seed=seed,
+                        damage_log=fast_log)
+        mid_turn += any(starved_mid_turn)
+        slow = play_box(cfg, makers[maker](mix_seed(seed, 4)), SlowTurns(slow_breaker),
+                        seed=seed, damage_log=slow_log)
+        case = ((n, m, b), ordering, maker, breaker, t)
+        assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), case
+        if isinstance(fast_breaker, RandomStrategy):
+            assert (fast_breaker._rng.bit_generator.state
+                    == slow_breaker._rng.bit_generator.state), case
+        breaker_wins += not fast.success
+    assert breaker_wins >= 100
+    assert mid_turn >= 20  # a box starved with quota left and balls ahead
 
 
 def test_scripted_ordering_needs_a_seed():

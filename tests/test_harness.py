@@ -589,6 +589,24 @@ def test_box_games_in_bulk_are_adversarial_minbox_blocks(monkeypatch, changes, b
         assert len(games) == (0 if in_bulk else trials)
 
 
+@pytest.mark.parametrize("trials", [64, 127, 250, 521])
+def test_bulk_box_calls_keep_bulk_chunks_at_jobs_2(fresh_pool, monkeypatch, trials):
+    """At jobs=2 every chunk of a call that plays in bulk holds at least
+    ``_BOX_ROWS`` trials, so no game goes through ``play_box``: the pool is
+    forked after it is replaced by one that refuses, and the export equals
+    jobs=1's byte for byte."""
+    cfg = _box_cfg(n=5, m=11, b=2, trials=trials, master_seed=1)
+    serial, parallel = io.StringIO(), io.StringIO()
+    export(run_trials(cfg, jobs=1), "json", serial)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box game was played per trial")
+
+    monkeypatch.setattr(box_game, "play_box", refuse)
+    export(run_trials(cfg, jobs=2), "json", parallel)
+    assert parallel.getvalue() == serial.getvalue()
+
+
 def test_bulk_box_trials_match_play_box_on_a_grid(monkeypatch):
     """Every n <= 4 and b <= 3, with m in {1, 2, b(n-1), b(n-1)+1, bn,
     bn+1}, so that both players win, against each take probability; blocks
@@ -630,8 +648,7 @@ def test_bulk_box_chunk_equals_play_box_trial_by_trial(cfg, start, count, rows, 
         mp.setattr(harness, "_BOX_ROWS", 1)
         mp.setattr(harness, "_BLOCK", rows * cfg.n * cfg.m + spare)
         try:
-            new_maker, new_breaker, _ = harness._build(cfg)
-            assert harness._box_breaker_p(cfg, count, new_maker, new_breaker) is not None
+            assert harness._box_breaker_p(cfg, count) is not None
             _assert_chunk_matches_run_one_trial(cfg, start, count)
         finally:
             harness._build.cache_clear()

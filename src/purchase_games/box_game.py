@@ -379,27 +379,21 @@ class FocusBreaker(Strategy):
 
     def __init__(self):
         self.focus = 0
-        self.lost = False
 
     def begin(self, view) -> None:
         self.focus = 0
-        self.lost = False
 
     def _refresh(self, view: BoxView) -> None:
+        # Some box is uncovered whenever Breaker moves: play_box ends the
+        # game as soon as Maker covers the last one.
         covered = view.covered
-        if self.lost or not covered[self.focus]:
-            return
-        if all(covered):
-            self.lost = True
-        else:
+        if covered[self.focus]:
             self.focus = covered.index(False)
 
     def decide(self, view: BoxView, item: Item) -> bool:
         if item.owner != UNOWNED:
             return False
         self._refresh(view)
-        if self.lost:
-            return False
         return item.label[0] == self.focus
 
     def box_turn(self, rt: _BoxRuntime, view: BoxView, quota: int) -> Optional[int]:
@@ -417,9 +411,6 @@ class FocusBreaker(Strategy):
             return None
         self._refresh(view)
         state, goal = rt.state, rt.goal
-        if self.lost:
-            state.breaker_ptr = state.revealed_upto = state.n
-            return 0
         m = goal.m
         lo, hi = self.focus * m, self.focus * m + m
         first = bisect_right(rt.box_positions, state.breaker_ptr, lo, hi)
@@ -604,8 +595,6 @@ def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
     state = rt.state
     state.assign(BREAKER, pos)
     state.breaker_ptr = pos
-    if pos > state.revealed_upto:
-        state.revealed_upto = pos
     if pos > state.maker_ptr:
         box = int(state.market.perm[pos - 1]) // rt.goal.m
         rt.claims[box].append(pos)
@@ -619,18 +608,16 @@ def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
     Makers, and the adversarial tape, which is filled in as it is revealed,
     are offered each ball in turn.  Those Items are built eagerly from
     ``perm``: on this per-ball path, GameState.item's deferred labels cost
-    half again as much."""
+    half again as much.  The scan never runs past the stream end: an
+    uncovered box starves at its last ball before then."""
     hook = getattr(maker, "box_turn", None)
     if hook is not None and hook(rt, view) is not None:
         return
     state, goal = rt.state, rt.goal
     owner, costs, perm = state.owner, state.market.costs, state.market.perm
-    m, total = goal.m, state.n
+    m = goal.m
     while not goal.dead:
         pos = state.maker_ptr + 1
-        if pos > total:
-            goal.dead = True  # every uncovered box is out of balls
-            break
         if pos > state.revealed_upto:
             rt.reveal_to(pos, MAKER)
         state.maker_ptr = pos

@@ -350,7 +350,7 @@ def _labels_at(universe, n: int, perm_seed: int, positions: tuple) -> tuple:
     return _labels_of(universe, _ranks_at(_permutation(n, perm_seed), positions))
 
 
-def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Market:
+def generate_market(n: int, seed: int, labeler=None) -> Market:
     """Build a market: a uniform random permutation of the universe's labels
     with i.i.d. uniform [0, 1] costs, fully determined by ``seed``.
 
@@ -358,10 +358,6 @@ def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Marke
     BoxLabels universe for edge and box games (its size must equal n).  Costs
     and permutation come from independent child seeds of ``seed``, so lazily
     materializing the permutation cannot disturb the costs.
-
-    ``cost_sampler`` is the pluggable sampler hook: a callable
-    ``(rng, n) -> array of n costs in [0, 1]``, defaulting to i.i.d. uniform.
-    Everything downstream still assumes costs live in [0, 1].
     """
     if n < 1:
         raise ValueError(f"market size must be >= 1, got {n}")
@@ -369,13 +365,7 @@ def generate_market(n: int, seed: int, labeler=None, cost_sampler=None) -> Marke
         labeler = IndexLabels(n)
     if labeler.size != n:
         raise ValueError(f"labeler has {labeler.size} labels but n={n}")
-    cost_rng = np.random.Generator(np.random.PCG64(mix_seed(seed, 0)))
-    if cost_sampler is None:
-        costs = cost_rng.random(n)
-    else:
-        costs = np.asarray(cost_sampler(cost_rng, n), dtype=float)
-        if costs.shape != (n,) or np.any(costs < 0) or np.any(costs > 1):
-            raise ValueError("cost_sampler must return n costs in [0, 1]")
+    costs = np.random.Generator(np.random.PCG64(mix_seed(seed, 0))).random(n)
     return Market(n, costs, labeler, seed, perm=None, perm_seed=mix_seed(seed, 1))
 
 
@@ -1012,7 +1002,6 @@ class StagedScanner(PhaseBounds, Strategy):
     phases, builds that sorted array once per phase, jumps the pointer from
     one candidate to the next with ``skip_to``, and hands each candidate to
     ``decide``, so it makes exactly the decisions of the per-item loop.
-    Without a prepared market it falls back to that loop.
 
     Subclasses set ``ends`` (the last position of each phase) and provide
     ``_reset()`` (fresh per-game state, with ``failure_phase`` None),
@@ -1091,9 +1080,6 @@ class StagedScanner(PhaseBounds, Strategy):
         return a[u] & b[v] | a[v] & b[u]
 
     def play_turn(self, ctx: TurnContext) -> None:
-        if self._market is None:
-            Strategy.play_turn(self, ctx)
-            return
         while not ctx.turn_over():
             pos = ctx.next_position
             self._sync(pos, ctx.view)

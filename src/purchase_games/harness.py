@@ -3,43 +3,25 @@
 A TrialConfig names a game, a Maker and a Breaker from the strategy catalog,
 and all game parameters; ``run_trials`` executes the trials with per-trial
 seeds derived from the master seed by a fixed 64-bit mix, optionally fanned
-out across processes.  The fan-out's workers are forked (by ``fork``,
-whatever the default start method) at the first parallel call with a given
-worker count and reused by later calls with that count, so module state
-changed after that fork (a monkeypatch, a warnings filter) does not reach
-them.  Aggregation is exact and order-independent: per-trial results are
-gathered in trial-index order and reduced with correctly rounded summation,
-so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
+out across processes.  Aggregation is exact and order-independent: per-trial
+results are gathered in trial-index order and reduced with correctly rounded
+summation, so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
 
-Everything about a config that is the same in each trial (threshold
-schedules, the stopping DP, the phase and game plans, the rules) is built
-once per ``run_trials`` call in each process; a trial only makes fresh
-strategies and its market.  Two of those builds are cheaper from the
-second call on in a process: ``oracle.item_b0_dp`` slices one shared table
-of iterates, and ``item_game.phase_plan`` memoises its last 8 plans.  A
-one-phase item game whose Breaker is a
-threshold rule (a plain ``ScheduleStrategy``, ``AlwaysTake`` or
-``NeverTake``) and whose Maker is a threshold rule or a ``PhasedMaker`` is
-two turns, so its trials are played in bulk instead, with no market: the
-seeds of a batch of trials' cost streams are computed with uint64 array
-operations and checked against numpy's own seeding, each trial's costs are
-drawn in growing column windows, the first sized to hold one expected
-Maker hit, until a window decides it, and whole-window array operations
-make the per-trial engine's decisions, bit for bit.  An adversarially
-ordered box game between the min-box Maker and a Breaker that takes each
-unowned offered ball with a fixed probability (the box Breakers random,
-always and never) is played in bulk too, by
-``box_game.play_adversarial_block``, when a chunk holds at least
-``_BOX_ROWS`` trials and that many games' balls fit in ``_BLOCK``; a random
-Breaker's doubles are drawn like the item costs, from seeds computed for a
-block at a time on one reused generator.  A parallel call of such games is
-split into chunks of at least ``_BOX_ROWS`` trials, so that each plays in
-bulk.  Smaller calls, random tapes and every other box pair play each trial
-through ``box_game.play_box``, where a Breaker with a fixed take
-probability is played without per-ball offers; random tapes stay there so
-that a traced benchmark run still re-verifies their games.  A pool worker
-exits when its parent process is gone, so a parent killed by a signal
-leaves no idle worker behind.
+The fan-out's workers are forked (by ``fork``, whatever the default start
+method) at the first parallel call with a given worker count and reused by
+later calls with that count, so module state changed after that fork (a
+monkeypatch, a warnings filter) does not reach them.  A pool worker exits
+when its parent process is gone, so a parent killed by a signal leaves no
+idle worker behind.
+
+``_build`` does a config's fixed work once per ``run_trials`` call in each
+process, and ``_bulk_plan`` decides there how its trials are played: a
+one-phase item game between a threshold or phased Maker and a threshold
+Breaker in ``_run_item_block``, an adversarially ordered box game between
+the min-box Maker and a fixed-probability Breaker in ``_run_box_block``
+(through ``box_game.play_adversarial_block``), and every other config one
+trial at a time.  Both blocks give ``run_one_trial``'s results, trial by
+trial.
 """
 
 from __future__ import annotations
@@ -142,7 +124,15 @@ def _fresh(make, *args):
     return lambda seed: make(*args)
 
 
-_random = functools.partial(RandomStrategy, 0.5)  # per-trial factory: seed -> strategy
+_TAKERS = {  # the entries every game shares, by the items they take: none, all, half
+    "never": lambda cfg: _fresh(NeverTake),
+    "always": lambda cfg: _fresh(AlwaysTake),
+    "random": lambda cfg: functools.partial(RandomStrategy, 0.5),  # seed -> strategy
+}
+
+
+def _takers(*names) -> dict:
+    return {name: _TAKERS[name] for name in names}
 
 
 def _triangle_maker(cfg: TrialConfig):
@@ -169,8 +159,7 @@ def maker_catalog(game: str) -> dict:
             "phased": lambda cfg: _fresh(item_game.PhasedMaker,
                                          item_game.phased_maker_plan(cfg.n, cfg.b)),
             "dp": lambda cfg: _fresh(ScheduleStrategy, item_b0_dp(cfg.n).thresholds),
-            "always": lambda cfg: _fresh(AlwaysTake),
-            "random": lambda cfg: _random,
+            **_takers("always", "random"),
         }
     if game == "clique":
         return {
@@ -185,7 +174,7 @@ def maker_catalog(game: str) -> dict:
     if game == "box":
         return {
             "minbox": lambda cfg: _fresh(box_game.MinboxMaker),
-            "random": lambda cfg: _random,
+            **_takers("random"),
         }
     raise ValueError(f"unknown game {game!r}")
 
@@ -200,46 +189,28 @@ def breaker_catalog(game: str) -> dict:
             "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker, cfg.n, max(1, cfg.b)),
             "mimic": lambda cfg: _fresh(item_game.mimic_threshold_breaker,
                                         item_game.single_threshold_maker(cfg.n)),
-            "never": lambda cfg: _fresh(NeverTake),
-            "always": lambda cfg: _fresh(AlwaysTake),
-            "random": lambda cfg: _random,
+            **_takers("never", "always", "random"),
         }
     if game == "clique":
         return {
             "mimic": _clique_mimic,
             "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker,
                                              _edge_stream_length(cfg), max(1, cfg.b)),
-            "never": lambda cfg: _fresh(NeverTake),
-            "random": lambda cfg: _random,
+            **_takers("never", "random"),
         }
     if game == "path":
         return {
             "mimic": lambda cfg: _fresh(path_game.path_mimic_breaker, _path_plan(cfg)),
             "cheap_grab": lambda cfg: _fresh(item_game.cheap_grab_breaker,
                                              _edge_stream_length(cfg), max(1, cfg.b)),
-            "never": lambda cfg: _fresh(NeverTake),
-            "random": lambda cfg: _random,
+            **_takers("never", "random"),
         }
     if game == "box":
         return {
             "focus": lambda cfg: _fresh(box_game.FocusBreaker),
-            "never": lambda cfg: _fresh(NeverTake),
-            "always": lambda cfg: _fresh(AlwaysTake),
-            "random": lambda cfg: _random,
+            **_takers("never", "always", "random"),
         }
     raise ValueError(f"unknown game {game!r}")
-
-
-def _resolve(cfg: TrialConfig):
-    makers = maker_catalog(cfg.game)
-    breakers = breaker_catalog(cfg.game)
-    if cfg.maker not in makers:
-        raise ValueError(
-            f"unknown maker {cfg.maker!r} for {cfg.game}; catalog: {sorted(makers)}")
-    if cfg.breaker not in breakers:
-        raise ValueError(
-            f"unknown breaker {cfg.breaker!r} for {cfg.game}; catalog: {sorted(breakers)}")
-    return makers[cfg.maker], breakers[cfg.breaker]
 
 
 def _game(cfg: TrialConfig):
@@ -281,12 +252,20 @@ def _game(cfg: TrialConfig):
 
 @functools.lru_cache(maxsize=1)
 def _build(cfg: TrialConfig):
-    """The config's per-trial factories (maker, breaker, game), built once.
-    ``run_trials`` drops the calling process's build when it returns; a pool
-    worker keeps at most the build of its last chunk until its next chunk.
-    Edge labels and markets are made per trial and never kept here."""
-    make_maker, make_breaker = _resolve(cfg)
-    return make_maker(cfg), make_breaker(cfg), _game(cfg)
+    """The config's per-trial factories (maker, breaker, game) and its bulk
+    plan (``_bulk_plan``), built once; an unknown strategy name or a bad
+    game parameter raises ValueError here.  ``run_trials`` drops the calling
+    process's build when it returns; a pool worker keeps at most the build
+    of its last chunk until its next chunk.  Edge labels and markets are
+    made per trial and never kept here."""
+    makers, breakers = maker_catalog(cfg.game), breaker_catalog(cfg.game)
+    for role, name, catalog in (("maker", cfg.maker, makers),
+                                ("breaker", cfg.breaker, breakers)):
+        if name not in catalog:
+            raise ValueError(
+                f"unknown {role} {name!r} for {cfg.game}; catalog: {sorted(catalog)}")
+    new_maker, new_breaker = makers[cfg.maker](cfg), breakers[cfg.breaker](cfg)
+    return new_maker, new_breaker, _game(cfg), _bulk_plan(cfg, new_maker, new_breaker)
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +276,7 @@ def _build(cfg: TrialConfig):
 def run_one_trial(cfg: TrialConfig, index: int):
     """Run trial ``index``: returns (success, maker_cost, failure_tag)."""
     seed = mix_seed(cfg.master_seed, index)
-    new_maker, new_breaker, play_trial = _build(cfg)
+    new_maker, new_breaker, play_trial, _ = _build(cfg)
     out = play_trial(seed, new_maker(mix_seed(seed, 101)), new_breaker(mix_seed(seed, 102)))
     tag = None if out.success else str(out.failure_phase or "unmet")
     return out.success, out.maker_cost, tag
@@ -312,23 +291,6 @@ def _threshold(strategy):
     if kind is ScheduleStrategy and strategy.ends is None:
         return strategy.values
     return {AlwaysTake: math.inf, NeverTake: -math.inf}.get(kind)
-
-
-def _item_thresholds(cfg: TrialConfig, new_maker, new_breaker):
-    """(t, ends, s) when ``cfg`` is a one-phase item game that
-    ``_run_item_block`` plays in bulk, else None.  Maker is a threshold
-    rule, with thresholds ``t`` and ``ends`` None, or a ``PhasedMaker``,
-    with its plan's thresholds and phase ends; Breaker is a threshold rule,
-    with thresholds ``s``."""
-    if cfg.game != "item" or cfg.phases != 1:
-        return None
-    maker = new_maker(0)
-    if type(maker) is item_game.PhasedMaker:
-        t, ends = maker.plan.position_thresholds, maker.plan.ends
-    else:
-        t, ends = _threshold(maker), None
-    s = _threshold(new_breaker(0))
-    return None if t is None or s is None else (t, ends, s)
 
 
 _SEED_BATCH = 2**12  # trials whose cost streams are seeded in one pass
@@ -356,6 +318,14 @@ def _stream_filler():
     return fill
 
 
+def _seed_words(cfg: TrialConfig, trials, stream: int) -> np.ndarray:
+    """``_pcg64_seed_words`` of each trial's stream ``stream``, seeded by
+    ``mix_seed(mix_seed(cfg.master_seed, i), stream)`` for trial i of the
+    index array ``trials``."""
+    seeds = _mix_seeds(cfg.master_seed, np.asarray(trials, dtype=np.uint64))
+    return _pcg64_seed_words(_mix_seeds(seeds, stream))
+
+
 def _first_window(n: int, t) -> int:
     """Columns of a block's first window: ``_WINDOW`` (at most n), doubled
     until it holds at least one expected Maker hit, ``t[:w].sum() >= 1``
@@ -369,7 +339,7 @@ def _first_window(n: int, t) -> int:
 def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     """Trials ``start .. start+count-1`` of a one-phase item game played in
     bulk (Maker's thresholds ``t`` and phase ends ``ends``, Breaker's
-    thresholds ``s``, as ``_item_thresholds`` returns them), as
+    thresholds ``s``, as ``_bulk_plan`` gives them), as
     ``_run_chunk`` returns them, with the per-trial engine's exact results.
 
     Such a game is two turns.  Breaker takes the first b positions priced
@@ -400,8 +370,7 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     first = _first_window(n, t)
     for lo in range(0, count, _SEED_BATCH):
         live = np.arange(lo, min(count, lo + _SEED_BATCH))  # rows still undecided
-        seeds = _mix_seeds(_mix_seeds(cfg.master_seed, (start + live).astype(np.uint64)), 0)
-        words = _pcg64_seed_words(seeds)  # generate_market's cost streams
+        words = _seed_words(cfg, start + live, 0)  # generate_market's cost streams
         need = np.full(live.size, b)  # Breaker's takes still to come, per live row
         tried = np.full(live.size, -1)  # the last phase Maker attempted, per live row
         a, e = 0, first
@@ -461,24 +430,6 @@ def _maker_takes(costs, t, s, need, ends, tried):
 _BOX_ROWS = 64  # fewest games an adversarial box block plays at once
 
 
-def _box_breaker_p(cfg: TrialConfig, count: int):
-    """Breaker's take probability p when ``count`` trials of ``cfg`` are an
-    adversarially ordered box game that ``_run_box_block`` plays in bulk,
-    else None: Maker is the min-box rule, Breaker takes each unowned offered
-    ball with a fixed probability p (``box_game._take_probability``), and
-    at least ``_BOX_ROWS`` games' n*m balls fit in ``_BLOCK``.  The config
-    is built, and its parameters checked, only when the game and tape
-    qualify."""
-    if cfg.game != "box" or cfg.ordering != "adversarial":
-        return None
-    new_maker, new_breaker, _ = _build(cfg)
-    if min(count, _BLOCK // (cfg.n * cfg.m)) < _BOX_ROWS:
-        return None
-    if type(new_maker(0)) is not box_game.MinboxMaker:
-        return None
-    return box_game._take_probability(new_breaker(0))
-
-
 def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     """Trials ``start .. start+count-1`` of an adversarially ordered box game
     between the min-box Maker and a Breaker taking with probability ``p``,
@@ -496,9 +447,7 @@ def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     for lo in range(0, count, rows):
         hi = min(count, lo + rows)
         if 0.0 < p < 1.0:
-            trial_seeds = _mix_seeds(cfg.master_seed, np.arange(start + lo, start + hi,
-                                                                dtype=np.uint64))
-            words = _pcg64_seed_words(_mix_seeds(trial_seeds, 102))
+            words = _seed_words(cfg, np.arange(start + lo, start + hi), 102)
             draws = np.empty((hi - lo, total))
             for row, row_words in zip(draws, words.tolist()):
                 fill(row, row_words)
@@ -508,14 +457,41 @@ def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     return success, np.zeros(count), ["box-starved"] * (count - met)
 
 
+def _bulk_plan(cfg: TrialConfig, new_maker, new_breaker) -> tuple:
+    """How ``_run_chunk`` plays the config's trials: ``(block, rows)``, where
+    ``block(cfg, start, count)`` plays a chunk of at least ``rows`` trials in
+    bulk, or block None, for every trial played alone.
+
+    A one-phase item game plays in ``_run_item_block`` when Maker is a
+    threshold rule (thresholds ``t``, ``ends`` None) or a ``PhasedMaker``
+    (its plan's thresholds and phase ends) and Breaker a threshold rule
+    (thresholds ``s``).  An adversarially ordered box game plays in
+    ``_run_box_block`` when Maker is the min-box rule, Breaker takes each
+    unowned offered ball with a fixed probability p
+    (``box_game._take_probability``), and ``_BOX_ROWS`` games' n*m balls
+    fit in ``_BLOCK``; its chunks need ``_BOX_ROWS`` trials."""
+    if cfg.game == "item" and cfg.phases == 1:
+        maker = new_maker(0)
+        if type(maker) is item_game.PhasedMaker:
+            t, ends = maker.plan.position_thresholds, maker.plan.ends
+        else:
+            t, ends = _threshold(maker), None
+        s = _threshold(new_breaker(0))
+        if t is not None and s is not None:
+            return functools.partial(_run_item_block, t=t, ends=ends, s=s), 1
+    if (cfg.game == "box" and cfg.ordering == "adversarial"
+            and _BLOCK // (cfg.n * cfg.m) >= _BOX_ROWS
+            and type(new_maker(0)) is box_game.MinboxMaker):
+        p = box_game._take_probability(new_breaker(0))
+        if p is not None:
+            return functools.partial(_run_box_block, p=p), _BOX_ROWS
+    return None, 1
+
+
 def _run_chunk(cfg: TrialConfig, start: int, count: int):
-    new_maker, new_breaker, _ = _build(cfg)
-    thresholds = _item_thresholds(cfg, new_maker, new_breaker)
-    if thresholds is not None:
-        return _run_item_block(cfg, start, count, *thresholds)
-    p = _box_breaker_p(cfg, count)
-    if p is not None:
-        return _run_box_block(cfg, start, count, p)
+    block, rows = _build(cfg)[3]
+    if block is not None and count >= rows:
+        return block(cfg, start, count)
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
     tags: list = []
@@ -626,29 +602,16 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     """Execute all trials and aggregate.  ``jobs`` defaults to the config's,
     which defaults to the PG_JOBS environment variable, then 1; a negative
     worker count raises ValueError, and so does a PG_JOBS that is not an
-    integer.  With ``jobs`` > 1 the trials run in up to ``jobs * 4`` chunks,
-    whose sizes differ by at most one, on at most one worker per chunk; a
-    call that plays adversarial box games in bulk takes fewer chunks when
-    needed, so that each holds at least ``_BOX_ROWS`` trials.  The workers
-    are forked at the first parallel call with that worker count and reused
-    by later calls, so a monkeypatch made after that fork does not reach
-    them.  Parallel calls from several threads take turns on the pool; an
-    error while the chunks run shuts it down, and the next parallel call
-    forks a new one.  Each process builds the config once; then a trial only
-    makes fresh strategies and its market, or, for a one-phase item game
-    between a threshold or phased Maker and a threshold Breaker, only as
-    many of its market costs as decide it, drawn from seeds computed in
-    batches and played in column windows with the same results (see
-    ``_run_item_block``; it raises RuntimeError if numpy seeds PCG64
-    otherwise than it assumes).  A chunk of at least ``_BOX_ROWS``
-    adversarially ordered box games between the min-box Maker and the
-    random, always or never Breaker, whose games' balls fit ``_BLOCK`` that
-    many at a time, is played in lock-step blocks with the same results (see
-    ``_run_box_block``); random tapes, other box pairs and smaller calls
-    play each trial.  A call with no trials still builds the config, so a
-    bad game parameter raises ValueError there too.  Results are reduced in
-    trial-index order with exact summation, so the aggregate does not depend
-    on the worker count."""
+    integer.  The config is built first, in the calling process, so an
+    unknown strategy name or a bad game parameter raises ValueError there,
+    whatever the trial and worker counts.  With ``jobs`` > 1 the trials run
+    in up to ``jobs * 4`` chunks, whose sizes differ by at most one, on at
+    most one worker per chunk; fewer when the config's bulk plan needs more
+    trials a chunk (``_bulk_plan``).  Parallel calls from several threads
+    take turns on the pool; an error while the chunks run shuts it down, and
+    the next parallel call forks a new one.  Results are reduced in
+    trial-index order with exact summation, so the aggregate does not
+    depend on the worker count."""
     if jobs is None:
         jobs = config.jobs or _env_jobs()
     if jobs < 0:
@@ -656,19 +619,15 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     trials = config.trials
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    _resolve(config)  # fail fast on unknown strategy names
 
     try:
-        if trials == 0:
-            _build(config)  # checks the game's parameters, as each chunk's build does
-            chunks = []
-        elif jobs <= 1:
+        _, rows = _build(config)[3]
+        if jobs <= 1 or trials == 0:
             chunks = [_run_chunk(config, 0, trials)]
         else:
-            # Chunks as even as they can be, each of at least `least` trials:
-            # a chunk of adversarial box games plays in bulk from _BOX_ROWS.
-            least = _BOX_ROWS if _box_breaker_p(config, trials) is not None else 1
-            parts = min(jobs * 4, trials // least)
+            # Chunks as even as they can be, each of at least `rows` trials if
+            # the call has that many, so that each plays in bulk.
+            parts = min(jobs * 4, trials // (rows if trials >= rows else 1))
             bounds = [trials * i // parts for i in range(parts + 1)]
             spans = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
             with _pool_lock:
@@ -683,15 +642,9 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     finally:
         _build.cache_clear()  # the config's build lives as long as this call
 
-    if chunks:
-        success = np.concatenate([c[0] for c in chunks])
-        cost = np.concatenate([c[1] for c in chunks])
-        tags = [t for c in chunks for t in c[2]]
-    else:
-        success = np.zeros(0, dtype=bool)
-        cost = np.zeros(0)
-        tags = []
-
+    success = np.concatenate([c[0] for c in chunks])
+    cost = np.concatenate([c[1] for c in chunks])
+    tags = [t for c in chunks for t in c[2]]
     costs_list = cost.tolist()
     histogram: dict = {}
     for t in tags:

@@ -138,6 +138,61 @@ def test_bounded_damage_invariant_random_games():
         assert all(mx <= cfg.b * i for i, mx in log)
 
 
+class RecordingFocus(FocusBreaker):
+    """A focus Breaker that records, each time it moves, whether every box
+    is covered."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def _refresh(self, view):
+        self.seen.append(all(view.covered))
+        super()._refresh(view)
+
+
+def test_games_end_before_a_scan_runs_out():
+    """Below bn + 1, with Makers offered every ball and on every kind of
+    tape: a Breaker win always has a box with all m balls belonging to
+    Breaker (such a box holds no Maker ball, so it is uncovered), so Maker's
+    scan starves a box before it can run past the stream end; and the focus
+    Breaker never moves once every box is covered."""
+    makers = {
+        "slow_minbox": lambda seed: SlowTurns(MinboxMaker()),
+        "minbox": lambda seed: MinboxMaker(),  # offered every ball on adversarial tapes
+        "random": lambda seed: RandomStrategy(0.5, seed),
+    }
+    seen = []
+    breakers = {
+        "focus": lambda seed: RecordingFocus(seen),
+        "slow_focus": lambda seed: SlowTurns(RecordingFocus(seen)),
+        "random": lambda seed: RandomStrategy(0.5, seed),
+        "always": lambda seed: AlwaysTake(),
+        "never": lambda seed: NeverTake(),
+    }
+    winners = set()
+    for n, b, t in itertools.product(range(1, 5), range(1, 4), range(3)):
+        for m in sorted({1, 2, b * (n - 1), b * (n - 1) + 1, b * n} - {0}):
+            seed = mix_seed(n * 100 + b * 10 + t, m)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+            for ordering, maker, breaker in itertools.product(
+                    ("random", "scripted", "adversarial"), makers, breakers):
+                cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering,
+                                sequence=sequence if ordering == "scripted" else None)
+                out = play_box(cfg, makers[maker](mix_seed(seed, 1)),
+                               breakers[breaker](mix_seed(seed, 2)), seed=seed)
+                btb = out.details["btb"]
+                assert max(btb) <= m
+                if out.success:
+                    assert out.details["covered"] == n
+                else:
+                    assert m in btb, (cfg, maker, breaker)
+                winners.add(out.details["winner"])
+    assert winners == {"maker", "breaker"}
+    assert seen and not any(seen)
+
+
 def test_focus_breaker_first_turn_takes_b_from_box0():
     # Plenty of box-0 balls up front; focus breaker grabs exactly b of them.
     seq = (1, 0, 0, 0, 0, 1, 1, 1, 0, 1)  # n=2, m=5

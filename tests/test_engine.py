@@ -423,18 +423,6 @@ def test_maker_can_take_breaker_rejected_item():
     assert out.success and out.M == 1
 
 
-def test_cost_sampler_hook():
-    def beta_ish(rng, n):
-        return rng.random(n) ** 2
-
-    m = generate_market(2000, 5, cost_sampler=beta_ish)
-    assert float(m.costs.mean()) < 0.45  # squared uniforms skew low
-    m2 = generate_market(2000, 5, cost_sampler=beta_ish)
-    assert np.array_equal(m.costs, m2.costs)
-    with pytest.raises(ValueError):
-        generate_market(10, 5, cost_sampler=lambda rng, n: rng.random(n) + 1.0)
-
-
 # --------------------------------------------------------------------------
 # Labels are looked up only when read
 # --------------------------------------------------------------------------

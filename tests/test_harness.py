@@ -1,6 +1,7 @@
 """Harness and CLI tests: determinism, aggregation, exports, exit codes."""
 
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game, harness
+from purchase_games import box_game, harness, item_game
 from purchase_games.cli import cli_main
 from purchase_games.engine import mix_seed
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
 from purchase_games.item_game import breaker_closed_form, single_threshold_maker
+from purchase_games.oracle import item_b0_dp
 
 
 def _cfg(**kw):
@@ -130,14 +132,32 @@ def test_pool_inherited_through_fork_is_left_alone(fresh_pool):
     assert harness._pool[:2] == (os.getpid(), 2)
 
 
-def test_failed_parallel_call_drops_the_pool(fresh_pool):
-    bad = TrialConfig(game="box", n=3, b=1, m=None, trials=20, master_seed=5,
-                      maker="minbox", breaker="focus")
-    with pytest.raises(ValueError, match="needs m"):
-        run_trials(bad, jobs=2)
+def test_failed_parallel_call_drops_the_pool(fresh_pool, monkeypatch):
+    def failing(cfg, index):
+        raise ValueError("trial failed")
+
+    monkeypatch.setattr(harness, "run_one_trial", failing)  # before the pool forks
+    with pytest.raises(ValueError, match="trial failed"):
+        run_trials(_cfg(trials=20, phases=2), jobs=2)
     assert harness._pool is None
+    cfg = _cfg(trials=64)  # played in bulk, so the failing trial is not reached
+    assert run_trials(cfg, jobs=2) == run_trials(cfg, jobs=1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(game="box", n=3, m=None, maker="minbox", breaker="focus"), "needs m"),
+    (dict(game="clique", n=1, maker="triangle", breaker="mimic"), "2 vertices"),
+    (dict(maker="nope"), "catalog"),
+])
+def test_parallel_call_with_a_bad_config_keeps_the_pool(fresh_pool, bad, message):
+    """The config is built in the calling process before any chunk is sent,
+    so its error is raised there and the workers stay."""
     cfg = _cfg(trials=64)
     assert run_trials(cfg, jobs=2) == run_trials(cfg, jobs=1)
+    pool = harness._pool
+    with pytest.raises(ValueError, match=message):
+        run_trials(_cfg(trials=20, **bad), jobs=2)
+    assert harness._pool is pool
 
 
 def test_threads_take_turns_on_the_pool(fresh_pool):
@@ -268,8 +288,7 @@ BULK_BREAKERS = ("closed_form", "best_response", "cheap_grab", "mimic", "never",
 
 
 def _bulk(cfg):
-    new_maker, new_breaker, _ = harness._build(cfg)
-    return harness._item_thresholds(cfg, new_maker, new_breaker) is not None
+    return harness._build(cfg)[3][0] is not None
 
 
 def test_bulk_item_pairs_are_the_threshold_rules():
@@ -648,10 +667,61 @@ def test_bulk_box_chunk_equals_play_box_trial_by_trial(cfg, start, count, rows, 
         mp.setattr(harness, "_BOX_ROWS", 1)
         mp.setattr(harness, "_BLOCK", rows * cfg.n * cfg.m + spare)
         try:
-            assert harness._box_breaker_p(cfg, count) is not None
+            assert harness._build(cfg)[3][0] is not None
             _assert_chunk_matches_run_one_trial(cfg, start, count)
         finally:
             harness._build.cache_clear()
+
+
+# --------------------------------------------------------------------------
+# both bulk kernels against the paper's numbers, through run_trials
+# --------------------------------------------------------------------------
+
+
+def _run_in_bulk(cfg):
+    """``run_trials(cfg)``, after checking that its plan plays every chunk
+    in bulk."""
+    try:
+        block, rows = harness._build(cfg)[3]
+    finally:
+        harness._build.cache_clear()
+    assert block is not None and cfg.trials >= rows
+    return run_trials(cfg, jobs=1)
+
+
+@pytest.mark.parametrize("maker, breaker, b, exact", [
+    ("single_threshold", "closed_form", 1, lambda n: item_game.expected_cost(
+        breaker_closed_form(n), single_threshold_maker(n))),
+    ("dp", "never", 0, lambda n: item_b0_dp(n).value),
+], ids=["single_threshold", "dp"])
+def test_bulk_item_mean_cost_matches_the_formula(maker, breaker, b, exact):
+    """The mean cost is within 4 standard errors of the exact value:
+    Maker's threshold schedule against Breaker's closed-form best response
+    (~4/n), and optimal stopping with no Breaker (~2/n)."""
+    n = 10**4
+    agg = _run_in_bulk(_cfg(n=n, b=b, trials=20_000, master_seed=16, maker=maker,
+                            breaker=breaker))
+    assert agg.success_rate == 1.0
+    assert abs(agg.mean_cost_all - exact(n)) <= 4.0 * agg.stderr
+
+
+@pytest.mark.parametrize("breaker", ["cheap_grab", "mimic", "closed_form"])
+@pytest.mark.parametrize("b", [10, 100])
+def test_bulk_phased_trials_never_fail(b, breaker):
+    """The b+1-phase plan secures an item against any Breaker of quota b."""
+    agg = _run_in_bulk(_cfg(n=10**5, b=b, trials=10_000, master_seed=b, maker="phased",
+                            breaker=breaker))
+    assert agg.success_count == agg.trials
+
+
+@pytest.mark.parametrize("breaker", BOX_BULK_BREAKERS)
+def test_bulk_minbox_wins_every_game_from_bn_plus_1(breaker):
+    """With m = bn + 1 balls per box, the min-box Maker wins against every
+    ordering and every Breaker."""
+    for n, b in itertools.product((1, 2, 3, 5), (1, 2, 3)):
+        cfg = _box_cfg(n=n, b=b, m=box_game.box_threshold(n, b), trials=1000,
+                       master_seed=n * 10 + b, breaker=breaker)
+        assert _run_in_bulk(cfg).success_count == cfg.trials, cfg
 
 
 # --------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .engine import (
     RandomStrategy,
     Strategy,
     View,
+    _generator,
     _opened,
     _outcome_from_state,
     generate_market,
@@ -225,7 +226,7 @@ class _BoxRuntime:
             if cfg.ordering == "scripted":
                 perm = np.empty(total, dtype=np.int64)
                 perm[order] = np.arange(total)  # rank b*m + j
-                costs = np.random.Generator(np.random.PCG64(mix_seed(seed, 0))).random(total)
+                costs = _generator(mix_seed(seed, 0)).random(total)
                 market = Market(total, costs, labels, seed, perm=perm)
             order += 1
             self.box_positions = memoryview(order)

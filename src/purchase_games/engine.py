@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -287,9 +288,9 @@ class Market:
     """An immutable priced stream: n positions, each holding one label and one cost.
 
     ``perm[i]`` is the universe rank of the label at position i+1; it is
-    materialized lazily from its own child seed, on the first read of a
-    label.  Costs are eager.  The game driver reads no label on its own:
-    ``Item.label``, ``View.label`` and ``View.my_labels``, the Outcome's
+    materialized lazily from its own child seed (through ``_generator``), on
+    the first read of a label.  Costs are eager.  The game driver reads no
+    label on its own: ``Item.label``, ``View.label`` and ``View.my_labels``, the Outcome's
     ``maker_items``/``breaker_items`` and goals that look at labels are what
     look them up.  So a plain item game, whose strategies and goal see only
     positions, costs and owners, never builds the permutation.
@@ -327,7 +328,7 @@ class Market:
 
 
 def _permutation(n: int, seed: int) -> np.ndarray:
-    return np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    return _generator(seed).permutation(n)
 
 
 def _ranks_at(perm: np.ndarray, positions) -> np.ndarray:
@@ -356,8 +357,9 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
 
     ``labeler`` defaults to plain index labels 1..n; pass an EdgeLabels or
     BoxLabels universe for edge and box games (its size must equal n).  Costs
-    and permutation come from independent child seeds of ``seed``, so lazily
-    materializing the permutation cannot disturb the costs.
+    and permutation come from independent child seeds of ``seed``, each
+    through ``_generator``, so lazily materializing the permutation cannot
+    disturb the costs.
     """
     if n < 1:
         raise ValueError(f"market size must be >= 1, got {n}")
@@ -365,7 +367,7 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
         labeler = IndexLabels(n)
     if labeler.size != n:
         raise ValueError(f"labeler has {labeler.size} labels but n={n}")
-    costs = np.random.Generator(np.random.PCG64(mix_seed(seed, 0))).random(n)
+    costs = _generator(mix_seed(seed, 0)).random(n)
     return Market(n, costs, labeler, seed, perm=None, perm_seed=mix_seed(seed, 1))
 
 
@@ -388,8 +390,9 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     The hash runs on uint32 arrays, which wrap as its C code does.  A 64-bit
     seed is two entropy words, and a seed under 2**32 is one, padded with
     the hash of 0 that a zero second word gives too.  Row 0 is checked
-    against ``PCG64(seeds[0]).state``, so a numpy that seeds otherwise
-    raises RuntimeError instead of drawing other costs."""
+    against ``PCG64(seeds[0]).state``, both as ``_pcg64_state`` reads it and
+    as a PCG64 built from it through ``_SeedWords``, so a numpy that seeds
+    otherwise raises RuntimeError instead of drawing other costs."""
     entropy = np.asarray(seeds, dtype=np.uint64)
     u32 = np.uint32
 
@@ -418,8 +421,11 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
     words = words.astype("<u4").view("<u8").astype(np.uint64)
     if entropy.size:
-        expected = np.random.PCG64(int(entropy[0])).state["state"]
-        if _pcg64_state(words[0].tolist()) != (expected["state"], expected["inc"]):
+        np.random.bit_generator.ISeedSequence.register(_SeedWords)
+        expected = np.random.PCG64(int(entropy[0])).state
+        pcg = expected["state"]
+        if (_pcg64_state(words[0].tolist()) != (pcg["state"], pcg["inc"])
+                or np.random.PCG64(_SeedWords(words[0])).state != expected):
             raise RuntimeError("numpy's PCG64 no longer seeds as _pcg64_seed_words assumes")
     return words
 
@@ -430,6 +436,55 @@ def _pcg64_state(words) -> tuple:
     s_hi, s_lo, i_hi, i_lo = words
     inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
     return ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+class _SeedWords:
+    """A seed sequence that hands PCG64 its four precomputed seed words, a
+    contiguous uint64 row of ``_pcg64_seed_words``, whatever it is asked.
+    ``_pcg64_seed_words`` registers it as numpy's ``ISeedSequence`` before
+    the first PCG64 is built from it: subclassing that here would import
+    ``numpy.random`` with this module, ahead of the rest of the program,
+    which alone raised the process's peak memory."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+_seed_memo = threading.local()  # .table: ({seed: row}, words), or None
+
+
+def _remember_seed_words(seeds) -> None:
+    """Until the next call, let ``_generator`` in the calling thread seed
+    from ``_pcg64_seed_words(seeds)`` for each of the uint64 ``seeds``;
+    None forgets them."""
+    _seed_memo.table = None
+    if seeds is not None:
+        _seed_memo.table = (dict(zip(seeds.tolist(), range(seeds.size))),
+                            _pcg64_seed_words(seeds))
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """A fresh ``Generator(PCG64(seed))``; every per-game stream is built
+    here.  numpy seeds PCG64 from its seed sequence's ``generate_state(4,
+    uint64)``, which hashes the seed, most of a build's time.  When the
+    seed's words are remembered in the calling thread
+    (``_remember_seed_words``, which the harness calls a few hundred trials
+    at a time for each trial's cost, tape, Maker and Breaker streams), the
+    generator is built from them through ``_SeedWords`` instead.  The words are a pure function of the
+    seed, and ``_pcg64_seed_words`` checks that such a build reproduces
+    ``PCG64(seed).state``, so both routes give the same stream bit for bit;
+    the memo holds words, never a generator."""
+    table = getattr(_seed_memo, "table", None)
+    if table is not None:
+        row = table[0].get(seed)
+        if row is not None:
+            return np.random.Generator(np.random.PCG64(_SeedWords(table[1][row])))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def dump_market(market: Market, file) -> None:
@@ -957,7 +1012,8 @@ class NeverTake(Strategy):
 
 class RandomStrategy(Strategy):
     """Takes each offered unowned item with probability p, from its own seeded
-    generator (deterministic replay requires a fresh instance per game)."""
+    generator, ``_generator(seed)`` (deterministic replay requires a fresh
+    instance per game)."""
 
     def __init__(self, p: float, seed: int):
         self.p = p
@@ -965,7 +1021,7 @@ class RandomStrategy(Strategy):
         self._rng = None
 
     def begin(self, view: View) -> None:
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        self._rng = _generator(self.seed)
 
     def decide(self, view: View, item: Item) -> bool:
         return item.owner == UNOWNED and self._rng.random() < self.p

@@ -53,6 +53,7 @@ from .engine import (
     _opened,
     _pcg64_seed_words,
     _pcg64_state,
+    _remember_seed_words,
     generate_market,
     mix_seed,
     play,
@@ -294,6 +295,9 @@ def _threshold(strategy):
 
 
 _SEED_BATCH = 2**12  # trials whose cost streams are seeded in one pass
+_MEMO_BATCH = 2**8   # trials played alone whose streams' seed words are remembered at once
+_MEMO_FLOOR = 16     # fewest trials played alone for which remembering them pays
+_TRIAL_STREAMS = np.array([[0], [1], [101], [102]], dtype=np.uint64)  # costs, tape, Maker, Breaker
 _BLOCK = 2**15       # costs held at once, unless one window of one row is wider
 _WINDOW = 2**10      # columns of the narrowest first window
 
@@ -318,12 +322,16 @@ def _stream_filler():
     return fill
 
 
+def _stream_seeds(cfg: TrialConfig, trials, stream) -> np.ndarray:
+    """The seed ``mix_seed(mix_seed(cfg.master_seed, i), stream)`` of each
+    trial i of the index array ``trials``; a column of streams gives a row
+    of seeds per stream."""
+    return _mix_seeds(_mix_seeds(cfg.master_seed, np.asarray(trials, dtype=np.uint64)), stream)
+
+
 def _seed_words(cfg: TrialConfig, trials, stream: int) -> np.ndarray:
-    """``_pcg64_seed_words`` of each trial's stream ``stream``, seeded by
-    ``mix_seed(mix_seed(cfg.master_seed, i), stream)`` for trial i of the
-    index array ``trials``."""
-    seeds = _mix_seeds(cfg.master_seed, np.asarray(trials, dtype=np.uint64))
-    return _pcg64_seed_words(_mix_seeds(seeds, stream))
+    """``_pcg64_seed_words`` of each trial's stream ``stream``."""
+    return _pcg64_seed_words(_stream_seeds(cfg, trials, stream))
 
 
 def _first_window(n: int, t) -> int:
@@ -489,18 +497,27 @@ def _bulk_plan(cfg: TrialConfig, new_maker, new_breaker) -> tuple:
 
 
 def _run_chunk(cfg: TrialConfig, start: int, count: int):
+    """Trials ``start .. start+count-1``: (success, cost, failure tags).  A
+    chunk of ``_MEMO_FLOOR`` or more trials played alone remembers their
+    streams' seed words ``_MEMO_BATCH`` trials at a time (``_generator``)."""
     block, rows = _build(cfg)[3]
     if block is not None and count >= rows:
         return block(cfg, start, count)
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
     tags: list = []
-    for i in range(count):
-        s, c, tag = run_one_trial(cfg, start + i)
-        success[i] = s
-        cost[i] = c
-        if tag is not None:
-            tags.append(tag)
+    try:
+        for i in range(count):
+            if count >= _MEMO_FLOOR and i % _MEMO_BATCH == 0:
+                batch = np.arange(start + i, start + min(count, i + _MEMO_BATCH))
+                _remember_seed_words(_stream_seeds(cfg, batch, _TRIAL_STREAMS).ravel())
+            s, c, tag = run_one_trial(cfg, start + i)
+            success[i] = s
+            cost[i] = c
+            if tag is not None:
+                tags.append(tag)
+    finally:
+        _remember_seed_words(None)
     return success, cost, tags
 
 

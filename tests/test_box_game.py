@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game
+from purchase_games import box_game, engine
 from purchase_games.box_game import (
     AdversarialOrderer,
     BoxConfig,
@@ -392,6 +392,40 @@ def test_fixed_p_breaker_turn_matches_decide_loop(monkeypatch):
         breaker_wins += not fast.success
     assert breaker_wins >= 100
     assert mid_turn >= 20  # a box starved with quota left and balls ahead
+
+
+def test_remembered_random_breaker_draws_as_its_slow_twin():
+    """With the game's streams remembered (``engine._generator``), the fast
+    random Breaker is built from seed words and its SlowTurns twin, played
+    after they are forgotten, from numpy's seeding: the games are the same,
+    and so are the two generators' end states."""
+    try:
+        for (n, m, b), ordering, p, t in itertools.product(
+                [(3, 4, 2), (5, 11, 2), (6, 5, 4)], ("random", "scripted"), (0.2, 0.5, 0.8),
+                range(4)):
+            seed = mix_seed(23, t)
+            sequence = None
+            if ordering == "scripted":
+                rng = np.random.Generator(np.random.PCG64(seed))
+                sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+            cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+            fast_breaker = RandomStrategy(p, mix_seed(seed, 102))
+            slow_breaker = RandomStrategy(p, mix_seed(seed, 102))
+            fast_log, slow_log = [], []
+            engine._remember_seed_words(
+                engine._mix_seeds(seed, np.array([0, 1, 102], dtype=np.uint64)))
+            fast = play_box(cfg, MinboxMaker(), fast_breaker, seed=seed, damage_log=fast_log)
+            engine._remember_seed_words(None)
+            slow = play_box(cfg, MinboxMaker(), SlowTurns(slow_breaker), seed=seed,
+                            damage_log=slow_log)
+            case = ((n, m, b), ordering, p, t)
+            assert isinstance(fast_breaker._rng.bit_generator.seed_seq, engine._SeedWords)
+            assert not isinstance(slow_breaker._rng.bit_generator.seed_seq, engine._SeedWords)
+            assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), case
+            assert (fast_breaker._rng.bit_generator.state
+                    == slow_breaker._rng.bit_generator.state), case
+    finally:
+        engine._remember_seed_words(None)
 
 
 def test_scripted_ordering_needs_a_seed():

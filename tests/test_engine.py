@@ -1,8 +1,10 @@
 """Engine tests: markets, the turn protocol, phase gates, views, traces."""
 
+import ast
 import dataclasses
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -108,6 +110,66 @@ def test_pcg64_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
     monkeypatch.setattr(engine, "_PCG64_MULT", engine._PCG64_MULT + 2)
     with pytest.raises(RuntimeError, match="PCG64"):
         engine._pcg64_seed_words(np.arange(3, dtype=np.uint64))
+
+
+GENERATOR_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]  # one and two entropy words
+
+
+@pytest.fixture
+def forget_seed_words():
+    yield
+    engine._remember_seed_words(None)
+
+
+def test_generator_is_pcg64_of_its_seed_remembered_or_not(forget_seed_words):
+    """``_generator(seed)`` starts where ``PCG64(seed)`` does and draws the
+    same doubles, whether it is built from remembered seed words or not."""
+    for remembered in (False, True):
+        if remembered:
+            engine._remember_seed_words(np.array(GENERATOR_SEEDS, dtype=np.uint64))
+        for seed in GENERATOR_SEEDS:
+            rng = engine._generator(seed)
+            assert isinstance(rng.bit_generator.seed_seq, engine._SeedWords) == remembered
+            assert rng.bit_generator.state == np.random.PCG64(seed).state, seed
+            assert (rng.random(7).tobytes()
+                    == np.random.Generator(np.random.PCG64(seed)).random(7).tobytes()), seed
+
+
+def test_remembered_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatch,
+                                                                      forget_seed_words):
+    class WrongWords(engine._SeedWords):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words ^ np.uint64(1)
+
+    monkeypatch.setattr(engine, "_SeedWords", WrongWords)
+    with pytest.raises(RuntimeError, match="PCG64"):
+        engine._remember_seed_words(np.array(GENERATOR_SEEDS, dtype=np.uint64))
+    assert engine._seed_memo.table is None
+
+
+def test_generators_are_built_only_in_the_stream_helpers():
+    """Every numpy generator in ``src/`` is built by ``_generator``, by
+    ``_pcg64_seed_words``'s self-check or by the harness's ``_stream_filler``,
+    so no per-game build bypasses the remembered seed words."""
+    allowed = {"_generator", "_pcg64_seed_words", "_stream_filler"}
+    builders = {"PCG64", "Generator", "default_rng", "SeedSequence", "RandomState"}
+    found = []
+    for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = child.name
+                elif isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in builders:
+                        found.append((path.name, where, name))
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert {where for _, where, _ in found} <= allowed, found
+    assert {where for _, where, _ in found} == allowed  # the scan sees each helper's builds
 
 
 @given(st.integers(1, 500), st.integers(1, 60))

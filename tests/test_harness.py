@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game, harness, item_game
+from purchase_games import box_game, engine, harness, item_game
 from purchase_games.cli import cli_main
 from purchase_games.engine import mix_seed
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
@@ -378,6 +378,88 @@ def test_other_item_configs_play_each_trial(monkeypatch, changes):
     assert calls == list(range(12))
 
 
+# --------------------------------------------------------------------------
+# trials played alone, with their streams' seed words remembered
+# --------------------------------------------------------------------------
+
+
+def _remembered():
+    return getattr(engine._seed_memo, "table", None)
+
+
+def _exported(agg):
+    out = io.StringIO()
+    export(agg, "json", out)
+    return out.getvalue()
+
+
+def _alone_box_cfg(**kw):
+    """A box config played one game at a time that builds four generators
+    a game: costs, tape, a random Maker and a random Breaker."""
+    return _box_cfg(n=5, m=11, b=2, ordering="random", maker="random", **kw)
+
+
+@pytest.mark.parametrize("batch", [4, 7, 2**8])
+@pytest.mark.parametrize("extra", [-1, 0, 9])
+def test_trials_played_alone_build_their_generators_from_remembered_words(monkeypatch,
+                                                                          batch, extra):
+    """A chunk of ``_MEMO_FLOOR`` or more trials played alone builds all
+    four generators of each game from seed words remembered ``_MEMO_BATCH``
+    trials at a time, plus one build per batch for the self-check; a
+    smaller chunk remembers none.  Nothing is remembered after the call,
+    and the export equals that of a run that remembers nothing."""
+    monkeypatch.setattr(harness, "_MEMO_BATCH", batch)
+    trials = harness._MEMO_FLOOR + extra
+    cfg = _alone_box_cfg(trials=trials)
+    built = []
+
+    class CountedWords(engine._SeedWords):
+        def __init__(self, words):
+            built.append(1)
+            super().__init__(words)
+
+    monkeypatch.setattr(engine, "_SeedWords", CountedWords)
+    remembered = _exported(run_trials(cfg, jobs=1))
+    assert _remembered() is None
+    batches = -(-trials // batch) if trials >= harness._MEMO_FLOOR else 0
+    assert len(built) == (4 * trials + batches if batches else 0)
+    monkeypatch.setattr(harness, "_MEMO_FLOOR", trials + 1)
+    assert _exported(run_trials(cfg, jobs=1)) == remembered
+
+
+def test_seed_words_are_forgotten_when_a_trial_raises(monkeypatch):
+    real = harness.run_one_trial
+
+    def failing(cfg, index):
+        assert _remembered() is not None
+        if index == 20:
+            raise RuntimeError("trial 20 failed")
+        return real(cfg, index)
+
+    monkeypatch.setattr(harness, "run_one_trial", failing)
+    with pytest.raises(RuntimeError, match="trial 20 failed"):
+        run_trials(_alone_box_cfg(trials=harness._MEMO_FLOOR + 20), jobs=1)
+    assert _remembered() is None
+
+
+def test_threads_playing_trials_alone_export_the_serial_bytes():
+    """Two threads remember their own chunks' seed words at once, with
+    thread switches every few microseconds, and each call exports what it
+    does alone."""
+    cfgs = [_alone_box_cfg(trials=120, master_seed=seed) for seed in (1, 2)]
+    serial = [_exported(run_trials(cfg, jobs=1)) for cfg in cfgs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as threads:
+            futures = [threads.submit(lambda cfg=cfg: _exported(run_trials(cfg, jobs=1)))
+                       for cfg in cfgs * 2]
+            exports = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert exports == serial * 2
+
+
 def test_bulk_chunks_join_to_one_chunk():
     cfg = _cfg(n=200, trials=1000)
     try:
@@ -646,6 +728,23 @@ def test_bulk_box_trials_match_play_box_on_a_grid(monkeypatch):
     assert "box-starved" in tags and None in tags
 
 
+def test_bulk_box_trials_match_play_box_from_n_5():
+    """n 5-8, b 2-5 and m <= 6, against the catalog's random (p = 1/2)
+    Breaker, 200 games a config, and its always Breaker, whose games on an
+    adversarial tape are all alike, in one block: the configs where the
+    kernel's most Breaker balls in an uncovered box must be recounted after
+    Maker covers the box that held them."""
+    try:
+        for n, b, m in itertools.product(range(5, 9), range(2, 6), range(1, 7)):
+            for breaker, games in (("random", 200), ("always", harness._BOX_ROWS)):
+                cfg = _box_cfg(n=n, m=m, b=b, trials=games, master_seed=n * 100 + b * 10 + m,
+                               breaker=breaker)
+                assert harness._build(cfg)[3][0] is not None
+                _assert_chunk_matches_run_one_trial(cfg, 0, games)
+    finally:
+        harness._build.cache_clear()
+
+
 @st.composite
 def _box_bulk_cfgs(draw):
     """Adversarial min-box configs that ``_run_chunk`` plays in bulk, with
@@ -689,17 +788,25 @@ def _run_in_bulk(cfg):
     return run_trials(cfg, jobs=1)
 
 
-@pytest.mark.parametrize("maker, breaker, b, exact", [
-    ("single_threshold", "closed_form", 1, lambda n: item_game.expected_cost(
-        breaker_closed_form(n), single_threshold_maker(n))),
-    ("dp", "never", 0, lambda n: item_b0_dp(n).value),
-], ids=["single_threshold", "dp"])
-def test_bulk_item_mean_cost_matches_the_formula(maker, breaker, b, exact):
+def _threshold_cost(n):
+    return item_game.expected_cost(breaker_closed_form(n), single_threshold_maker(n))
+
+
+def _stopping_cost(n):
+    return item_b0_dp(n).value
+
+
+@pytest.mark.parametrize("maker, breaker, b, exact, n, trials", [
+    ("single_threshold", "closed_form", 1, _threshold_cost, 10**4, 20_000),
+    ("dp", "never", 0, _stopping_cost, 10**4, 20_000),
+    ("single_threshold", "closed_form", 1, _threshold_cost, 10**5, 5_000),
+    ("dp", "never", 0, _stopping_cost, 10**5, 5_000),
+], ids=["single_threshold", "dp", "single_threshold-n1e5", "dp-n1e5"])
+def test_bulk_item_mean_cost_matches_the_formula(maker, breaker, b, exact, n, trials):
     """The mean cost is within 4 standard errors of the exact value:
     Maker's threshold schedule against Breaker's closed-form best response
     (~4/n), and optimal stopping with no Breaker (~2/n)."""
-    n = 10**4
-    agg = _run_in_bulk(_cfg(n=n, b=b, trials=20_000, master_seed=16, maker=maker,
+    agg = _run_in_bulk(_cfg(n=n, b=b, trials=trials, master_seed=16, maker=maker,
                             breaker=breaker))
     assert agg.success_rate == 1.0
     assert abs(agg.mean_cost_all - exact(n)) <= 4.0 * agg.stderr

@@ -194,7 +194,7 @@ class _BoxRuntime:
     stream order, box b's at indices b*m to b*m + m - 1 (None on an
     adversarial tape), each box's positions that Breaker took ahead of
     Maker's pointer, in stream order, and the number of Breaker turns.
-    ``box_positions`` is a memoryview of an int64 array, so that ``bisect``
+    ``box_positions`` is a memoryview of an integer array, so that ``bisect``
     reads Python ints from it rather than numpy scalars."""
 
     __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
@@ -213,22 +213,23 @@ class _BoxRuntime:
         else:
             if seed is None:
                 raise ValueError(f"{cfg.ordering} ordering needs a seed")
-            # Box ids as the narrowest unsigned dtype that holds them: numpy
-            # sorts that by radix, and no int64 copy lives through the sort.
-            key = np.min_scalar_type(n - 1)
             if cfg.ordering == "random":
                 market = generate_market(total, seed, labels)
-                boxes = (market.perm // m).astype(key)
+                # Box b's balls hold ranks b*m .. b*m + m - 1, so each row of
+                # the inverse permutation, sorted, is one box's positions.
+                order = np.empty(total, dtype=np.min_scalar_type(total))
+                order[market.perm] = np.arange(1, total + 1, dtype=order.dtype)
+                order.reshape(n, m).sort(axis=1)
             else:
-                boxes = np.asarray(cfg.sequence, dtype=key)
-            # Stable, so box b's j-th ball in stream order is at order[b*m + j].
-            order = np.argsort(boxes, kind="stable")
-            if cfg.ordering == "scripted":
+                # Box ids in the narrowest unsigned dtype, which numpy sorts by radix;
+                # stable, so that box b's j-th ball is rank b*m + j of the tape.
+                order = np.argsort(np.asarray(cfg.sequence, dtype=np.min_scalar_type(n - 1)),
+                                   kind="stable")
                 perm = np.empty(total, dtype=np.int64)
                 perm[order] = np.arange(total)  # rank b*m + j
                 costs = _generator(mix_seed(seed, 0)).random(total)
                 market = Market(total, costs, labels, seed, perm=perm)
-            order += 1
+                order += 1
             self.box_positions = memoryview(order)
         goal = self.goal = BoxState(n, m)
         self.state = GameState(market, GameRules(cfg.b, goal=lambda: goal), seed_record=seed)
@@ -281,11 +282,6 @@ class BoxView(View):
 # --------------------------------------------------------------------------
 
 
-# The longest Maker pass counted ball by ball: from about 50 balls one
-# np.bincount over the pass is cheaper (about 7 us against 0.11 us a ball).
-_LOOP_PASSES = 48
-
-
 class MinboxMaker(Strategy):
     """Take an offered ball iff its box is uncovered and ties for the fewest
     balls not yet belonging to Breaker, i.e. its belongs-to-Breaker count
@@ -293,13 +289,9 @@ class MinboxMaker(Strategy):
     closest to dying, and it is the strategy behind the bn+1 threshold."""
 
     def decide(self, view: BoxView, item: Item) -> bool:
-        if item.owner != UNOWNED:
-            return False
         box = item.label[0]
-        state = view
-        if state.covered[box]:
-            return False
-        return state.btb_counts[box] >= state.max_uncovered_btb
+        return (item.owner == UNOWNED and not view.covered[box]
+                and view.btb_counts[box] >= view.max_uncovered_btb)
 
     def box_turn(self, rt: _BoxRuntime, view: BoxView) -> Optional[int]:
         """Fast turn for tapes ordered in advance: jump straight to the ball
@@ -313,31 +305,28 @@ class MinboxMaker(Strategy):
         not own, and every unowned ball it passes now belongs to Breaker.
         Exactly m - btb[c] balls of c past the pointer are unowned, so while
         no box is dead every uncovered box has that ball, and the scan never
-        runs off the end of the stream.  The balls passed are counted one by
-        one up to ``_LOOP_PASSES`` of them, and by one ``np.bincount`` past
-        that.
+        runs off the end of the stream.  A box's passed balls are its positions
+        between the pointer and the take less its claims there: each Breaker
+        ball ahead of Maker's pointer is a claim, and Maker owns none there.
         """
         if rt.box_positions is None:
             return None
         state, goal = rt.state, rt.goal
         start, top, m = state.maker_ptr, goal.max_uncovered, goal.m
-        take = min(_free_ball(rt.box_positions, box * m, box * m + m, rt.claims[box],
-                              start, top - count + 1)
-                   for box, (covered, count) in enumerate(zip(goal.covered, goal.btb))
+        positions, claims, btb = rt.box_positions, rt.claims, goal.btb
+        take = min(_free_ball(positions, box * m, box * m + m, claims[box], start,
+                              top - count + 1)
+                   for box, (covered, count) in enumerate(zip(goal.covered, btb))
                    if not covered)
         if take > start + 1:
-            ranks, owners = state.market.perm[start:take - 1], state.owner[start:take - 1]
-            btb = goal.btb
-            if take - start - 1 <= _LOOP_PASSES:
-                for rank, owner in zip(ranks.tolist(), owners.tolist()):
-                    if owner == UNOWNED:
-                        btb[rank // m] += 1
-            else:
-                counts = np.bincount(ranks[owners == UNOWNED] // m, minlength=goal.n).tolist()
-                btb[:] = [c + d for c, d in zip(btb, counts)]
+            for box, mine in enumerate(claims):
+                lo = box * m
+                first = bisect_right(positions, start, lo, lo + m)
+                if first < lo + m and positions[first] < take:
+                    btb[box] += (bisect_right(positions, take - 1, first, lo + m) - first
+                                 - bisect_right(mine, take - 1) + bisect_right(mine, start))
         state.maker_ptr = take
-        if take > state.revealed_upto:
-            state.revealed_upto = take
+        state.revealed_upto = max(state.revealed_upto, take)
         state.assign(MAKER, take)
         return take
 
@@ -422,8 +411,7 @@ class FocusBreaker(Strategy):
             taken = taken.tolist()
             state.breaker_positions += taken
             state.breaker_ptr = taken[-1]
-            if taken[-1] > state.revealed_upto:
-                state.revealed_upto = taken[-1]
+            state.revealed_upto = max(state.revealed_upto, taken[-1])
             # Balls behind Maker's pointer already belong to Breaker.
             ahead = taken[bisect_right(taken, state.maker_ptr):]
             rt.claims[self.focus] += ahead

@@ -15,13 +15,13 @@ when its parent process is gone, so a parent killed by a signal leaves no
 idle worker behind.
 
 ``_build`` does a config's fixed work once per ``run_trials`` call in each
-process, and ``_bulk_plan`` decides there how its trials are played: a
-one-phase item game between a threshold or phased Maker and a threshold
-Breaker in ``_run_item_block``, an adversarially ordered box game between
-the min-box Maker and a fixed-probability Breaker in ``_run_box_block``
-(through ``box_game.play_adversarial_block``), and every other config one
-trial at a time.  Both blocks give ``run_one_trial``'s results, trial by
-trial.
+process and thread, and ``_bulk_plan`` decides there how its trials are
+played: a one-phase item game between a threshold or phased Maker and a
+threshold Breaker in ``_run_item_block``, an adversarially ordered box game
+between the min-box Maker and a fixed-probability Breaker in
+``_run_box_block`` (through ``box_game.play_adversarial_block``), and every
+other config one trial at a time.  Both blocks give ``run_one_trial``'s
+results, trial by trial.
 """
 
 from __future__ import annotations
@@ -251,14 +251,21 @@ def _game(cfg: TrialConfig):
     raise ValueError(f"unknown game {cfg.game!r}")
 
 
-@functools.lru_cache(maxsize=1)
+_builds = threading.local()  # .last: the calling thread's (config, build), or None
+
+
 def _build(cfg: TrialConfig):
     """The config's per-trial factories (maker, breaker, game) and its bulk
     plan (``_bulk_plan``), built once; an unknown strategy name or a bad
-    game parameter raises ValueError here.  ``run_trials`` drops the calling
-    process's build when it returns; a pool worker keeps at most the build
+    game parameter raises ValueError here.  Each thread keeps the build of
+    its last config, so threads running different configs do not evict each
+    other's.  ``run_trials`` drops the calling thread's build when it
+    returns (``_build.cache_clear``); a pool worker keeps at most the build
     of its last chunk until its next chunk.  Edge labels and markets are
     made per trial and never kept here."""
+    last = getattr(_builds, "last", None)
+    if last is not None and (last[0] is cfg or last[0] == cfg):
+        return last[1]
     makers, breakers = maker_catalog(cfg.game), breaker_catalog(cfg.game)
     for role, name, catalog in (("maker", cfg.maker, makers),
                                 ("breaker", cfg.breaker, breakers)):
@@ -266,7 +273,12 @@ def _build(cfg: TrialConfig):
             raise ValueError(
                 f"unknown {role} {name!r} for {cfg.game}; catalog: {sorted(catalog)}")
     new_maker, new_breaker = makers[cfg.maker](cfg), breakers[cfg.breaker](cfg)
-    return new_maker, new_breaker, _game(cfg), _bulk_plan(cfg, new_maker, new_breaker)
+    _builds.last = cfg, (new_maker, new_breaker, _game(cfg),
+                         _bulk_plan(cfg, new_maker, new_breaker))
+    return _builds.last[1]
+
+
+_build.cache_clear = functools.partial(setattr, _builds, "last", None)
 
 
 # --------------------------------------------------------------------------

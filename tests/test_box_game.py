@@ -229,21 +229,24 @@ def test_focus_fast_path_matches_decide_loop():
 
 class WatchedMinbox(MinboxMaker):
     """The min-box Maker's fast turn, noting each result, the most
-    Breaker-owned balls ahead of Maker's pointer that a turn saw and the
-    most balls a turn passed."""
+    Breaker-owned balls ahead of Maker's pointer that a turn saw, the most
+    balls a turn passed and the passes with a Breaker-owned ball inside."""
 
     def __init__(self):
         self.results = []
         self.most_ahead = 0
         self.longest_pass = 0
+        self.claimed_passes = 0
 
     def box_turn(self, rt, view):
         ptr = rt.state.maker_ptr
         ahead = sum(p > ptr for p in rt.state.breaker_positions)
         self.most_ahead = max(self.most_ahead, ahead)
-        self.results.append(super().box_turn(rt, view))
-        self.longest_pass = max(self.longest_pass, self.results[-1] - ptr - 1)
-        return self.results[-1]
+        take = super().box_turn(rt, view)
+        self.results.append(take)
+        self.longest_pass = max(self.longest_pass, take - ptr - 1)
+        self.claimed_passes += any(ptr < p < take for p in rt.state.breaker_positions)
+        return take
 
 
 def test_minbox_fast_path_matches_decide_loop():
@@ -253,10 +256,10 @@ def test_minbox_fast_path_matches_decide_loop():
         "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
         "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
     }
-    starved = most_ahead = longest_pass = 0
+    starved = most_ahead = longest_pass = claimed_passes = 0
     # (4, 6, 3) and (6, 5, 4) have m far below bn + 1: a box often starves.
-    # Against the focus Breaker, (2, 60, 29) has Maker passes longer than
-    # box_game._LOOP_PASSES, which are counted by np.bincount.
+    # Against the focus Breaker, (2, 60, 29) has Maker passes of dozens of
+    # balls, some with Breaker's claims inside them.
     for (n, m, b), ordering, breaker, t in itertools.product(
             [(2, 3, 1), (3, 4, 2), (5, 11, 2), (4, 6, 3), (6, 5, 4), (2, 60, 29)],
             ("random", "scripted"), breakers, range(12)):
@@ -276,9 +279,81 @@ def test_minbox_fast_path_matches_decide_loop():
         starved += not fast.success
         most_ahead = max(most_ahead, maker.most_ahead)
         longest_pass = max(longest_pass, maker.longest_pass)
+        claimed_passes += maker.claimed_passes
     assert starved >= 100
     assert most_ahead >= 10  # Breaker-owned balls the fast turn had to skip
-    assert longest_pass > box_game._LOOP_PASSES
+    assert longest_pass > 48
+    assert claimed_passes >= 1
+
+
+def _recounted_btb(state, n, m):
+    """Each box's balls belonging to Breaker, recounted from the tape, the
+    owners and Maker's pointer alone: the balls at or behind the pointer
+    that Maker does not own, and Breaker's balls past it."""
+    behind = np.arange(1, state.n + 1) <= state.maker_ptr
+    counted = np.where(behind, state.owner != MAKER, state.owner == BREAKER)
+    return np.bincount(state.market.perm[counted] // m, minlength=n).tolist()
+
+
+class RecountedMinbox(MinboxMaker):
+    """The min-box Maker's fast turn, recounting the scoreboard after it."""
+
+    def __init__(self):
+        self.turns = 0
+
+    def box_turn(self, rt, view):
+        take = super().box_turn(rt, view)
+        assert rt.goal.btb == _recounted_btb(rt.state, rt.goal.n, rt.goal.m), take
+        self.turns += 1
+        return take
+
+
+@pytest.mark.parametrize("ordering", ["random", "scripted"])
+def test_minbox_fast_turn_scoreboard_matches_a_recount(ordering):
+    breakers = {
+        "focus": lambda seed: FocusBreaker(),
+        "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
+        "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
+    }
+    turns = 0
+    for (n, m, b), breaker, t in itertools.product(
+            [(2, 3, 1), (5, 11, 2), (6, 5, 4), (2, 60, 29), (7, 40, 3)], breakers, range(8)):
+        seed = mix_seed(19, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+        cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        maker = RecountedMinbox()
+        play_box(cfg, maker, breakers[breaker](seed), seed=seed)
+        turns += maker.turns
+    assert turns >= 400
+
+
+@pytest.mark.parametrize("n, m, itemsize", [(5, 51, 1), (4, 64, 2), (5, 13107, 2),
+                                            (16, 4096, 4)])
+def test_random_tape_box_positions_across_dtype_boundaries(n, m, itemsize):
+    """Grouping a random tape through the inverse permutation gives each
+    box's positions in stream order, as the narrowest unsigned dtype that
+    holds n*m, and at n*m = 255 and 256 the same games as the per-ball
+    loop."""
+    for seed in range(3):
+        rt = box_game._BoxRuntime(BoxConfig(n=n, m=m, b=1), seed)
+        positions = np.asarray(rt.box_positions)
+        assert rt.box_positions.itemsize == itemsize
+        assert positions.dtype.kind == "u"
+        expected = np.argsort(rt.state.market.perm // m, kind="stable") + 1
+        assert np.array_equal(positions, expected), seed
+        if n * m > 256:
+            continue
+        b = (m - 1) // n
+        for breaker in (FocusBreaker, lambda: RandomStrategy(0.5, mix_seed(seed, 4))):
+            cfg = BoxConfig(n=n, m=m, b=b)
+            fast_log, slow_log = [], []
+            fast = play_box(cfg, MinboxMaker(), breaker(), seed=seed, damage_log=fast_log)
+            slow = play_box(cfg, SlowTurns(MinboxMaker()), SlowTurns(breaker()), seed=seed,
+                            damage_log=slow_log)
+            assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), seed
 
 
 def _free_ball_walk(positions, lo, hi, claims, after, k):

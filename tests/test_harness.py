@@ -9,6 +9,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -458,6 +459,42 @@ def test_threads_playing_trials_alone_export_the_serial_bytes():
     finally:
         sys.setswitchinterval(interval)
     assert exports == serial * 2
+
+
+def test_threads_running_different_configs_keep_their_own_builds(monkeypatch):
+    """Three threads play the trials of three box_n5-shaped configs in
+    lock-step, one trial each at a time, with thread switches every few
+    microseconds: each config is built once, and each call exports what it
+    does alone."""
+    seeds = (1, 2, 3)
+    cfgs = [_box_cfg(n=5, m=11, b=2, ordering="random", trials=40, master_seed=seed)
+            for seed in seeds]
+    serial = [_exported(run_trials(cfg, jobs=1)) for cfg in cfgs]
+    built = []
+    real_game, real_trial = harness._game, harness.run_one_trial
+    lockstep = threading.Barrier(len(cfgs), timeout=60)
+
+    def counted_game(cfg):
+        built.append(cfg.master_seed)
+        return real_game(cfg)
+
+    def lockstep_trial(cfg, index):
+        lockstep.wait()
+        return real_trial(cfg, index)
+
+    monkeypatch.setattr(harness, "_game", counted_game)
+    monkeypatch.setattr(harness, "run_one_trial", lockstep_trial)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(cfgs)) as threads:
+            futures = [threads.submit(lambda cfg=cfg: _exported(run_trials(cfg, jobs=1)))
+                       for cfg in cfgs]
+            exports = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == list(seeds)
+    assert exports == serial
 
 
 def test_bulk_chunks_join_to_one_chunk():

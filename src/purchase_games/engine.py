@@ -336,19 +336,14 @@ def _ranks_at(perm: np.ndarray, positions) -> np.ndarray:
     return perm[np.asarray(positions, dtype=np.int64) - 1]
 
 
-def _labels_of(universe, ranks: np.ndarray) -> tuple:
-    """The labels of ``ranks``.  They are read through a memoryview, one
-    Python int at a time: a list of them all would raise the heap's peak by
-    an int per rank.  The labels go into a list first, so the tuple is sized
-    once; a tuple grown from an iterator by reallocation fragments the heap
-    over a run."""
-    return tuple(list(map(universe.label_of_rank, memoryview(ranks))))
-
-
-def _labels_at(universe, n: int, perm_seed: int, positions: tuple) -> tuple:
-    """Labels at ``positions`` of a market whose permutation was never built,
-    from the permutation's seed alone."""
-    return _labels_of(universe, _ranks_at(_permutation(n, perm_seed), positions))
+def _labels_of(market: Market, positions) -> tuple:
+    """The labels at ``positions`` of ``market``.  Their ranks are read
+    through a memoryview, one Python int at a time: a list of them all would
+    raise the heap's peak by an int per rank.  The labels go into a list
+    first, so the tuple is sized once; a tuple grown from an iterator by
+    reallocation fragments the heap over a run."""
+    ranks = _ranks_at(market.perm, positions)
+    return tuple(list(map(market.universe.label_of_rank, memoryview(ranks))))
 
 
 def generate_market(n: int, seed: int, labeler=None) -> Market:
@@ -371,27 +366,23 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
     return Market(n, costs, labeler, seed, perm=None, perm_seed=mix_seed(seed, 1))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# default multiplier (numpy/random/src/pcg64/pcg64.h).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     """What ``np.random.PCG64(s)`` seeds itself from, for each s of the uint64
     ``seeds``: row i is ``SeedSequence(seeds[i]).generate_state(4,
-    np.uint64)``, and ``_pcg64_state`` turns a row into that generator's
-    start state.  ``generate_market(n, seed)`` draws its costs from
+    np.uint64)``, and ``_seeded(row)`` is that generator.
+    ``generate_market(n, seed)`` draws its costs from
     ``PCG64(mix_seed(seed, 0))``.
 
     The hash runs on uint32 arrays, which wrap as its C code does.  A 64-bit
     seed is two entropy words, and a seed under 2**32 is one, padded with
-    the hash of 0 that a zero second word gives too.  Row 0 is checked
-    against ``PCG64(seeds[0]).state``, both as ``_pcg64_state`` reads it and
-    as a PCG64 built from it through ``_SeedWords``, so a numpy that seeds
+    the hash of 0 that a zero second word gives too.  ``_seeded(words[0])``
+    is checked against ``PCG64(seeds[0]).state``, so a numpy that seeds
     otherwise raises RuntimeError instead of drawing other costs."""
     entropy = np.asarray(seeds, dtype=np.uint64)
     u32 = np.uint32
@@ -422,20 +413,17 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     words = words.astype("<u4").view("<u8").astype(np.uint64)
     if entropy.size:
         np.random.bit_generator.ISeedSequence.register(_SeedWords)
-        expected = np.random.PCG64(int(entropy[0])).state
-        pcg = expected["state"]
-        if (_pcg64_state(words[0].tolist()) != (pcg["state"], pcg["inc"])
-                or np.random.PCG64(_SeedWords(words[0])).state != expected):
+        if (_seeded(words[0]).bit_generator.state
+                != np.random.PCG64(int(entropy[0])).state):
             raise RuntimeError("numpy's PCG64 no longer seeds as _pcg64_seed_words assumes")
     return words
 
 
-def _pcg64_state(words) -> tuple:
-    """(state, inc) of a PCG64 seeded from four seed words (Python ints):
-    pcg64_set_seed's two steps of the 128-bit LCG, from state 0."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    return ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+def _seeded(words: np.ndarray) -> np.random.Generator:
+    """The generator PCG64 seeds from ``words``, a row of
+    ``_pcg64_seed_words``, through ``_SeedWords``: the one route from
+    precomputed seed words to a stream."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 class _SeedWords:
@@ -475,15 +463,15 @@ def _generator(seed: int) -> np.random.Generator:
     seed's words are remembered in the calling thread
     (``_remember_seed_words``, which the harness calls a few hundred trials
     at a time for each trial's cost, tape, Maker and Breaker streams), the
-    generator is built from them through ``_SeedWords`` instead.  The words are a pure function of the
-    seed, and ``_pcg64_seed_words`` checks that such a build reproduces
-    ``PCG64(seed).state``, so both routes give the same stream bit for bit;
-    the memo holds words, never a generator."""
+    generator is ``_seeded`` from them instead.  The words are a pure
+    function of the seed, and ``_pcg64_seed_words`` checks that such a
+    build reproduces ``PCG64(seed).state``, so both routes give the same
+    stream bit for bit; the memo holds words, never a generator."""
     table = getattr(_seed_memo, "table", None)
     if table is not None:
         row = table[0].get(seed)
         if row is not None:
-            return np.random.Generator(np.random.PCG64(_SeedWords(table[1][row])))
+            return _seeded(table[1][row])
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -791,8 +779,7 @@ class View:
         return tuple(st.maker_positions if self.player == MAKER else st.breaker_positions)
 
     def my_labels(self) -> tuple:
-        market = self._state.market
-        return _labels_of(market.universe, _ranks_at(market.perm, self.my_positions()))
+        return _labels_of(self._state.market, self.my_positions())
 
 
 # --------------------------------------------------------------------------
@@ -1173,8 +1160,8 @@ class Outcome:
     was met.  B lists the positions Breaker took.  failure_phase carries the
     acting Maker strategy's self-reported failing stage, when it gave up.
     maker_items and breaker_items are the labels bought; ``play`` leaves them
-    to be looked up on first read, from the ranks it gathered at the end of
-    the game or, when the game never built the permutation, from its seed.
+    to be looked up in the game's market on first read, so the Outcome keeps
+    that market until it is dropped.
     """
 
     success: bool
@@ -1202,17 +1189,9 @@ def _outcome_from_state(state: GameState, failure_phase: Optional[object],
     market = state.market
     maker_positions = tuple(state.maker_positions)
     breaker_positions = tuple(state.breaker_positions)
-
-    def labels(positions):
-        # Keep only what the labels derive from: the permutation's seed, or
-        # the ranks gathered now, not the costs or the whole permutation.
-        if market._perm is None:
-            return partial(_labels_at, market.universe, market.n, market._perm_seed, positions)
-        return partial(_labels_of, market.universe, _ranks_at(market.perm, positions))
-
     return _deferred(
-        Outcome, {"maker_items": labels(maker_positions),
-                  "breaker_items": labels(breaker_positions)},
+        Outcome, {"maker_items": partial(_labels_of, market, maker_positions),
+                  "breaker_items": partial(_labels_of, market, breaker_positions)},
         success=state.goal_met,
         maker_cost=state.maker_cost_paid,
         maker_positions=maker_positions,

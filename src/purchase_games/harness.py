@@ -52,8 +52,8 @@ from .engine import (
     _mix_seeds,
     _opened,
     _pcg64_seed_words,
-    _pcg64_state,
     _remember_seed_words,
+    _seeded,
     generate_market,
     mix_seed,
     play,
@@ -314,26 +314,6 @@ _BLOCK = 2**15       # costs held at once, unless one window of one row is wider
 _WINDOW = 2**10      # columns of the narrowest first window
 
 
-def _stream_filler():
-    """``fill(out, words, skip=0)``: fills ``out`` with the doubles of the
-    PCG64 stream seeded from the seed words ``words`` (a row of
-    ``_pcg64_seed_words``, as Python ints) past its first ``skip``, on one
-    reused generator, with one state set per call."""
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).random
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-
-    def fill(out, words, skip=0):
-        pcg["state"], pcg["inc"] = _pcg64_state(words)
-        bits.state = state
-        if skip:
-            bits.advance(skip)
-        draw(out=out)
-
-    return fill
-
-
 def _stream_seeds(cfg: TrialConfig, trials, stream) -> np.ndarray:
     """The seed ``mix_seed(mix_seed(cfg.master_seed, i), stream)`` of each
     trial i of the index array ``trials``; a column of streams gives a row
@@ -373,7 +353,7 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     streams ``generate_market`` would draw from are computed with array
     operations (``_pcg64_seed_words`` raises RuntimeError unless the first
     reproduces ``PCG64(seed).state``), and each trial's costs are drawn from
-    its start state on one reused generator.  Rows are read in column
+    a generator ``_seeded`` from its words.  Rows are read in column
     windows, the first ``_first_window(n, t)`` wide and each later one as
     wide as all before it, reached by restarting the row's stream and
     advancing it.  Breaker's takes in a window are its first hits there, up
@@ -385,7 +365,6 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     n, b = cfg.n, cfg.b
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
-    fill = _stream_filler()
     buffer = np.empty(min(max(_BLOCK, n), count * n))
     first = _first_window(n, t)
     for lo in range(0, count, _SEED_BATCH):
@@ -402,8 +381,11 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
             for g in range(0, live.size, rows):
                 group = live[g:g + rows]
                 costs = buffer[:group.size * w].reshape(group.size, w)
-                for row, row_words in zip(costs, words[group - lo].tolist()):
-                    fill(row, row_words, a)
+                for row, row_words in zip(costs, words[group - lo]):
+                    rng = _seeded(row_words)
+                    if a:
+                        rng.bit_generator.advance(a)
+                    rng.random(out=row)
                 met, at = _maker_takes(costs, tw, sw, need[g:g + rows], ew, tried[g:g + rows])
                 success[group[met]] = True
                 cost[group[met]] = costs[met, at[met]]
@@ -462,15 +444,14 @@ def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     total = cfg.n * cfg.m
     rows = _BLOCK // total
     success = np.zeros(count, dtype=bool)
-    fill = _stream_filler()
     draws = None
     for lo in range(0, count, rows):
         hi = min(count, lo + rows)
         if 0.0 < p < 1.0:
             words = _seed_words(cfg, np.arange(start + lo, start + hi), 102)
             draws = np.empty((hi - lo, total))
-            for row, row_words in zip(draws, words.tolist()):
-                fill(row, row_words)
+            for row, row_words in zip(draws, words):
+                _seeded(row_words).random(out=row)
         success[lo:hi] = box_game.play_adversarial_block(cfg.n, cfg.m, cfg.b, p, hi - lo,
                                                          draws)
     met = int(np.count_nonzero(success))
@@ -628,18 +609,19 @@ def _drop_pool() -> None:
 
 
 def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregate:
-    """Execute all trials and aggregate.  ``jobs`` defaults to the config's,
-    which defaults to the PG_JOBS environment variable, then 1; a negative
-    worker count raises ValueError, and so does a PG_JOBS that is not an
-    integer.  The config is built first, in the calling process, so an
-    unknown strategy name or a bad game parameter raises ValueError there,
-    whatever the trial and worker counts.  With ``jobs`` > 1 the trials run
-    in up to ``jobs * 4`` chunks, whose sizes differ by at most one, on at
-    most one worker per chunk; fewer when the config's bulk plan needs more
-    trials a chunk (``_bulk_plan``).  Parallel calls from several threads
-    take turns on the pool; an error while the chunks run shuts it down, and
-    the next parallel call forks a new one.  Results are reduced in
-    trial-index order with exact summation, so the aggregate does not
+    """Execute all trials and aggregate.  ``jobs`` defaults to the config's
+    (1 unless set); only a config ``jobs`` of 0, as the CLI sets without
+    ``--jobs``, reads the PG_JOBS environment variable, default 1, and
+    raises ValueError if it is not an integer.  A negative worker count
+    raises ValueError.  The config is built first, in the calling process,
+    so an unknown strategy name or a bad game parameter raises ValueError
+    there, whatever the trial and worker counts.  With ``jobs`` > 1 the
+    trials run in up to ``jobs * 4`` chunks, whose sizes differ by at most
+    one, on at most one worker per chunk; fewer when the config's bulk plan
+    needs more trials a chunk (``_bulk_plan``).  Parallel calls from several
+    threads take turns on the pool; an error while the chunks run shuts it
+    down, and the next parallel call forks a new one.  Results are reduced
+    in trial-index order with exact summation, so the aggregate does not
     depend on the worker count."""
     if jobs is None:
         jobs = config.jobs or _env_jobs()

@@ -603,6 +603,22 @@ def test_adversarial_adaptive_engine_at_threshold():
     assert box_minimax(2, 3, 1, "adversarial").winner == "maker"
 
 
+def test_outcome_gathers_label_ranks_on_first_read(monkeypatch):
+    """A finished game gathers no label ranks until its items are read, and
+    then looks them up in its market."""
+    calls = []
+    ranks_at = engine._ranks_at
+    monkeypatch.setattr(engine, "_ranks_at", lambda *a: calls.append(a) or ranks_at(*a))
+    cfg = BoxConfig(n=4, m=6, b=1, ordering="random")
+    out = play_box(cfg, minbox_maker(cfg), RandomStrategy(0.5, 7), seed=5)
+    assert out.breaker_positions and calls == []
+    market = engine.generate_market(cfg.total, 5, engine.BoxLabels(cfg.n, cfg.m))
+    assert out.breaker_items == tuple(market.label(p) for p in out.breaker_positions)
+    assert len(calls) == 1
+    assert out.maker_items == tuple(market.label(p) for p in out.maker_positions)
+    assert len(calls) == 2
+
+
 def test_box_view_hides_unrevealed():
     seq = (0, 1, 0, 1)
     cfg = BoxConfig(n=2, m=2, b=1, ordering="scripted", sequence=seq)

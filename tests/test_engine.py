@@ -89,25 +89,26 @@ def test_pcg64_seed_words_reproduce_pcg64_state():
                             rng.integers(0, 2**64, 1200, dtype=np.uint64, endpoint=False)])
     words = engine._pcg64_seed_words(seeds)
     assert words.shape == (seeds.size, 4) and words.dtype == np.uint64
-    for seed, row in zip(seeds.tolist(), words.tolist()):
-        state = np.random.PCG64(seed).state["state"]
-        assert engine._pcg64_state(row) == (state["state"], state["inc"]), seed
+    for seed, row in zip(seeds.tolist(), words):
+        assert engine._seeded(row).bit_generator.state == np.random.PCG64(seed).state, seed
 
 
 def test_pcg64_seed_words_draw_the_market_costs():
+    """A generator seeded from a trial's cost words draws its market's
+    costs, and one advanced by ``a`` draws them from position ``a + 1`` on."""
     seeds = engine._mix_seeds(7, np.arange(5, dtype=np.uint64))
     words = engine._pcg64_seed_words(engine._mix_seeds(seeds, 0))
-    bits = np.random.PCG64(0)
-    for seed, row in zip(seeds.tolist(), words.tolist()):
-        state, inc = engine._pcg64_state(row)
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        costs = np.random.Generator(bits).random(50)
-        assert costs.tobytes() == generate_market(50, seed).costs.tobytes()
+    for seed, row in zip(seeds.tolist(), words):
+        costs = generate_market(50, seed).costs
+        assert engine._seeded(row).random(50).tobytes() == costs.tobytes()
+        for a in (1, 17, 49):
+            rng = engine._seeded(row)
+            rng.bit_generator.advance(a)
+            assert rng.random(50 - a).tobytes() == costs[a:].tobytes(), (seed, a)
 
 
 def test_pcg64_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
-    monkeypatch.setattr(engine, "_PCG64_MULT", engine._PCG64_MULT + 2)
+    monkeypatch.setattr(engine, "_MULT_B", engine._MULT_B + 2)
     with pytest.raises(RuntimeError, match="PCG64"):
         engine._pcg64_seed_words(np.arange(3, dtype=np.uint64))
 
@@ -149,11 +150,13 @@ def test_remembered_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatc
 
 def test_generators_are_built_only_in_the_stream_helpers():
     """Every numpy generator in ``src/`` is built by ``_generator``, by
-    ``_pcg64_seed_words``'s self-check or by the harness's ``_stream_filler``,
-    so no per-game build bypasses the remembered seed words."""
-    allowed = {"_generator", "_pcg64_seed_words", "_stream_filler"}
+    ``_pcg64_seed_words``'s self-check or by ``_seeded``, so no per-game
+    build bypasses the remembered seed words, and exactly one expression
+    builds a PCG64 from seed words."""
+    allowed = {"_generator", "_pcg64_seed_words", "_seeded"}
     builders = {"PCG64", "Generator", "default_rng", "SeedSequence", "RandomState"}
     found = []
+    from_words = []
     for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
         def visit(node, where):
             for child in ast.iter_child_nodes(node):
@@ -165,11 +168,14 @@ def test_generators_are_built_only_in_the_stream_helpers():
                     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                     if name in builders:
                         found.append((path.name, where, name))
+                    if name == "PCG64" and "_SeedWords" in ast.unparse(child):
+                        from_words.append((path.name, where))
                 visit(child, inner)
 
         visit(ast.parse(path.read_text()), None)
     assert {where for _, where, _ in found} <= allowed, found
     assert {where for _, where, _ in found} == allowed  # the scan sees each helper's builds
+    assert from_words == [("engine.py", "_seeded")], from_words
 
 
 @given(st.integers(1, 500), st.integers(1, 60))

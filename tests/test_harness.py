@@ -858,6 +858,33 @@ def test_bulk_phased_trials_never_fail(b, breaker):
     assert agg.success_count == agg.trials
 
 
+@pytest.mark.parametrize("target", [0, 1])
+def test_bulk_phased_kernel_attempts_every_phase(target):
+    """The b+1-phase plan at b = 1 against a Breaker whose one take is
+    Maker's first hit in phase ``target``: it takes the positions priced at
+    or under Maker's thresholds there and no others.  Maker wins only by
+    attempting the other phase too, so a kernel that skips a phase's
+    attempt loses these games.  The first 20 trials are the engine's."""
+    n, trials = 10**4, 2000
+    cfg = _cfg(n=n, b=1, trials=trials, master_seed=19, maker="phased")
+    try:
+        new_maker, _, play_trial, _ = harness._build(cfg)
+        plan = new_maker(0).plan
+        t, ends = plan.position_thresholds, plan.ends
+        assert len(ends) == 2
+        phase = np.searchsorted(ends, np.arange(1, n + 1))
+        s = np.where(phase == target, t, -1.0)
+        success, cost, unmet = harness._run_item_block(cfg, 0, trials, t, ends, s)
+        assert success.all() and unmet == []
+        for i in range(20):
+            seed = mix_seed(cfg.master_seed, i)
+            out = play_trial(seed, new_maker(mix_seed(seed, 101)), engine.ScheduleStrategy(s))
+            assert out.success and out.maker_cost.hex() == cost[i].hex(), i
+            assert len(out.breaker_positions) == 1 and phase[out.M - 1] != target, i
+    finally:
+        harness._build.cache_clear()
+
+
 @pytest.mark.parametrize("breaker", BOX_BULK_BREAKERS)
 def test_bulk_minbox_wins_every_game_from_bn_plus_1(breaker):
     """With m = bn + 1 balls per box, the min-box Maker wins against every

@@ -194,11 +194,14 @@ class _BoxRuntime:
     stream order, box b's at indices b*m to b*m + m - 1 (None on an
     adversarial tape), each box's positions that Breaker took ahead of
     Maker's pointer, in stream order, and the number of Breaker turns.
-    ``box_positions`` is a memoryview of an integer array, so that ``bisect``
-    reads Python ints from it rather than numpy scalars."""
+    ``owner`` and ``ranks`` view the game's owners and the tape's ranks
+    (``market.perm``, which the orderer fills in on an adversarial tape)
+    without copying them.  These views and ``box_positions`` are
+    memoryviews, so that the per-ball loops and ``bisect`` read Python ints
+    from them rather than numpy scalars; a ball's box is its rank // m."""
 
     __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
-                 "breaker_turns")
+                 "breaker_turns", "owner", "ranks")
 
     def __init__(self, cfg: BoxConfig, seed: Optional[int]):
         n, m, total = cfg.n, cfg.m, cfg.total
@@ -233,6 +236,7 @@ class _BoxRuntime:
             self.box_positions = memoryview(order)
         goal = self.goal = BoxState(n, m)
         self.state = GameState(market, GameRules(cfg.b, goal=lambda: goal), seed_record=seed)
+        self.owner, self.ranks = memoryview(self.state.owner), memoryview(market.perm)
         self.claims = [[] for _ in range(n)]
         self.breaker_turns = 0
 
@@ -241,11 +245,11 @@ class _BoxRuntime:
         places each newly revealed ball for the scanning ``player``."""
         state = self.state
         if self.stock is not None:
-            perm, m = state.market.perm, self.goal.m
+            ranks, m = self.ranks, self.goal.m
             for p in range(state.revealed_upto + 1, pos + 1):
                 box = self.orderer.next_box(player, self.stock)
                 self.stock[box] -= 1
-                perm[p - 1] = box * m + m - 1 - self.stock[box]
+                ranks[p - 1] = box * m + m - 1 - self.stock[box]
         state.revealed_upto = pos
 
 
@@ -294,37 +298,52 @@ class MinboxMaker(Strategy):
                 and view.btb_counts[box] >= view.max_uncovered_btb)
 
     def box_turn(self, rt: _BoxRuntime, view: BoxView) -> Optional[int]:
-        """Fast turn for tapes ordered in advance: jump straight to the ball
-        ``decide`` would take.  Returns the position taken, or None to fall
-        back to the generic per-ball loop.
+        """Fast turn for tapes ordered in advance: take the ball ``decide``
+        would take without offering any.  Returns the position taken, or
+        None to fall back to the generic per-ball loop.
 
         While Maker scans, ``max_uncovered`` does not change: Maker passes a
         ball of an uncovered box only while that box's count is below the
-        maximum.  So Maker takes the earliest, over uncovered boxes c, of the
-        (max - btb[c] + 1)-th ball of c past its pointer that Breaker does
-        not own, and every unowned ball it passes now belongs to Breaker.
-        Exactly m - btb[c] balls of c past the pointer are unowned, so while
-        no box is dead every uncovered box has that ball, and the scan never
-        runs off the end of the stream.  A box's passed balls are its positions
-        between the pointer and the take less its claims there: each Breaker
-        ball ahead of Maker's pointer is a claim, and Maker owns none there.
+        maximum.  Most turns take within a few balls, so the turn first
+        applies ``decide``'s rule ball by ball to the 2n balls past the
+        pointer, skipping Breaker's and counting every other ball it passes,
+        of a covered box too, against its box.  Failing a take there, it
+        moves the pointer to the end of that scan and jumps: Maker takes the
+        earliest, over uncovered boxes c, of the (max - btb[c] + 1)-th ball
+        of c past its pointer that Breaker does not own, and every unowned
+        ball it passes now belongs to Breaker.  Exactly m - btb[c] balls of
+        c past the pointer are unowned, so while no box is dead every
+        uncovered box has that ball, and the jump never runs off the end of
+        the stream.  A box's passed balls are its positions between the
+        pointer and the take less its claims there: each Breaker ball ahead
+        of Maker's pointer is a claim, and Maker owns none there.
         """
         if rt.box_positions is None:
             return None
         state, goal = rt.state, rt.goal
         start, top, m = state.maker_ptr, goal.max_uncovered, goal.m
-        positions, claims, btb = rt.box_positions, rt.claims, goal.btb
-        take = min(_free_ball(positions, box * m, box * m + m, claims[box], start,
-                              top - count + 1)
-                   for box, (covered, count) in enumerate(zip(goal.covered, btb))
-                   if not covered)
-        if take > start + 1:
-            for box, mine in enumerate(claims):
-                lo = box * m
-                first = bisect_right(positions, start, lo, lo + m)
-                if first < lo + m and positions[first] < take:
-                    btb[box] += (bisect_right(positions, take - 1, first, lo + m) - first
-                                 - bisect_right(mine, take - 1) + bisect_right(mine, start))
+        covered, btb, owner, ranks = goal.covered, goal.btb, rt.owner, rt.ranks
+        end = min(start + 2 * goal.n, state.n)
+        for take in range(start + 1, end + 1):
+            if owner[take - 1] != UNOWNED:
+                continue
+            box = ranks[take - 1] // m
+            if not covered[box] and btb[box] >= top:
+                break
+            btb[box] += 1
+        else:
+            start = end
+            positions, claims = rt.box_positions, rt.claims
+            take = min(_free_ball(positions, box * m, box * m + m, claims[box], start,
+                                  top - count + 1)
+                       for box, (cov, count) in enumerate(zip(covered, btb)) if not cov)
+            if take > start + 1:
+                for box, mine in enumerate(claims):
+                    lo = box * m
+                    first = bisect_right(positions, start, lo, lo + m)
+                    if first < lo + m and positions[first] < take:
+                        btb[box] += (bisect_right(positions, take - 1, first, lo + m) - first
+                                     - bisect_right(mine, take - 1) + bisect_right(mine, start))
         state.maker_ptr = take
         state.revealed_upto = max(state.revealed_upto, take)
         state.assign(MAKER, take)
@@ -585,7 +604,7 @@ def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
     state.assign(BREAKER, pos)
     state.breaker_ptr = pos
     if pos > state.maker_ptr:
-        box = int(state.market.perm[pos - 1]) // rt.goal.m
+        box = rt.ranks[pos - 1] // rt.goal.m
         rt.claims[box].append(pos)
         rt.goal.breaker_gain(box)
 
@@ -593,17 +612,17 @@ def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
 def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
     """Scan until Maker takes a ball; each unowned ball passed on the way
     now belongs to Breaker.  A Maker with a ``box_turn`` hook (the min-box
-    Maker) jumps straight to its take on a tape ordered in advance.  Other
-    Makers, and the adversarial tape, which is filled in as it is revealed,
-    are offered each ball in turn.  Those Items are built eagerly from
-    ``perm``: on this per-ball path, GameState.item's deferred labels cost
-    half again as much.  The scan never runs past the stream end: an
-    uncovered box starves at its last ball before then."""
+    Maker) plays its turn without offers on a tape ordered in advance.
+    Other Makers, and the adversarial tape, which is filled in as it is
+    revealed, are offered each ball in turn.  Those Items are built eagerly
+    from ``rt.ranks``: on this per-ball path, GameState.item's deferred
+    labels cost half again as much.  The scan never runs past the stream
+    end: an uncovered box starves at its last ball before then."""
     hook = getattr(maker, "box_turn", None)
     if hook is not None and hook(rt, view) is not None:
         return
     state, goal = rt.state, rt.goal
-    owner, costs, perm = state.owner, state.market.costs, state.market.perm
+    owner, costs, ranks = rt.owner, state.market.costs, rt.ranks
     m = goal.m
     while not goal.dead:
         pos = state.maker_ptr + 1
@@ -612,7 +631,7 @@ def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
         state.maker_ptr = pos
         if owner[pos - 1] != UNOWNED:
             continue
-        label = divmod(int(perm[pos - 1]), m)
+        label = divmod(ranks[pos - 1], m)
         if maker.decide(view, Item(pos, label, float(costs[pos - 1]), UNOWNED, True)):
             state.assign(MAKER, pos)
             break
@@ -637,14 +656,17 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
     with a fixed take probability (``_take_probability``) is offered no
     Item: the scan takes each unowned ball when a ``RandomStrategy``'s next
     double is below p, drawn as its ``decide`` draws it, or always for
-    ``AlwaysTake``; ``NeverTake`` sweeps to the stream end in one step.
-    Other Breakers are offered each unowned ball in turn."""
+    ``AlwaysTake``; ``NeverTake`` sweeps to the stream end in one step.  On
+    a tape ordered in advance that scan reads the owners and ranks through
+    the runtime's memoryviews with a local pointer, and writes the pointer
+    and the reveal frontier once, when the turn ends.  Other Breakers, and
+    the adversarial tape, which is filled in ball by ball, go through the
+    per-ball loop, where other Breakers are offered each unowned ball."""
     quota = view.b
     hook = getattr(breaker, "box_turn", None)
     if hook is not None and hook(rt, view, quota) is not None:
         return
     state, goal = rt.state, rt.goal
-    owner, costs, perm = state.owner, state.market.costs, state.market.perm
     m, total = goal.m, state.n
     p = _take_probability(breaker)
     draw = breaker._rng.random if type(breaker) is RandomStrategy else None
@@ -652,7 +674,28 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         rt.reveal_to(total, BREAKER)
         state.breaker_ptr = total
         return
+    owner, ranks = rt.owner, rt.ranks
     takes = 0
+    if p is not None and rt.stock is None:
+        claims, assign, gain = rt.claims, state.assign, goal.breaker_gain
+        maker_ptr, pos = state.maker_ptr, state.breaker_ptr
+        while takes < quota and pos < total:
+            pos += 1
+            if owner[pos - 1] != UNOWNED or (draw is not None and draw() >= p):
+                continue
+            assign(BREAKER, pos)
+            takes += 1
+            # Balls behind Maker's pointer already belong to Breaker.
+            if pos > maker_ptr:
+                box = ranks[pos - 1] // m
+                claims[box].append(pos)
+                gain(box)
+                if goal.dead:
+                    break
+        state.breaker_ptr = pos
+        state.revealed_upto = max(state.revealed_upto, pos)
+        return
+    costs = state.market.costs
     while takes < quota and not goal.dead and state.breaker_ptr < total:
         pos = state.breaker_ptr + 1
         if pos > state.revealed_upto:
@@ -661,7 +704,7 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         if owner[pos - 1] != UNOWNED:
             continue
         if p is None:
-            item = Item(pos, divmod(int(perm[pos - 1]), m), float(costs[pos - 1]), UNOWNED, True)
+            item = Item(pos, divmod(ranks[pos - 1], m), float(costs[pos - 1]), UNOWNED, True)
             take = breaker.decide(view, item)
         else:
             take = draw is None or draw() < p

@@ -230,23 +230,40 @@ def test_focus_fast_path_matches_decide_loop():
 class WatchedMinbox(MinboxMaker):
     """The min-box Maker's fast turn, noting each result, the most
     Breaker-owned balls ahead of Maker's pointer that a turn saw, the most
-    balls a turn passed and the passes with a Breaker-owned ball inside."""
+    balls a turn passed and the passes with a Breaker-owned ball inside.
+    The turn scans the 2n balls past the pointer before it jumps; it also
+    counts the turns that take inside that window and those that jump past
+    it, the scans that skip a Breaker-owned ball, and the windows that reach
+    the end of the stream."""
 
     def __init__(self):
         self.results = []
         self.most_ahead = 0
         self.longest_pass = 0
         self.claimed_passes = 0
+        self.scanned = self.jumped = self.scan_skips = self.window_at_end = 0
 
     def box_turn(self, rt, view):
         ptr = rt.state.maker_ptr
         ahead = sum(p > ptr for p in rt.state.breaker_positions)
         self.most_ahead = max(self.most_ahead, ahead)
+        end = min(ptr + 2 * rt.goal.n, rt.state.n)
         take = super().box_turn(rt, view)
         self.results.append(take)
         self.longest_pass = max(self.longest_pass, take - ptr - 1)
         self.claimed_passes += any(ptr < p < take for p in rt.state.breaker_positions)
+        self.scanned += take <= end
+        self.jumped += take > end
+        self.scan_skips += any(ptr < p <= min(take, end) for p in rt.state.breaker_positions)
+        self.window_at_end += end == rt.state.n
         return take
+
+    def counts(self):
+        return (self.scanned, self.jumped, self.scan_skips, self.window_at_end)
+
+
+def _add_counts(total, maker):
+    return tuple(a + b for a, b in zip(total, maker.counts()))
 
 
 def test_minbox_fast_path_matches_decide_loop():
@@ -257,6 +274,7 @@ def test_minbox_fast_path_matches_decide_loop():
         "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
     }
     starved = most_ahead = longest_pass = claimed_passes = 0
+    counts = {"random": (0, 0, 0, 0), "scripted": (0, 0, 0, 0)}
     # (4, 6, 3) and (6, 5, 4) have m far below bn + 1: a box often starves.
     # Against the focus Breaker, (2, 60, 29) has Maker passes of dozens of
     # balls, some with Breaker's claims inside them.
@@ -280,10 +298,15 @@ def test_minbox_fast_path_matches_decide_loop():
         most_ahead = max(most_ahead, maker.most_ahead)
         longest_pass = max(longest_pass, maker.longest_pass)
         claimed_passes += maker.claimed_passes
+        counts[ordering] = _add_counts(counts[ordering], maker)
     assert starved >= 100
     assert most_ahead >= 10  # Breaker-owned balls the fast turn had to skip
     assert longest_pass > 48
     assert claimed_passes >= 1
+    # Turns that take inside the scan, turns that jump past it, scans that
+    # skip a Breaker-owned ball and scan windows cut at the stream end.
+    for ordering, seen in counts.items():
+        assert all(seen), (ordering, seen)
 
 
 def _recounted_btb(state, n, m):
@@ -295,16 +318,13 @@ def _recounted_btb(state, n, m):
     return np.bincount(state.market.perm[counted] // m, minlength=n).tolist()
 
 
-class RecountedMinbox(MinboxMaker):
-    """The min-box Maker's fast turn, recounting the scoreboard after it."""
-
-    def __init__(self):
-        self.turns = 0
+class RecountedMinbox(WatchedMinbox):
+    """The min-box Maker's fast turn, watched, recounting the scoreboard
+    after it."""
 
     def box_turn(self, rt, view):
         take = super().box_turn(rt, view)
         assert rt.goal.btb == _recounted_btb(rt.state, rt.goal.n, rt.goal.m), take
-        self.turns += 1
         return take
 
 
@@ -315,7 +335,7 @@ def test_minbox_fast_turn_scoreboard_matches_a_recount(ordering):
         "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
         "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
     }
-    turns = 0
+    turns, counts = 0, (0, 0, 0, 0)
     for (n, m, b), breaker, t in itertools.product(
             [(2, 3, 1), (5, 11, 2), (6, 5, 4), (2, 60, 29), (7, 40, 3)], breakers, range(8)):
         seed = mix_seed(19, t)
@@ -326,8 +346,10 @@ def test_minbox_fast_turn_scoreboard_matches_a_recount(ordering):
         cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
         maker = RecountedMinbox()
         play_box(cfg, maker, breakers[breaker](seed), seed=seed)
-        turns += maker.turns
+        turns += len(maker.results)
+        counts = _add_counts(counts, maker)
     assert turns >= 400
+    assert all(counts), counts  # both halves of the turn, skips, windows at the end
 
 
 @pytest.mark.parametrize("n, m, itemsize", [(5, 51, 1), (4, 64, 2), (5, 13107, 2),

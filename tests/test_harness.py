@@ -727,6 +727,41 @@ def test_box_games_in_bulk_are_adversarial_minbox_blocks(monkeypatch, changes, b
         assert len(games) == (0 if in_bulk else trials)
 
 
+def test_random_tape_minbox_games_take_the_turns_without_offers(monkeypatch):
+    """A ``box_n5``-shaped call, a random tape between the min-box Maker and
+    the random Breaker, plays each trial as one ``play_box`` game whose
+    turns offer no ball: no Item is built, and neither strategy's
+    ``decide`` is called."""
+    calls = {"play_box": 0, "Item": 0, "MinboxMaker.decide": 0, "RandomStrategy.decide": 0}
+
+    def counted(name, real):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counting
+
+    real_deferred = engine._deferred
+
+    def deferred(cls, *args, **kwargs):
+        calls["Item"] += cls is engine.Item
+        return real_deferred(cls, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_deferred", deferred)
+    monkeypatch.setattr(engine.Item, "__init__", counted("Item", engine.Item.__init__))
+    monkeypatch.setattr(box_game, "play_box", counted("play_box", box_game.play_box))
+    for cls in (box_game.MinboxMaker, engine.RandomStrategy):
+        monkeypatch.setattr(cls, "decide", counted(f"{cls.__name__}.decide", cls.decide))
+    cfg = _box_cfg(n=5, m=11, b=2, trials=300, master_seed=1, ordering="random")
+    assert run_trials(cfg, jobs=1).success_count == 300
+    assert calls == {"play_box": 300, "Item": 0, "MinboxMaker.decide": 0,
+                     "RandomStrategy.decide": 0}
+    # The counters see the per-ball path when it runs.
+    box_game.play_box(box_game.BoxConfig(n=2, m=3, b=1), engine.SlowTurns(box_game.MinboxMaker()),
+                      engine.SlowTurns(engine.RandomStrategy(0.5, 1)), seed=1)
+    assert calls["Item"] > 0 and calls["MinboxMaker.decide"] > 0
+    assert calls["RandomStrategy.decide"] > 0
+
+
 @pytest.mark.parametrize("trials", [64, 127, 250, 521])
 def test_bulk_box_calls_keep_bulk_chunks_at_jobs_2(fresh_pool, monkeypatch, trials):
     """At jobs=2 every chunk of a call that plays in bulk holds at least

@@ -107,6 +107,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _run_game(args) -> int:
+    if not 0 <= args.seed < 2**64:  # the library would reduce it mod 2**64
+        raise _CliError(f"--seed must lie in [0, 2**64), got {args.seed}")
     cfg = harness.TrialConfig(
         game=args.command,
         n=args.n,

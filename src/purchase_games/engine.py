@@ -412,7 +412,6 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
     words = words.astype("<u4").view("<u8").astype(np.uint64)
     if entropy.size:
-        np.random.bit_generator.ISeedSequence.register(_SeedWords)
         if (_seeded(words[0]).bit_generator.state
                 != np.random.PCG64(int(entropy[0])).state):
             raise RuntimeError("numpy's PCG64 no longer seeds as _pcg64_seed_words assumes")
@@ -426,15 +425,13 @@ def _seeded(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-class _SeedWords:
+class _SeedWords(np.random.bit_generator.ISeedSequence):
     """A seed sequence that hands PCG64 its four precomputed seed words, a
     contiguous uint64 row of ``_pcg64_seed_words``, whatever it is asked.
-    ``_pcg64_seed_words`` registers it as numpy's ``ISeedSequence`` before
-    the first PCG64 is built from it: subclassing that here would import
-    ``numpy.random`` with this module, ahead of the rest of the program,
-    which alone raised the process's peak memory."""
-
-    __slots__ = ("words",)
+    It subclasses numpy's ``ISeedSequence`` rather than being registered as
+    one: ``abc`` caches a subclass for PCG64's ``isinstance`` check, but
+    never a registered class, whose check then runs in Python on every
+    build."""
 
     def __init__(self, words: np.ndarray):
         self.words = words

@@ -3,9 +3,12 @@
 A TrialConfig names a game, a Maker and a Breaker from the strategy catalog,
 and all game parameters; ``run_trials`` executes the trials with per-trial
 seeds derived from the master seed by a fixed 64-bit mix, optionally fanned
-out across processes.  Aggregation is exact and order-independent: per-trial
-results are gathered in trial-index order and reduced with correctly rounded
-summation, so a run with ``jobs=8`` is bitwise identical to ``jobs=1``.
+out across processes in chunks of consecutive trials: one chunk a worker for
+a config played in bulk, up to four a worker for one played a trial at a
+time, and a call of one chunk in the calling process.  Aggregation is exact
+and order-independent: per-trial results are gathered in trial-index order
+and reduced with correctly rounded summation, so a run with ``jobs=8`` is
+bitwise identical to ``jobs=1``.
 
 The fan-out's workers are forked (by ``fork``, whatever the default start
 method) at the first parallel call with a given worker count and reused by
@@ -228,6 +231,8 @@ def _game(cfg: TrialConfig):
         stream = _edge_stream_length(cfg)
         if stream < 1:
             raise ValueError("need at least 2 vertices")
+        if cfg.maker == "triangle" and cfg.n < 3:
+            raise ValueError("need at least k=3 vertices")
         phases = cfg.phases if cfg.maker == "triangle" else k
         rules = GameRules(b=cfg.b, phase_count=phases,
                           goal=functools.partial(clique_game.CliqueGoal, k))
@@ -272,8 +277,9 @@ def _build(cfg: TrialConfig):
         if name not in catalog:
             raise ValueError(
                 f"unknown {role} {name!r} for {cfg.game}; catalog: {sorted(catalog)}")
+    play_trial = _game(cfg)
     new_maker, new_breaker = makers[cfg.maker](cfg), breakers[cfg.breaker](cfg)
-    _builds.last = cfg, (new_maker, new_breaker, _game(cfg),
+    _builds.last = cfg, (new_maker, new_breaker, play_trial,
                          _bulk_plan(cfg, new_maker, new_breaker))
     return _builds.last[1]
 
@@ -616,9 +622,13 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     raises ValueError.  The config is built first, in the calling process,
     so an unknown strategy name or a bad game parameter raises ValueError
     there, whatever the trial and worker counts.  With ``jobs`` > 1 the
-    trials run in up to ``jobs * 4`` chunks, whose sizes differ by at most
-    one, on at most one worker per chunk; fewer when the config's bulk plan
-    needs more trials a chunk (``_bulk_plan``).  Parallel calls from several
+    trials split into chunks whose sizes differ by at most one.  A call the
+    config's bulk plan plays (``_bulk_plan``: blocks of at least ``rows``
+    trials) sends one chunk to each worker, ``min(jobs, trials // rows)``,
+    as a bulk trial costs the same wherever it runs; any other call splits
+    into ``min(4 * jobs, trials)`` chunks, as its trials vary in cost.  A
+    call of one chunk plays it in the calling process, and one of more on a
+    pool of at most one worker per chunk.  Parallel calls from several
     threads take turns on the pool; an error while the chunks run shuts it
     down, and the next parallel call forks a new one.  Results are reduced
     in trial-index order with exact summation, so the aggregate does not
@@ -632,17 +642,20 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
         raise ValueError("trials must be >= 0")
 
     try:
-        _, rows = _build(config)[3]
-        if jobs <= 1 or trials == 0:
+        block, rows = _build(config)[3]
+        if jobs <= 1:
+            parts = 1
+        elif block is not None and trials >= rows:
+            parts = min(jobs, trials // rows)  # each of at least `rows` trials
+        else:
+            parts = min(4 * jobs, trials)
+        if parts <= 1:
             chunks = [_run_chunk(config, 0, trials)]
         else:
-            # Chunks as even as they can be, each of at least `rows` trials if
-            # the call has that many, so that each plays in bulk.
-            parts = min(jobs * 4, trials // (rows if trials >= rows else 1))
             bounds = [trials * i // parts for i in range(parts + 1)]
             spans = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
             with _pool_lock:
-                pool = _worker_pool(min(jobs, len(spans)))
+                pool = _worker_pool(min(jobs, parts))
                 try:
                     futures = [pool.submit(_run_chunk, config, start, count)
                                for start, count in spans]

@@ -73,15 +73,18 @@ def fresh_pool():
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its worker count and runs
-    each submitted chunk inline, starting no process."""
+    """Stands in for ProcessPoolExecutor: records its worker count and the
+    chunks submitted to it, and runs each chunk inline, starting no
+    process."""
 
     made: list = []
+    submitted: list = []
 
     def __init__(self, max_workers, mp_context=None, initializer=None):
         self.made.append(max_workers)
 
     def submit(self, fn, *args):
+        self.submitted.append(args)
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -96,6 +99,60 @@ def test_pool_has_no_more_workers_than_chunks(fresh_pool, monkeypatch):
     cfg = _cfg(trials=3)
     assert run_trials(cfg, jobs=64) == run_trials(cfg, jobs=1)
     assert _InlinePool.made == [3]
+
+
+@pytest.fixture
+def inline_pool(fresh_pool, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "made", [])
+    monkeypatch.setattr(_InlinePool, "submitted", [])
+
+
+def test_parallel_calls_of_one_chunk_play_it_in_the_caller(inline_pool):
+    """A one-trial call makes one chunk, and so does a bulk box call of
+    fewer than ``2 * _BOX_ROWS`` trials: the caller plays it, without
+    forking a pool or shutting down the one it has."""
+    cfgs = [_cfg(n=200, trials=trials) for trials in (1, 2000, 1, 2000)]
+    for cfg in cfgs + [_box_cfg(n=5, m=11, b=2, trials=100)]:
+        assert run_trials(cfg, jobs=2) == run_trials(cfg, jobs=1)
+    assert _InlinePool.made == [2]
+
+
+CHUNK_PLAN_TRIALS = (1, 2, 3, 63, 64, 65, 127, 521, 2000)
+CHUNK_PLAN_CFGS = {  # config, and the fewest trials its chunks play in bulk (None: never)
+    "bulk-item": (dict(n=200), 1),
+    "bulk-box": (dict(game="box", n=5, m=11, b=2, master_seed=3, maker="minbox",
+                      breaker="random", ordering="adversarial"), 64),
+    "item-alone": (dict(phases=2), None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_PLAN_CFGS))
+def test_chunk_plan_submits_one_bulk_chunk_a_worker(inline_pool, kind):
+    """A call played in bulk sends ``min(jobs, trials // rows)`` chunks, any
+    other ``min(4 * jobs, trials)``; a call of one chunk submits none."""
+    changes, rows = CHUNK_PLAN_CFGS[kind]
+    block, plan_rows = harness._build(_cfg(**changes))[3]
+    harness._build.cache_clear()
+    assert (block is not None, plan_rows) == (rows is not None, rows or 1)
+    for jobs in (2, 3):
+        for trials in CHUNK_PLAN_TRIALS:
+            _InlinePool.submitted.clear()
+            run_trials(_cfg(trials=trials, **changes), jobs=jobs)
+            bulk = rows is not None and trials >= rows
+            parts = min(jobs, trials // rows) if bulk else min(4 * jobs, trials)
+            assert len(_InlinePool.submitted) == (parts if parts > 1 else 0), (jobs, trials)
+            assert sum(count for _, _, count in _InlinePool.submitted) in (0, trials)
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_PLAN_CFGS))
+def test_chunk_plan_exports_equal_the_serial_bytes(fresh_pool, kind):
+    changes, _ = CHUNK_PLAN_CFGS[kind]
+    for jobs in (2, 3):
+        for trials in CHUNK_PLAN_TRIALS:
+            cfg = _cfg(trials=trials, **changes)
+            assert _exported(run_trials(cfg, jobs=jobs)) == _exported(run_trials(cfg, jobs=1)), \
+                (jobs, trials)
 
 
 def _worker_processes():
@@ -1057,11 +1114,19 @@ def test_cli_bad_config_exits_1(capsys):
     ["item", "--n", "0"],
     ["item", "--n", "0", "--maker", "always", "--breaker", "never"],
     ["clique", "--n", "1"],
+    ["clique", "--n", "2", "--k", "3", "--maker", "triangle"],
+    ["item", "--n", "10", "--seed", "-1"],  # the library would reduce a seed mod 2**64
+    ["item", "--n", "10", "--seed", str(2**64)],
 ])
 def test_cli_bad_game_parameter_exits_1(capsys, argv):
     for trials in ("0", "2"):  # a run with no trials checks the game as well
         assert cli_main(argv + ["--trials", trials]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_accepts_the_largest_64_bit_seed(capsys):
+    assert cli_main(["item", "--n", "10", "--trials", "2", "--seed", str(2**64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
 
 
 def test_cli_assert_mode_exit_codes(capsys):

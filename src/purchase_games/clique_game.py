@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import (
-    UNOWNED,
     Goal,
     Item,
     Market,
@@ -281,42 +280,29 @@ class TriangleMaker(StagedScanner):
         self._reset()
 
     def _reset(self):
-        self._leaves: set = set()
         self._leaf_mask = np.zeros(self.n, dtype=bool)
         self.failure_phase = None
 
+    def _enter_phase(self, phase: int, revealed: int) -> None:
+        if phase == 1:
+            self._stage = (np.arange(self.n) == self.root, np.ones(self.n, dtype=bool),
+                           self.star_threshold, self.star_target)
+        else:
+            self._stage = (self._leaf_mask, self._leaf_mask, self.close_threshold, math.inf)
+
     def _close_phase(self, phase: int) -> None:
-        if phase == 1 and len(self._leaves) < self.star_target:
+        if phase == 1 and self._taken < self._stage[3]:
             self.failure_phase = "star"
 
-    def decide(self, view: View, item: Item) -> bool:
-        self._sync(item.position, view)
-        if self._stage_bounds() is None:
-            return False
-        u, v = item.label
+    def _admit(self, view: View, item: Item) -> bool:
         if self._phase == 1:
-            if len(self._leaves) >= self.star_target:
-                return False
-            if u != self.root and v != self.root:
-                return False
-            if item.cost > self.star_threshold or item.owner != UNOWNED:
-                return False
-            w = v if u == self.root else u
-            self._leaves.add(w)
-            self._leaf_mask[w] = True
-            return True
-        if self._leaf_mask[u] and self._leaf_mask[v] and item.cost <= self.close_threshold:
-            return item.owner == UNOWNED
-        return False
-
-    def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
-        if self._phase == 1:
-            return self._masked(lo, hi, np.arange(self.n) == self.root,
-                                np.ones(self.n, dtype=bool), self.star_threshold)
-        return self._masked(lo, hi, self._leaf_mask, self._leaf_mask, self.close_threshold)
+            u, v = item.label
+            self._leaf_mask[v if u == self.root else u] = True
+        return True
 
     # Bound in the class body, not only inherited, so each Maker class owns
-    # a play_turn that perfbench/tracer.py can wrap on its own.
+    # a decide and a play_turn that perfbench/tracer.py can wrap on its own.
+    decide = StagedScanner.decide
     play_turn = StagedScanner.play_turn
 
 
@@ -379,7 +365,6 @@ class KCliqueMaker(StagedScanner):
         self._collected: list = []
         self._matched_mask = np.zeros(plan.n, dtype=bool)
         self._partner = np.full(plan.n, -1, dtype=np.int64)
-        self._ext_count = 0
         self._ext_cands: Optional[np.ndarray] = None
         self._closing_at: dict = {}
         self._live_closings: Optional[np.ndarray] = None
@@ -398,26 +383,31 @@ class KCliqueMaker(StagedScanner):
         return "closing"
 
     def _enter_phase(self, phase: int, revealed: int) -> None:
-        kind = self._kind(phase)
+        plan, kind, leaf = self.plan, self._kind(phase), self._leaf_mask
         if kind == "star":
-            root = int(np.flatnonzero(self._leaf_mask)[0])
+            root = int(np.flatnonzero(leaf)[0])
             self._root = root
             self._new_leaves = []
             self.progress.roots.append(root)
+            self._stage = (np.arange(plan.n) == root, leaf, plan.star_thresholds[phase - 1],
+                           int(plan.star_targets[phase - 1]))
         elif kind == "matching":
             self._collected = []
+            self._stage = (leaf, leaf, plan.matching_threshold, plan.target_collect)
         elif kind == "extension":
+            self._stage = (leaf & self._matched_mask, leaf, plan.extend_threshold,
+                           plan.target_closing)
             self._prepare_extension(phase)
-        elif kind == "closing":
+        else:
+            self._stage = None  # the closing phase decides in _admit
             self._prepare_closing(revealed)
 
     def _close_phase(self, phase: int) -> None:
         plan = self.plan
         kind = self._kind(phase)
         if kind == "star":
-            j = phase
-            if len(self._new_leaves) < int(plan.star_targets[j - 1]):
-                self.failure_phase = f"star-{j}"
+            if self._taken < self._stage[3]:
+                self.failure_phase = f"star-{phase}"
                 return
             mask = np.zeros(plan.n, dtype=bool)
             mask[self._new_leaves] = True
@@ -434,18 +424,16 @@ class KCliqueMaker(StagedScanner):
                 self._matched_mask[c] = True
                 self._partner[a] = c
                 self._partner[c] = a
-        elif kind == "extension":
-            if self._ext_count < plan.target_closing:
-                self.failure_phase = "extension"
+        elif kind == "extension" and self._taken < self._stage[3]:
+            self.failure_phase = "extension"
 
     def _prepare_extension(self, phase: int) -> None:
         """The phase's candidates, and the positions past the phase start of
         the closing edges they would register, by rank; a closing edge
         before the phase is revealed before any candidate is offered."""
-        plan, market = self.plan, self._market
-        lo, leaf, matched = plan.phase_start(phase) - 1, self._leaf_mask, self._matched_mask
-        self._ext_cands = self._masked(lo, plan.phase_end(phase), leaf & matched, leaf,
-                                       plan.extend_threshold)
+        plan, market, matched = self.plan, self._market, self._matched_mask
+        lo = plan.phase_start(phase) - 1
+        self._ext_cands = self._masked(lo, plan.phase_end(phase), *self._stage[:3])
         u, v = market.universe.endpoints(market.perm[self._ext_cands - 1])
         shared, other = np.where(matched[u], u, v), np.where(matched[u], v, u)
         mate = self._partner[shared]
@@ -476,90 +464,47 @@ class KCliqueMaker(StagedScanner):
 
     # -- decisions ------------------------------------------------------------
 
-    def decide(self, view: View, item: Item) -> bool:
-        self._sync(item.position, view)
-        if self._stage_bounds() is None:
-            return False
-        plan = self.plan
+    def _admit(self, view: View, item: Item) -> bool:
         kind = self._kind(self._phase)
         u, v = item.label
         if kind == "star":
-            j = self._phase
-            if len(self._new_leaves) >= int(plan.star_targets[j - 1]):
-                return False
-            root = self._root
-            if u != root and v != root:
-                return False
-            w = v if u == root else u
-            if not self._leaf_mask[w]:
-                return False
-            if item.cost > plan.star_thresholds[j - 1] or item.owner != UNOWNED:
-                return False
-            self._new_leaves.append(w)
+            self._new_leaves.append(v if u == self._root else u)
             return True
         if kind == "matching":
-            if len(self._collected) >= plan.target_collect:
-                return False
-            if not (self._leaf_mask[u] and self._leaf_mask[v]):
-                return False
-            if item.cost > plan.matching_threshold or item.owner != UNOWNED:
-                return False
             self._collected.append((u, v))
             return True
-        if kind == "extension":
-            if self._ext_count >= plan.target_closing:
+        if kind == "closing":  # phased item-game thresholds over live candidates
+            live = self._live_closings
+            idx = int(np.searchsorted(live, item.position))
+            if idx >= len(live) or live[idx] != item.position:
                 return False
-            if not (self._leaf_mask[u] and self._leaf_mask[v]):
-                return False
-            if item.cost > plan.extend_threshold:
-                return False
-            if self._matched_mask[u]:
-                shared, other = u, v
-            elif self._matched_mask[v]:
-                shared, other = v, u
-            else:
-                return False
-            mate = int(self._partner[shared])
-            if mate == other:
-                return False  # the matching edge itself (owned anyway)
-            closing = (mate, other) if mate < other else (other, mate)
-            closing_pos = self._closing_at.get(int(self._market.universe.edge_rank(*closing)), 0)
-            if closing_pos <= view.revealed_upto:
-                return False  # already offered to someone
-            if closing_pos in self.progress.pending_closings:
-                return False
-            if item.owner != UNOWNED:
-                return False
-            self.progress.pending_closings[closing_pos] = closing
-            # (edge, closing label, closing position, frontier at registration)
-            self.progress.extensions.append(((u, v), closing, closing_pos,
-                                             view.revealed_upto))
-            self._ext_count += 1
-            return True
-        # closing phase: phased item-game thresholds over live candidates
-        live = self._live_closings
-        idx = int(np.searchsorted(live, item.position))
-        if idx >= len(live) or live[idx] != item.position:
-            return False
-        return self._closer.decide(view, Item(idx + 1, (u, v), item.cost, item.owner,
-                                              item.revealed))
+            return self._closer.decide(view, Item(idx + 1, (u, v), item.cost, item.owner,
+                                                  item.revealed))
+        # extension: register the edge closing a triangle with the matching
+        # edge at the matched end ({u, v} is no matching edge: those lie in
+        # the matching phase)
+        shared, other = (u, v) if self._matched_mask[u] else (v, u)
+        mate = int(self._partner[shared])
+        closing = (mate, other) if mate < other else (other, mate)
+        closing_pos = self._closing_at.get(int(self._market.universe.edge_rank(*closing)), 0)
+        if closing_pos <= view.revealed_upto or closing_pos in self.progress.pending_closings:
+            return False  # already offered to someone, or registered
+        self.progress.pending_closings[closing_pos] = closing
+        self.progress.extensions.append(((u, v), closing, closing_pos, view.revealed_upto))
+        return True
 
     # -- fast scanning ----------------------------------------------------------
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
-        plan = self.plan
         kind = self._kind(self._phase)
+        if kind == "extension":
+            return self._ext_cands
         if kind == "closing":
             return self._live_closings
-        leaf = self._leaf_mask
-        if kind == "star":
-            return self._masked(lo, hi, np.arange(plan.n) == self._root, leaf,
-                                plan.star_thresholds[self._phase - 1])
-        if kind == "matching":
-            return self._masked(lo, hi, leaf, leaf, plan.matching_threshold)
-        return self._ext_cands
+        return super()._stage_candidates(lo, hi)
 
     # Bound in the class body for the same reason as TriangleMaker's.
+    decide = StagedScanner.decide
     play_turn = StagedScanner.play_turn
 
 

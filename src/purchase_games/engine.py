@@ -1034,28 +1034,33 @@ class SlowTurns(Strategy):
 
 
 class StagedScanner(PhaseBounds, Strategy):
-    """Fast turn loop shared by Makers that play an edge stream in phases.
+    """Fast turn loop and shared admission of the Makers that play an edge
+    stream in phases.
 
-    A phase is a stretch of the stream during which the Maker's candidate
-    set is fixed: on entering it, the Maker's state already determines
-    every position where ``decide`` could say yes.  The scanner walks the
-    phases, builds that sorted array once per phase, jumps the pointer from
-    one candidate to the next with ``skip_to``, and hands each candidate to
-    ``decide``, so it makes exactly the decisions of the per-item loop.
+    A Maker states, on entering each phase, the phase's stage ``(a, b,
+    threshold, quota)``, and keeps its take bookkeeping in ``_admit``.
+    ``decide`` takes an unowned edge priced at most ``threshold`` with one
+    end in the vertex mask ``a`` and the other in ``b``, while the phase has
+    taken fewer than ``quota`` edges, and then only if ``_admit`` agrees; a
+    stage of None leaves the whole decision to ``_admit``.  The scanner
+    walks the phases, builds the sorted positions where ``decide`` could say
+    yes once per phase, jumps the pointer from one to the next with
+    ``skip_to`` and hands each to ``decide``, so it makes exactly the
+    decisions of the per-item loop.
 
     Subclasses set ``ends`` (the last position of each phase) and provide
     ``_reset()`` (fresh per-game state, with ``failure_phase`` None),
-    ``_close_phase(phase)`` (judge a finished phase; may set
-    ``failure_phase``), ``_stage_candidates(lo, hi)`` and ``decide``, which
-    calls ``_sync`` first.  ``_enter_phase(phase, revealed)`` is optional.
-    Every stage's edges are those with one end in a vertex mask A and the
-    other in a vertex mask B, so ``_stage_candidates`` passes ``_masked``
-    the two masks and a cost threshold.
+    ``_enter_phase(phase, revealed)`` (sets ``_stage``),
+    ``_close_phase(phase)`` (judges a finished phase from ``_taken``; may
+    set ``failure_phase``) and ``_admit(view, item)`` (whether to take an
+    item the stage lets through; records the take when it says yes).
     """
 
     _market: Optional[Market] = None
     _scan: Optional[tuple] = None  # (stage bounds, candidates) last built
     _phase = 1
+    _stage: Optional[tuple] = None  # (a, b, threshold, quota) of the phase
+    _taken = 0  # edges taken in the phase
 
     def prepare(self, market: Market) -> None:
         self._market = market
@@ -1063,11 +1068,9 @@ class StagedScanner(PhaseBounds, Strategy):
     def begin(self, view: View) -> None:
         self._reset()
         self._phase = 1
+        self._taken = 0
         self._scan = None
         self._enter_phase(1, 0)
-
-    def _enter_phase(self, phase: int, revealed: int) -> None:
-        """Set up ``phase``; ``revealed`` is the reveal frontier."""
 
     def _sync(self, pos: int, view: View) -> None:
         """Close each phase that ends before ``pos`` and enter the next,
@@ -1076,6 +1079,7 @@ class StagedScanner(PhaseBounds, Strategy):
                and pos > self.phase_end(self._phase)):
             self._close_phase(self._phase)
             self._phase += 1
+            self._taken = 0
             if self.failure_phase is None and self._phase <= self.phase_count:
                 self._enter_phase(self._phase, view.revealed_upto)
 
@@ -1088,7 +1092,23 @@ class StagedScanner(PhaseBounds, Strategy):
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         """The sorted positions in lo+1..hi where ``decide`` could say yes."""
-        raise NotImplementedError
+        a, b, threshold, _ = self._stage
+        return self._masked(lo, hi, a, b, threshold)
+
+    def decide(self, view: View, item: Item) -> bool:
+        self._sync(item.position, view)
+        if self._stage_bounds() is None:
+            return False
+        if self._stage is not None:
+            a, b, threshold, quota = self._stage
+            u, v = item.label
+            if (self._taken >= quota or item.cost > threshold or item.owner != UNOWNED
+                    or not (a[u] and b[v] or a[v] and b[u])):
+                return False
+        if not self._admit(view, item):
+            return False
+        self._taken += 1
+        return True
 
     def _masked(self, lo: int, hi: int, a: np.ndarray, b: np.ndarray,
                 threshold: float) -> np.ndarray:

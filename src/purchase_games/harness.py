@@ -145,8 +145,7 @@ def _triangle_maker(cfg: TrialConfig):
 
 
 def _clique_mimic(cfg: TrialConfig):
-    mimic = (clique_game.triangle_mimic_breaker(cfg.n, cfg.b)
-             if _clique_k(cfg) == 3 and cfg.phases <= 1
+    mimic = (clique_game.triangle_mimic_breaker(cfg.n, cfg.b) if cfg.maker == "triangle"
              else clique_game.plan_mimic_breaker(
                  clique_game.clique_plan(cfg.n, cfg.b, _clique_k(cfg))))
     return _fresh(ScheduleStrategy, mimic.values, mimic.ends)
@@ -231,6 +230,8 @@ def _game(cfg: TrialConfig):
         stream = _edge_stream_length(cfg)
         if stream < 1:
             raise ValueError("need at least 2 vertices")
+        if cfg.maker == "triangle" and k != 3:
+            raise ValueError(f"the triangle Maker plays k=3, got k={k}")
         if cfg.maker == "triangle" and cfg.n < 3:
             raise ValueError("need at least k=3 vertices")
         phases = cfg.phases if cfg.maker == "triangle" else k

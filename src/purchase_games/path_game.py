@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .engine import (
-    UNOWNED,
     Goal,
     Item,
     Market,
@@ -213,79 +212,45 @@ class PathMaker(StagedScanner):
 
     # -- phase bookkeeping ----------------------------------------------------
 
-    def _growing_t(self) -> bool:
-        return self._phase <= self.plan.k
-
     def _growing(self) -> bool:
         return self._phase <= 2 * self.plan.k
 
-    def _target(self) -> int:
-        plan = self.plan
-        i = self._phase if self._growing_t() else self._phase - plan.k
-        return int(plan.int_targets[i - 1])
-
     def _enter_phase(self, phase: int, revealed: int) -> None:
+        plan = self.plan
         if not self._growing():
             # The trees stop changing once growth ends, so each connect
             # phase recomputes the same threshold.
             t_size = int(self._in_t.sum())
             tp_size = int(self._in_tp.sum())
-            self._connect_thr = self.plan.connect_threshold(t_size, tp_size)
+            self._connect_thr = plan.connect_threshold(t_size, tp_size)
+            self._stage = (self._in_t, self._in_tp, self._connect_thr, math.inf)
             return
-        self._prev_mask = (self._in_t if self._growing_t() else self._in_tp).copy()
-        self._count = 0
+        self._own, self._parents = ((self._in_t, self.trees.parent_t) if phase <= plan.k
+                                    else (self._in_tp, self.trees.parent_tp))
+        self._prev_mask = prev = self._own.copy()
+        self._stage = (prev, ~prev, plan.growth_threshold,
+                       int(plan.int_targets[(phase - 1) % plan.k]))
 
     def _close_phase(self, phase: int) -> None:
-        if self._growing() and self._count < self._target():
+        if self._growing() and self._taken < self._stage[3]:
             self.failure_phase = phase
 
-    # -- decisions --------------------------------------------------------------
-
-    def decide(self, view: View, item: Item) -> bool:
-        self._sync(item.position, view)
-        if self._stage_bounds() is None:
-            return False
-        a, b = item.label
-        if self._growing():
-            if self._count >= self._target():
-                return False
-            prev = self._prev_mask
-            in_a, in_b = bool(prev[a]), bool(prev[b])
-            if in_a == in_b:
-                return False
-            if item.cost > self.plan.growth_threshold:
-                return False
-            attach, new = (a, b) if in_a else (b, a)
-            own = self._in_t if self._growing_t() else self._in_tp
-            if own[new]:
-                return False
-            if item.owner != UNOWNED:
-                return False
-            own[new] = True
-            if self._growing_t():
-                self.trees.parent_t[new] = attach
-            else:
-                self.trees.parent_tp[new] = attach
-            self._count += 1
+    def _admit(self, view: View, item: Item) -> bool:
+        """A growth edge must also reach a vertex the tree has not taken
+        in this phase; its new end gets its parent."""
+        if not self._growing():
             return True
-        # connect stage
-        cross = (self._in_t[a] and self._in_tp[b]) or (self._in_t[b] and self._in_tp[a])
-        if not cross:
+        a, b = item.label
+        attach, new = (a, b) if self._prev_mask[a] else (b, a)
+        if self._own[new]:
             return False
-        if item.cost > self._connect_thr:
-            return False
-        return item.owner == UNOWNED
-
-    # -- fast scanning ------------------------------------------------------------
-
-    def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
-        if self._growing():
-            prev = self._prev_mask
-            return self._masked(lo, hi, prev, ~prev, self.plan.growth_threshold)
-        return self._masked(lo, hi, self._in_t, self._in_tp, self._connect_thr)
+        self._own[new] = True
+        self._parents[new] = attach
+        return True
 
     # Bound in the class body, not only inherited, so that perfbench/tracer.py
-    # can wrap this class's own play_turn.
+    # can wrap this class's own decide and play_turn.
+    decide = StagedScanner.decide
     play_turn = StagedScanner.play_turn
 
 

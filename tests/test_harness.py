@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game, engine, harness, item_game
+from purchase_games import box_game, clique_game, engine, harness, item_game
 from purchase_games.cli import cli_main
 from purchase_games.engine import mix_seed
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
@@ -304,6 +304,18 @@ def test_all_game_types_run():
                                   maker="path", breaker="cheap_grab"))
     assert path.trials == 5
     assert "grow" not in path.failure_histogram or path.success_count < 5
+
+
+@pytest.mark.parametrize("maker, k", [("triangle", 3), ("kclique", 3), ("kclique", 4)])
+def test_clique_mimic_prices_like_the_maker_it_faces(maker, k):
+    cfg = TrialConfig(game="clique", n=60, b=1, k=k, trials=1, master_seed=5,
+                      maker=maker, breaker="mimic")
+    mimic = harness.breaker_catalog("clique")["mimic"](cfg)(0)
+    want = (clique_game.triangle_mimic_breaker(60, 1) if maker == "triangle"
+            else clique_game.plan_mimic_breaker(clique_game.clique_plan(60, 1, k)))
+    assert np.array_equal(mimic.ends, want.ends)
+    assert np.array_equal(mimic.values, want.values)
+    assert len(mimic.ends) == (2 if maker == "triangle" else k)
 
 
 @pytest.mark.parametrize("maker, breaker, b", [
@@ -1117,6 +1129,7 @@ def test_cli_bad_config_exits_1(capsys):
     ["clique", "--n", "2", "--k", "3", "--maker", "triangle"],
     ["item", "--n", "10", "--seed", "-1"],  # the library would reduce a seed mod 2**64
     ["item", "--n", "10", "--seed", str(2**64)],
+    ["clique", "--n", "30", "--k", "4", "--maker", "triangle"],  # a triangle needs k=3
 ])
 def test_cli_bad_game_parameter_exits_1(capsys, argv):
     for trials in ("0", "2"):  # a run with no trials checks the game as well

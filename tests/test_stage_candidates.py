@@ -9,7 +9,9 @@ stage's slice of them, and the cost test.
 """
 
 import itertools
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +25,12 @@ from purchase_games.clique_game import (
     triangle_mimic_breaker,
 )
 from purchase_games.engine import (
+    BREAKER,
+    MAKER,
+    UNOWNED,
     EdgeLabels,
     GameRules,
+    Item,
     RandomStrategy,
     StagedScanner,
     generate_market,
@@ -210,3 +216,55 @@ def test_masked_routes_agree_on_every_stage_kind():
             left = np.count_nonzero(market.costs[lo:hi] <= thr)
             routes.add(np.count_nonzero(a) * np.count_nonzero(b) < left)
     assert routes == {True, False}  # the unforced scanner took both routes
+
+
+class HandStaged(StagedScanner):
+    """A scanner whose phases play stages given by hand; its ``_admit``
+    records each call and refuses every position divisible by 5."""
+
+    def __init__(self, ends, stages):
+        self.ends, self.stages = ends, stages
+
+    def _reset(self):
+        self.admitted = []
+
+    def _enter_phase(self, phase, revealed):
+        self._stage = self.stages[phase - 1]
+
+    def _close_phase(self, phase):
+        pass
+
+    def _admit(self, view, item):
+        self.admitted.append(item.position)
+        return item.position % 5 != 0
+
+
+@pytest.mark.parametrize("quota", [0, 1, 2, math.inf])
+def test_shared_admission_is_the_stage_predicate(quota):
+    """``decide`` against a plain predicate, over every edge of K_6 in both
+    orientations, at prices below, at and above the threshold and under
+    each owner, in two phases whose quota counts from 0 each."""
+    n, thr = 6, 0.5
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        a, b = rng.random(n) < 0.4, rng.random(n) < 0.6
+        offers = [(u, v, cost, owner) for u, v in itertools.permutations(range(n), 2)
+                  for cost in (0.25, thr, 0.75) for owner in (UNOWNED, MAKER, BREAKER)]
+        order = rng.permutation(len(offers))
+        offers = [offers[i] for i in order]
+        half = len(offers) // 2
+        scanner = HandStaged((half, len(offers)), [(a, b, thr, quota), (b, a, thr, quota)])
+        view = SimpleNamespace(revealed_upto=0)
+        scanner.begin(view)
+        taken = 0
+        for pos, (u, v, cost, owner) in enumerate(offers, start=1):
+            if pos == half + 1:
+                taken = 0
+            x, y = (a, b) if pos <= half else (b, a)
+            passes = (taken < quota and cost <= thr and owner == UNOWNED
+                      and bool(x[u] and y[v] or x[v] and y[u]))
+            called = len(scanner.admitted)
+            got = scanner.decide(view, Item(pos, (u, v), cost, owner, False))
+            assert len(scanner.admitted) == called + passes, (trial, pos)
+            assert got == (passes and pos % 5 != 0), (trial, pos, u, v, cost, owner)
+            taken += got

@@ -18,14 +18,19 @@ boxes) wins against every ordering and every Breaker: after Breaker's i-th
 turn no uncovered box has more than b*i balls belonging to Breaker.  Maker
 moving first actually lets it win from m >= b(n-1)+1; see the oracle module.
 
-``play_box`` plays one game of any ordering and strategies.
-``play_adversarial_block`` is a second implementation of the same turn rules
-for one case, the adversarial ordering between the min-box Maker and a
-Breaker that takes each unowned offered ball with a fixed probability: it
-plays a block of such games in lock-step with numpy arrays, and gives each
-game's winner exactly as ``play_box`` does.  The harness plays large chunks
-of such trials with it; random tapes and every other pair of strategies stay
-with ``play_box``.
+``play_box`` plays one game of any ordering and strategies.  The turn rules
+have four implementations:
+
+- per-ball offers (``_maker_turn``, ``_breaker_turn``), for any pair on any
+  tape, ``SlowTurns`` wrappers included; the reference for the other three;
+- the ``box_turn`` hooks of ``MinboxMaker`` and ``FocusBreaker``, which play
+  a turn without offers on a tape ordered in advance, against any opponent;
+- ``_play_minbox_fixed_p``, one loop a game for the exact ``MinboxMaker``
+  against an exact ``RandomStrategy``, ``AlwaysTake`` or ``NeverTake`` on a
+  random or scripted tape;
+- ``play_adversarial_block``, that pair on the adversarial tape, a block of
+  games in lock-step with numpy arrays, which the harness plays large
+  chunks of trials with.
 """
 
 from __future__ import annotations
@@ -656,12 +661,8 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
     with a fixed take probability (``_take_probability``) is offered no
     Item: the scan takes each unowned ball when a ``RandomStrategy``'s next
     double is below p, drawn as its ``decide`` draws it, or always for
-    ``AlwaysTake``; ``NeverTake`` sweeps to the stream end in one step.  On
-    a tape ordered in advance that scan reads the owners and ranks through
-    the runtime's memoryviews with a local pointer, and writes the pointer
-    and the reveal frontier once, when the turn ends.  Other Breakers, and
-    the adversarial tape, which is filled in ball by ball, go through the
-    per-ball loop, where other Breakers are offered each unowned ball."""
+    ``AlwaysTake``; ``NeverTake`` sweeps to the stream end in one step.
+    Other Breakers are offered each unowned ball."""
     quota = view.b
     hook = getattr(breaker, "box_turn", None)
     if hook is not None and hook(rt, view, quota) is not None:
@@ -674,28 +675,8 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         rt.reveal_to(total, BREAKER)
         state.breaker_ptr = total
         return
-    owner, ranks = rt.owner, rt.ranks
+    owner, ranks, costs = rt.owner, rt.ranks, state.market.costs
     takes = 0
-    if p is not None and rt.stock is None:
-        claims, assign, gain = rt.claims, state.assign, goal.breaker_gain
-        maker_ptr, pos = state.maker_ptr, state.breaker_ptr
-        while takes < quota and pos < total:
-            pos += 1
-            if owner[pos - 1] != UNOWNED or (draw is not None and draw() >= p):
-                continue
-            assign(BREAKER, pos)
-            takes += 1
-            # Balls behind Maker's pointer already belong to Breaker.
-            if pos > maker_ptr:
-                box = ranks[pos - 1] // m
-                claims[box].append(pos)
-                gain(box)
-                if goal.dead:
-                    break
-        state.breaker_ptr = pos
-        state.revealed_upto = max(state.revealed_upto, pos)
-        return
-    costs = state.market.costs
     while takes < quota and not goal.dead and state.breaker_ptr < total:
         pos = state.breaker_ptr + 1
         if pos > state.revealed_upto:
@@ -711,6 +692,74 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         if take:
             _breaker_claim(rt, pos)
             takes += 1
+
+
+def _play_minbox_fixed_p(rt: _BoxRuntime, breaker: Strategy, p: float,
+                         damage_log: Optional[list]) -> None:
+    """Play a whole game of the exact ``MinboxMaker`` against a Breaker that
+    takes each unowned ball with probability ``p`` (``_take_probability``)
+    on a tape ordered in advance, with the per-turn driver's rules and
+    results.  The pointers, the maximum count over uncovered boxes and the
+    turn counters are locals, written to the game's state when it ends.  A
+    ball Maker passes cannot raise its box's count to the maximum, so no box
+    dies and no scan runs off the stream while Maker moves.  Breaker's takes
+    count only ahead of Maker's pointer: behind it every unowned ball
+    already belongs to Breaker."""
+    state, goal = rt.state, rt.goal
+    n, m, total, quota = goal.n, goal.m, state.n, state.rules.b
+    owner, ranks, btb, covered = rt.owner, rt.ranks, goal.btb, goal.covered
+    maker_positions, breaker_positions = state.maker_positions, state.breaker_positions
+    draw = breaker._rng.random if type(breaker) is RandomStrategy else None
+    sweep = draw is None and p <= 0.0  # NeverTake
+    log = damage_log.append if damage_log is not None else None
+    mp = bp = top = covered_count = breaker_turns = turns = 0
+    while True:
+        while True:
+            mp += 1
+            if owner[mp - 1] == UNOWNED:
+                box = ranks[mp - 1] // m
+                if not covered[box] and btb[box] >= top:
+                    break
+                btb[box] += 1
+        owner[mp - 1] = MAKER
+        maker_positions.append(mp)
+        covered[box] = True
+        covered_count += 1
+        turns += 1
+        top = max([c for c, cov in zip(btb, covered) if not cov], default=0)
+        if log is not None:
+            log((breaker_turns, top))
+        if covered_count == n:
+            break
+        if sweep:
+            bp = total
+        takes = 0
+        while takes < quota and bp < total:
+            bp += 1
+            if owner[bp - 1] != UNOWNED or (draw is not None and draw() >= p):
+                continue
+            owner[bp - 1] = BREAKER
+            breaker_positions.append(bp)
+            takes += 1
+            if bp > mp:
+                box = ranks[bp - 1] // m
+                c = btb[box] = btb[box] + 1
+                if not covered[box] and c > top:
+                    top = c
+                    if top >= m:  # the box is dead
+                        break
+        breaker_turns += 1
+        turns += 1
+        if log is not None:
+            log((breaker_turns, top))
+        if top >= m:
+            break
+    state.maker_ptr, state.breaker_ptr, state.revealed_upto = mp, bp, max(mp, bp)
+    state.turns_used = turns
+    if covered_count == n:
+        state.goal_met, state.goal_position = True, mp
+    goal.covered_count, goal.max_uncovered, goal.dead = covered_count, top, top >= m
+    rt.breaker_turns = breaker_turns
 
 
 def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
@@ -731,13 +780,16 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
     breaker_view = BoxView(rt, BREAKER)
     maker.begin(maker_view)
     breaker.begin(breaker_view)
+    p = _take_probability(breaker)
+    if type(maker) is MinboxMaker and p is not None and rt.stock is None:
+        _play_minbox_fixed_p(rt, breaker, p, damage_log)
 
     def end_turn():
         state.turns_used += 1
         if damage_log is not None:
             damage_log.append((rt.breaker_turns, goal.max_uncovered))
 
-    while not goal.dead:
+    while not (state.goal_met or goal.dead):
         _maker_turn(rt, maker, maker_view)
         end_turn()
         if state.goal_met or goal.dead:

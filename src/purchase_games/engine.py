@@ -372,6 +372,19 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
+@lru_cache(maxsize=4)
+def _hash_constants(init: int, mult: int, calls: int) -> tuple:
+    """The xor and multiply constants of ``calls`` successive hashmix calls
+    of a hash started at ``init``, as read-only uint32 columns: call j xors
+    with init * mult**j and multiplies by init * mult**(j+1), mod 2**32."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column[:-1], column[1:]
+
+
 def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     """What ``np.random.PCG64(s)`` seeds itself from, for each s of the uint64
     ``seeds``: row i is ``SeedSequence(seeds[i]).generate_state(4,
@@ -379,38 +392,35 @@ def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
     ``generate_market(n, seed)`` draws its costs from
     ``PCG64(mix_seed(seed, 0))``.
 
-    The hash runs on uint32 arrays, which wrap as its C code does.  A 64-bit
-    seed is two entropy words, and a seed under 2**32 is one, padded with
-    the hash of 0 that a zero second word gives too.  ``_seeded(words[0])``
-    is checked against ``PCG64(seeds[0]).state``, so a numpy that seeds
-    otherwise raises RuntimeError instead of drawing other costs."""
+    The hash runs on uint32 arrays, which wrap as its C code does: the
+    4-word pool of every seed is one (4, k) array, so each mixing round is
+    one broadcast hashmix of a source word against the other three.  A
+    64-bit seed is two entropy words, and a seed under 2**32 is one, padded
+    with the hash of 0 that a zero second word gives too.  The hash
+    constants are derived from ``_INIT_*`` and ``_MULT_*`` on each call, and
+    ``_seeded(words[0])`` is checked against ``PCG64(seeds[0]).state``, so a
+    numpy that seeds otherwise raises RuntimeError instead of drawing other
+    costs."""
     entropy = np.asarray(seeds, dtype=np.uint64)
     u32 = np.uint32
 
-    def hasher(const, mult):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ u32(const)
-            const = const * mult & 0xFFFFFFFF
-            value = value * u32(const)
-            return value ^ (value >> u32(16))
-        return hashmix
+    def hashmix(value, xor, mult):
+        value = (value ^ xor) * mult
+        return value ^ (value >> u32(16))
 
-    def mix(x, y):
-        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return r ^ (r >> u32(16))
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(entropy.shape, dtype=u32)
-    pool = [hashmix(word) for word in ((entropy & np.uint64(0xFFFFFFFF)).astype(u32),
-                                       (entropy >> np.uint64(32)).astype(u32), zero, zero)]
+    xor_a, mult_a = _hash_constants(_INIT_A, _MULT_A, 16)
+    pool = np.zeros((4,) + entropy.shape, dtype=u32)
+    pool[0] = entropy & np.uint64(0xFFFFFFFF)
+    pool[1] = entropy >> np.uint64(32)
+    pool = hashmix(pool, xor_a[:4], mult_a[:4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hashmix = hasher(_INIT_B, _MULT_B)
-    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
-    words = words.astype("<u4").view("<u8").astype(np.uint64)
+        dst, j = [i for i in range(4) if i != src], 4 + 3 * src
+        hashed = hashmix(pool[src], xor_a[j:j + 3], mult_a[j:j + 3])
+        mixed = u32(_MIX_MULT_L) * pool[dst] - u32(_MIX_MULT_R) * hashed
+        pool[dst] = mixed ^ (mixed >> u32(16))
+    xor_b, mult_b = _hash_constants(_INIT_B, _MULT_B, 8)
+    words = hashmix(np.concatenate([pool, pool]), xor_b, mult_b)
+    words = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
     if entropy.size:
         if (_seeded(words[0]).bit_generator.state
                 != np.random.PCG64(int(entropy[0])).state):

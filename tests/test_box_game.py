@@ -439,10 +439,16 @@ def _box_game_record(out, log):
 
 def test_fixed_p_breaker_turn_matches_decide_loop(monkeypatch):
     """A Breaker that takes each unowned ball with a fixed probability plays
-    its turns without offers; SlowTurns has no ``box_turn`` and no fixed
-    probability, so play_box offers the wrapped twin every ball.  Both give
-    the same game, and a random Breaker's generator ends in the same state:
-    the fast turn draws exactly as ``decide`` does, on the last turn too."""
+    its turns in ``_breaker_turn`` without offers; SlowTurns has no
+    ``box_turn`` and no fixed probability, so play_box offers the wrapped
+    twin every ball.  Both give the same game, and a random Breaker's
+    generator ends in the same state: the fast turn draws exactly as
+    ``decide`` does, on the last turn too.  The min-box Maker on a random or
+    scripted tape plays the whole game in ``_play_minbox_fixed_p``, so the
+    ``_breaker_turn`` watcher sees those games' fast sides no more: its
+    starvation count comes from the SlowTurns min-box and random Makers on
+    every tape and the min-box Maker on the adversarial one.  The one loop
+    has its own differential test below."""
     starved_mid_turn = []
     real_turn = box_game._breaker_turn
 
@@ -489,6 +495,125 @@ def test_fixed_p_breaker_turn_matches_decide_loop(monkeypatch):
         breaker_wins += not fast.success
     assert breaker_wins >= 100
     assert mid_turn >= 20  # a box starved with quota left and balls ahead
+
+
+class _KeptRuntime(box_game._BoxRuntime):
+    """A game runtime that files itself in ``kept``, so a test can read the
+    state a finished game leaves."""
+
+    kept = []
+
+    def __init__(self, cfg, seed):
+        super().__init__(cfg, seed)
+        self.kept.append(self)
+
+
+def _end_state(rt):
+    state, goal = rt.state, rt.goal
+    return (state.maker_ptr, state.breaker_ptr, state.revealed_upto, state.turns_used,
+            state.goal_met, state.goal_position, state.owner.tobytes(), goal.btb,
+            goal.covered, goal.covered_count, goal.max_uncovered, goal.dead,
+            rt.breaker_turns)
+
+
+def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
+    """``play_box`` plays the min-box Maker against a Breaker with a fixed
+    take probability on a tape ordered in advance in one loop,
+    ``_play_minbox_fixed_p``; with both players wrapped in SlowTurns the same
+    game is offered ball by ball.  The two give the same record, damage log
+    included, leave the same pointers, owners and scoreboard behind, and a
+    random Breaker's generator ends in the same state.  The slow twin's
+    ``_breaker_turn`` is watched for boxes starved with quota left and balls
+    ahead, and Breaker takes behind Maker's pointer, which add nothing."""
+    loops, starved_mid_turn, behind = [], [], []
+    real_loop, real_turn = box_game._play_minbox_fixed_p, box_game._breaker_turn
+
+    def watched_loop(rt, breaker, p, damage_log):
+        loops.append(p)
+        real_loop(rt, breaker, p, damage_log)
+
+    def watched_turn(rt, breaker, view):
+        before = len(rt.state.breaker_positions)
+        real_turn(rt, breaker, view)
+        taken = rt.state.breaker_positions[before:]
+        behind.append(any(pos <= rt.state.maker_ptr for pos in taken))
+        starved_mid_turn.append(rt.goal.dead and len(taken) < view.b
+                                and rt.state.breaker_ptr < rt.state.n)
+
+    monkeypatch.setattr(box_game, "_play_minbox_fixed_p", watched_loop)
+    monkeypatch.setattr(box_game, "_breaker_turn", watched_turn)
+    monkeypatch.setattr(box_game, "_BoxRuntime", _KeptRuntime)
+    breakers = {f"random{p}": functools.partial(RandomStrategy, p)
+                for p in (0.0, 0.2, 0.5, 0.8, 1.0)}
+    breakers.update(always=lambda seed: AlwaysTake(), never=lambda seed: NeverTake())
+    breaker_wins = mid_turn = behind_games = 0
+    # m = bn + 1 at (5, 11, 2); the rest sit far below it, where Breaker
+    # often wins.
+    for (n, m, b), ordering, breaker, t in itertools.product(
+            [(3, 4, 2), (5, 11, 2), (4, 3, 3), (8, 4, 6), (10, 3, 5), (12, 5, 8)],
+            ("random", "scripted"), breakers, range(8)):
+        seed = mix_seed(29, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+        cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        fast_breaker = breakers[breaker](mix_seed(seed, 5))
+        slow_breaker = breakers[breaker](mix_seed(seed, 5))
+        fast_log, slow_log = [], []
+        loops.clear()
+        _KeptRuntime.kept.clear()
+        fast = play_box(cfg, MinboxMaker(), fast_breaker, seed=seed, damage_log=fast_log)
+        assert len(loops) == 1
+        starved_mid_turn.clear()
+        behind.clear()
+        slow = play_box(cfg, SlowTurns(MinboxMaker()), SlowTurns(slow_breaker), seed=seed,
+                        damage_log=slow_log)
+        assert len(loops) == 1
+        case = ((n, m, b), ordering, breaker, t)
+        assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), case
+        fast_rt, slow_rt = _KeptRuntime.kept
+        assert _end_state(fast_rt) == _end_state(slow_rt), case
+        if isinstance(fast_breaker, RandomStrategy):
+            assert (fast_breaker._rng.bit_generator.state
+                    == slow_breaker._rng.bit_generator.state), case
+        breaker_wins += not fast.success
+        mid_turn += any(starved_mid_turn)
+        behind_games += any(behind)
+    assert breaker_wins >= 100
+    assert mid_turn >= 20  # a box starved with quota left and balls ahead
+    assert behind_games >= 20
+
+
+def test_only_the_exact_pair_on_a_tape_in_advance_plays_the_one_loop(monkeypatch):
+    """Subclasses of ``MinboxMaker``, SlowTurns wrappers of either player,
+    other Breakers and the adversarial tape take the per-turn driver."""
+    loops = []
+    real_loop = box_game._play_minbox_fixed_p
+    monkeypatch.setattr(box_game, "_play_minbox_fixed_p",
+                        lambda *args: loops.append(args[2]) or real_loop(*args))
+
+    class Subclass(MinboxMaker):
+        pass
+
+    cfg = BoxConfig(n=3, m=4, b=2, ordering="random")
+    general = [
+        (cfg, Subclass(), RandomStrategy(0.5, 3)),
+        (cfg, SlowTurns(MinboxMaker()), RandomStrategy(0.5, 3)),
+        (cfg, MinboxMaker(), SlowTurns(RandomStrategy(0.5, 3))),
+        (cfg, MinboxMaker(), SlowTurns(NeverTake())),
+        (cfg, MinboxMaker(), FocusBreaker()),
+        (cfg, RandomStrategy(0.5, 4), AlwaysTake()),
+        (BoxConfig(n=3, m=4, b=2, ordering="adversarial"), MinboxMaker(), AlwaysTake()),
+    ]
+    for config, maker, breaker in general:
+        play_box(config, maker, breaker, seed=7)
+    assert loops == []
+    scripted = BoxConfig(n=3, m=4, b=2, ordering="scripted", sequence=(0, 1, 2) * 4)
+    for config, breaker in ((cfg, RandomStrategy(0.2, 3)), (cfg, AlwaysTake()),
+                            (scripted, NeverTake())):
+        play_box(config, MinboxMaker(), breaker, seed=7)
+    assert loops == [0.2, 1.0, 0.0]
 
 
 def test_remembered_random_breaker_draws_as_its_slow_twin():

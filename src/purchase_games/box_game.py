@@ -19,25 +19,26 @@ turn no uncovered box has more than b*i balls belonging to Breaker.  Maker
 moving first actually lets it win from m >= b(n-1)+1; see the oracle module.
 
 ``play_box`` plays one game of any ordering and strategies.  The turn rules
-have four implementations:
+have three implementations:
 
 - per-ball offers (``_maker_turn``, ``_breaker_turn``), for any pair on any
-  tape, ``SlowTurns`` wrappers included; the reference for the other three;
+  tape, ``SlowTurns`` wrappers included; the reference for the other two;
 - the ``box_turn`` hooks of ``MinboxMaker`` and ``FocusBreaker``, which play
   a turn without offers on a tape ordered in advance, against any opponent;
 - ``_play_minbox_fixed_p``, one loop a game for the exact ``MinboxMaker``
-  against an exact ``RandomStrategy``, ``AlwaysTake`` or ``NeverTake`` on a
-  random or scripted tape;
-- ``play_adversarial_block``, that pair on the adversarial tape, a block of
-  games in lock-step with numpy arrays, which the harness plays large
-  chunks of trials with.
+  against an exact ``RandomStrategy``, ``AlwaysTake`` or ``NeverTake`` on
+  every tape; ``play_adversarial_block`` plays blocks of adversarially
+  ordered games through it for the harness.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,6 +193,13 @@ class BoxState(Goal):
         return self.covered_count == self.n
 
 
+@functools.lru_cache(maxsize=32)
+def _box_rules(b: int, n: int, m: int) -> GameRules:
+    """One GameRules per game shape; its goal factory makes each game's
+    BoxState."""
+    return GameRules(b, goal=functools.partial(BoxState, n, m))
+
+
 class _BoxRuntime:
     """Box-only driver state beside the engine's GameState, which holds the
     tape, pointers, ownership and purchases: the adversarial orderer and its
@@ -203,15 +211,17 @@ class _BoxRuntime:
     (``market.perm``, which the orderer fills in on an adversarial tape)
     without copying them.  These views and ``box_positions`` are
     memoryviews, so that the per-ball loops and ``bisect`` read Python ints
-    from them rather than numpy scalars; a ball's box is its rank // m."""
+    from them rather than numpy scalars; a ball's box is its rank // m.
+    With ``scans`` False, for a game ``_play_minbox_fixed_p`` plays, neither
+    the positions nor the claims are built."""
 
     __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
                  "breaker_turns", "owner", "ranks")
 
-    def __init__(self, cfg: BoxConfig, seed: Optional[int]):
+    def __init__(self, cfg: BoxConfig, seed: Optional[int], scans: bool = True):
         n, m, total = cfg.n, cfg.m, cfg.total
         labels = BoxLabels(n, m)
-        self.orderer = self.stock = self.box_positions = None
+        self.orderer = self.stock = self.box_positions = self.claims = None
         if cfg.ordering == "adversarial":
             # Costless; the orderer fills in perm as each ball is revealed.
             market = Market(total, np.zeros(total), labels, seed,
@@ -223,11 +233,13 @@ class _BoxRuntime:
                 raise ValueError(f"{cfg.ordering} ordering needs a seed")
             if cfg.ordering == "random":
                 market = generate_market(total, seed, labels)
-                # Box b's balls hold ranks b*m .. b*m + m - 1, so each row of
-                # the inverse permutation, sorted, is one box's positions.
-                order = np.empty(total, dtype=np.min_scalar_type(total))
-                order[market.perm] = np.arange(1, total + 1, dtype=order.dtype)
-                order.reshape(n, m).sort(axis=1)
+                if scans:
+                    # Box b's balls hold ranks b*m .. b*m + m - 1, so each row
+                    # of the inverse permutation, sorted, is one box's positions.
+                    order = np.empty(total, dtype=np.min_scalar_type(total))
+                    order[market.perm] = np.arange(1, total + 1, dtype=order.dtype)
+                    order.reshape(n, m).sort(axis=1)
+                    self.box_positions = memoryview(order)
             else:
                 # Box ids in the narrowest unsigned dtype, which numpy sorts by radix;
                 # stable, so that box b's j-th ball is rank b*m + j of the tape.
@@ -237,12 +249,14 @@ class _BoxRuntime:
                 perm[order] = np.arange(total)  # rank b*m + j
                 costs = _generator(mix_seed(seed, 0)).random(total)
                 market = Market(total, costs, labels, seed, perm=perm)
-                order += 1
-            self.box_positions = memoryview(order)
-        goal = self.goal = BoxState(n, m)
-        self.state = GameState(market, GameRules(cfg.b, goal=lambda: goal), seed_record=seed)
+                if scans:
+                    order += 1
+                    self.box_positions = memoryview(order)
+        if scans:
+            self.claims = [[] for _ in range(n)]
+        self.state = GameState(market, _box_rules(cfg.b, n, m), seed_record=seed)
+        self.goal = self.state._goal
         self.owner, self.ranks = memoryview(self.state.owner), memoryview(market.perm)
-        self.claims = [[] for _ in range(n)]
         self.breaker_turns = 0
 
     def reveal_to(self, pos: int, player: int) -> None:
@@ -499,103 +513,28 @@ def adversarial_ordering(config: BoxConfig, trace) -> tuple:
     return (box, config.m - stock[box])
 
 
-_COVERED = -2**62  # a covered box's count in play_adversarial_block: below any threshold
-
-
 def play_adversarial_block(n: int, m: int, b: int, p: float, rows: int,
                            draws: Optional[np.ndarray] = None) -> np.ndarray:
     """Whether Maker wins each of ``rows`` adversarially ordered games of the
     min-box Maker against a Breaker that takes each unowned ball it is
-    offered with probability ``p``, played in lock-step with ``play_box``'s
-    results, game by game.
+    offered with probability ``p``, with ``play_box``'s results, game by
+    game: each game is played by ``_play_minbox_fixed_p`` on plain lists.
 
     ``draws[row]`` holds the n*m doubles of that game's Breaker, used one
     per unowned ball it is offered, in order; it takes the ball when the
     double is below ``p``.  With ``p`` at most 0 or at least 1 no double
-    decides anything, and ``draws`` may be None.
-
-    Each step moves the scanning player's pointer one ball in every game
-    still running, under ``play_box``'s rules: Maker moves first, an unowned
-    ball Maker passes belongs to Breaker, Breaker's take counts against its
-    box only ahead of Maker's pointer, a starved uncovered box ends the game
-    mid-scan, and Breaker's turn ends at ``b`` takes or at the stream end.
-    Maker running past the stream end needs no test of its own: by then
-    every ball of an uncovered box belongs to Breaker, so the box starved
-    when its last ball was counted.  Each ball is placed when a pointer
-    first reaches it, as ``AdversarialOrderer`` places it: boxes 1 to n-1
-    are drawn lowest id first by either player, box 0 by Breaker first, and
-    each player falls back to the other pool when its own is empty.  A
-    covered box's count is ``_COVERED``, so the min-box rule, ``count >=
-    max over uncovered``, and the starvation test, ``count >= m``, read one
-    array.  Games that end leave the arrays of games still running.
-    Breaker is offered fewer than n*m unowned balls (Maker always takes
-    ball 1), so its next double is always inside its row."""
-    total, other = n * m, (n - 1) * m
-    owner = np.zeros(rows * total, dtype=np.int8)
-    boxat = np.zeros(rows * total, dtype=np.int64)
-    counts = np.zeros((rows, n), dtype=np.int64)
-    flat_counts = counts.ravel()
-    success = np.zeros(rows, dtype=bool)
-    row = np.arange(rows)
-    base, row_n = row * total, row * n   # each game's offset into owner/boxat, counts
-    mp, bp = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)  # pointers
-    zero_left = np.full(rows, m)      # box 0's stock
-    drawn = np.zeros(rows, dtype=np.int64)  # balls of boxes 1 .. n-1 placed
-    top = np.zeros(rows, dtype=np.int64)    # max count over uncovered boxes
-    covered = np.zeros(rows, dtype=np.int64)  # boxes covered
-    takes = np.zeros(rows, dtype=np.int64)  # Breaker's takes this turn
-    brk = np.zeros(rows, dtype=bool)        # Breaker is scanning
+    decides anything, and ``draws`` may be None.  Breaker is offered fewer
+    than n*m unowned balls (Maker always takes ball 1), so a game never
+    runs out of doubles."""
+    total = n * m
     drawing = 0.0 < p < 1.0
-    if drawing:
-        flat_draws = draws.ravel()
-        next_draw = base.copy()  # each game's next double
-    while row.size:
-        cur = np.where(brk, bp, mp)  # the scanning pointer's next ball, 0-based
-        idx = base + cur
-        new = cur == np.maximum(mp, bp)  # the ball is unrevealed
-        zero = np.where(brk, zero_left > 0, drawn >= other)
-        box = np.where(new, np.where(zero, 0, 1 + drawn // m), boxat[idx])
-        boxat[idx] = box
-        from_zero = new & zero
-        zero_left -= from_zero
-        drawn += new ^ from_zero
-        free = owner[idx] == UNOWNED
-        slot = row_n + box
-        count = flat_counts[slot]
-        if drawing:
-            take_b = flat_draws[next_draw] < p
-            next_draw += brk & free
-        else:
-            take_b = p >= 1.0
-        take = free & np.where(brk, take_b, count >= top)
-        owner[idx[take]] = np.where(brk[take], BREAKER, MAKER)
-        gain = free & np.where(brk, take & (cur >= mp), ~take)
-        count += gain
-        flat_counts[slot] = count
-        dead = count >= m
-        np.maximum(top, count, out=top)
-        maker_take = take & ~brk
-        if maker_take.any():
-            flat_counts[slot[maker_take]] = _COVERED
-            covered += maker_take
-            top[maker_take] = counts[row[maker_take]].max(axis=1)
-        takes += take & brk
-        cur += 1
-        mp = np.where(brk, mp, cur)
-        bp = np.where(brk, cur, bp)
-        met = covered == n
-        turn_over = np.where(brk, (takes == b) | (bp == total), maker_take & (bp < total))
-        takes[turn_over & brk] = 0
-        brk ^= turn_over
-        done = met | dead
-        if done.any():
-            success[row[done]] = met[done]
-            keep = ~done
-            row, base, row_n, mp, bp, zero_left, drawn, top, covered, takes, brk = (
-                x[keep] for x in (row, base, row_n, mp, bp, zero_left, drawn, top, covered,
-                                  takes, brk))
-            if drawing:
-                next_draw = next_draw[keep]
+    success = np.zeros(rows, dtype=bool)
+    for row in range(rows):
+        goal = BoxState(n, m)
+        _play_minbox_fixed_p(goal, b, p, [UNOWNED] * total, [0] * total, 0,
+                             (lambda row=row: draws[row].tolist()) if drawing else None,
+                             [], [], None)
+        success[row] = goal.covered_count == n
     return success
 
 
@@ -694,49 +633,90 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
             takes += 1
 
 
-def _play_minbox_fixed_p(rt: _BoxRuntime, breaker: Strategy, p: float,
-                         damage_log: Optional[list]) -> None:
+_DRAWS = 32  # doubles a random Breaker draws at once in _play_minbox_fixed_p
+
+
+def _play_minbox_fixed_p(goal: BoxState, b: int, p: float, owner, ranks, front: int,
+                         draw_block, maker_positions: list, breaker_positions: list,
+                         damage_log: Optional[list]) -> tuple:
     """Play a whole game of the exact ``MinboxMaker`` against a Breaker that
-    takes each unowned ball with probability ``p`` (``_take_probability``)
-    on a tape ordered in advance, with the per-turn driver's rules and
-    results.  The pointers, the maximum count over uncovered boxes and the
-    turn counters are locals, written to the game's state when it ends.  A
-    ball Maker passes cannot raise its box's count to the maximum, so no box
-    dies and no scan runs off the stream while Maker moves.  Breaker's takes
-    count only ahead of Maker's pointer: behind it every unowned ball
-    already belongs to Breaker."""
-    state, goal = rt.state, rt.goal
-    n, m, total, quota = goal.n, goal.m, state.n, state.rules.b
-    owner, ranks, btb, covered = rt.owner, rt.ranks, goal.btb, goal.covered
-    maker_positions, breaker_positions = state.maker_positions, state.breaker_positions
-    draw = breaker._rng.random if type(breaker) is RandomStrategy else None
-    sweep = draw is None and p <= 0.0  # NeverTake
+    takes each unowned ball it is offered with probability ``p``
+    (``_take_probability``), with the per-turn driver's rules and results.
+    ``owner`` and ``ranks`` hold each ball's owner and rank; positions taken
+    are appended to the two lists, and ``goal``'s scoreboard is updated.
+
+    A random Breaker's doubles come from ``draw_block()``, a list at a
+    time, one per unowned ball it is offered; it takes the ball when the
+    double is below ``p``.  Without doubles it takes every unowned ball when
+    ``p`` >= 1 and none otherwise.  The balls past ``front`` (the tape's
+    length on a tape ordered in advance, 0 on an adversarial one) are placed
+    when a pointer first reaches them, as ``AdversarialOrderer`` places
+    them: boxes 1 .. n-1 lowest id first, box 0 to Breaker first, and each
+    player falling back to the other pool; the rank goes into ``ranks`` as
+    ``_BoxRuntime.reveal_to`` writes it.
+
+    The pointers, the maximum count over uncovered boxes and the turn
+    counters are locals.  A ball Maker passes cannot raise its box's count
+    to the maximum, so no box dies and no scan runs off the stream while
+    Maker moves.  Breaker's takes count only ahead of Maker's pointer:
+    behind it every unowned ball already belongs to Breaker.  Returns
+    (Maker's pointer, Breaker's pointer, Breaker turns, turns, doubles of
+    the last block left unused)."""
+    n, m = goal.n, goal.m
+    total, other = n * m, (n - 1) * m
+    btb, covered, uncovered = goal.btb, goal.covered, [True] * n
     log = damage_log.append if damage_log is not None else None
-    mp = bp = top = covered_count = breaker_turns = turns = 0
+    doubles = iter(())
+    mp = bp = top = covered_count = breaker_turns = turns = zero = drawn = 0
     while True:
         while True:
             mp += 1
             if owner[mp - 1] == UNOWNED:
+                if mp > front:  # placed for Maker
+                    front = mp
+                    if drawn < other:
+                        ranks[mp - 1] = m + drawn
+                        drawn += 1
+                    else:
+                        ranks[mp - 1] = zero
+                        zero += 1
                 box = ranks[mp - 1] // m
-                if not covered[box] and btb[box] >= top:
+                if uncovered[box] and btb[box] >= top:
                     break
                 btb[box] += 1
         owner[mp - 1] = MAKER
         maker_positions.append(mp)
         covered[box] = True
+        uncovered[box] = False
         covered_count += 1
         turns += 1
-        top = max([c for c, cov in zip(btb, covered) if not cov], default=0)
+        top = max(compress(btb, uncovered), default=0)
         if log is not None:
             log((breaker_turns, top))
         if covered_count == n:
             break
-        if sweep:
-            bp = total
         takes = 0
-        while takes < quota and bp < total:
+        while takes < b and bp < total:
             bp += 1
-            if owner[bp - 1] != UNOWNED or (draw is not None and draw() >= p):
+            if owner[bp - 1] != UNOWNED:
+                continue
+            if bp > front:  # placed for Breaker
+                front = bp
+                if zero < m:
+                    ranks[bp - 1] = zero
+                    zero += 1
+                else:
+                    ranks[bp - 1] = m + drawn
+                    drawn += 1
+            if draw_block is not None:
+                try:
+                    double = next(doubles)
+                except StopIteration:
+                    doubles = iter(draw_block())
+                    double = next(doubles)
+                if double >= p:
+                    continue
+            elif p <= 0.0:
                 continue
             owner[bp - 1] = BREAKER
             breaker_positions.append(bp)
@@ -744,7 +724,7 @@ def _play_minbox_fixed_p(rt: _BoxRuntime, breaker: Strategy, p: float,
             if bp > mp:
                 box = ranks[bp - 1] // m
                 c = btb[box] = btb[box] + 1
-                if not covered[box] and c > top:
+                if uncovered[box] and c > top:
                     top = c
                     if top >= m:  # the box is dead
                         break
@@ -754,12 +734,8 @@ def _play_minbox_fixed_p(rt: _BoxRuntime, breaker: Strategy, p: float,
             log((breaker_turns, top))
         if top >= m:
             break
-    state.maker_ptr, state.breaker_ptr, state.revealed_upto = mp, bp, max(mp, bp)
-    state.turns_used = turns
-    if covered_count == n:
-        state.goal_met, state.goal_position = True, mp
     goal.covered_count, goal.max_uncovered, goal.dead = covered_count, top, top >= m
-    rt.breaker_turns = breaker_turns
+    return mp, bp, breaker_turns, turns, operator.length_hint(doubles)
 
 
 def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
@@ -774,15 +750,26 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
     """
     if seed is None:
         seed = config.seed
-    rt = _BoxRuntime(config, seed)
+    p = _take_probability(breaker)
+    loop = type(maker) is MinboxMaker and p is not None
+    rt = _BoxRuntime(config, seed, scans=not loop)
     state, goal = rt.state, rt.goal
     maker_view = BoxView(rt, MAKER)
     breaker_view = BoxView(rt, BREAKER)
     maker.begin(maker_view)
     breaker.begin(breaker_view)
-    p = _take_probability(breaker)
-    if type(maker) is MinboxMaker and p is not None and rt.stock is None:
-        _play_minbox_fixed_p(rt, breaker, p, damage_log)
+    if loop:
+        rng = breaker._rng if type(breaker) is RandomStrategy else None
+        mp, bp, rt.breaker_turns, state.turns_used, unused = _play_minbox_fixed_p(
+            goal, config.b, p, rt.owner, rt.ranks,
+            0 if config.ordering == "adversarial" else config.total,
+            None if rng is None else lambda: rng.random(_DRAWS).tolist(),
+            state.maker_positions, state.breaker_positions, damage_log)
+        if unused:  # hand them back: the generator ends where per-ball draws leave it
+            rng.bit_generator.advance(2**128 - unused)
+        state.maker_ptr, state.breaker_ptr, state.revealed_upto = mp, bp, max(mp, bp)
+        if goal.covered_count == config.n:
+            state.goal_met, state.goal_position = True, mp
 
     def end_turn():
         state.turns_used += 1

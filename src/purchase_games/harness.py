@@ -24,7 +24,10 @@ threshold Breaker in ``_run_item_block``, an adversarially ordered box game
 between the min-box Maker and a fixed-probability Breaker in
 ``_run_box_block`` (through ``box_game.play_adversarial_block``), and every
 other config one trial at a time.  Both blocks give ``run_one_trial``'s
-results, trial by trial.
+results, trial by trial.  A box game has three implementations of its turn
+rules (``box_game``): per-ball offers, the strategies' ``box_turn`` hooks,
+and one loop a game for the min-box Maker against a fixed-probability
+Breaker, which ``play_box`` and the adversarial block both play through.
 """
 
 from __future__ import annotations

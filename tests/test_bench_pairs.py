@@ -41,6 +41,41 @@ def test_one_pair_has_its_value_as_both_quartiles():
     assert summary["x"]["lower"] == 1
 
 
+def _stdout(box_n5: float, item: float) -> str:
+    """A run's output, shaped as perfbench prints it."""
+    return "\n".join([
+        "workload short-trials",
+        f"ms_per_trial.item_n200: median {item:.4f} ms over 47 calls of 500 trials (jobs=1),"
+        f" p75 0.0057 ms; as measured, median 0.0045 ms",
+        f"ms_per_trial.box_n5: median {box_n5:.4f} ms over 9 calls of 300 trials (jobs=1);"
+        " as measured, median 0.0467 ms",
+        "ms_per_trial.box_n5_adversarial: no successful calls",
+        "layers.box_n5: box_game.play 0.05 ms/trial",
+        '{"correct": true, "metrics": {"wall_s": {"value": 0.03, "unit": "s"}}}',
+    ])
+
+
+def test_per_config_medians_of_synthetic_runs():
+    assert bench_pairs.per_config(_stdout(0.0583, 0.0056)) == {
+        "ms_per_trial.item_n200": 0.0056, "ms_per_trial.box_n5": 0.0583}
+    base = [{"metrics": {"wall_s": {"value": 1.0}},
+             "per_config": bench_pairs.per_config(_stdout(box, 0.005))}
+            for box in (0.060, 0.070, 0.065, 0.080)]
+    change = [{"metrics": {"wall_s": {"value": 1.0}},
+               "per_config": bench_pairs.per_config(_stdout(box, 0.005))}
+              for box in (0.050, 0.075, 0.055, 0.060)]
+    summary = bench_pairs.summarize([bench_pairs._values(r) for r in base],
+                                    [bench_pairs._values(r) for r in change])
+    assert list(summary) == ["wall_s", "ms_per_trial.item_n200", "ms_per_trial.box_n5"]
+    box = summary["ms_per_trial.box_n5"]
+    assert (box["base_median"], box["change_median"]) == (pytest.approx(0.0675),
+                                                          pytest.approx(0.0575))
+    assert (box["base_q1"], box["base_q3"]) == (pytest.approx(0.06375), pytest.approx(0.0725))
+    assert box["lower"] == 3  # 0.075 against 0.070 is the one pair not lower
+    assert summary["ms_per_trial.item_n200"]["lower"] == 0
+    assert bench_pairs.format_summary(summary)[2].endswith("(-14.8%), lower in 3/4")
+
+
 def test_unpack_extracts_a_revision_and_leaves_the_checkout_alone(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -443,12 +443,11 @@ def test_fixed_p_breaker_turn_matches_decide_loop(monkeypatch):
     ``box_turn`` and no fixed probability, so play_box offers the wrapped
     twin every ball.  Both give the same game, and a random Breaker's
     generator ends in the same state: the fast turn draws exactly as
-    ``decide`` does, on the last turn too.  The min-box Maker on a random or
-    scripted tape plays the whole game in ``_play_minbox_fixed_p``, so the
+    ``decide`` does, on the last turn too.  The min-box Maker plays the
+    whole game in ``_play_minbox_fixed_p`` on every tape, so the
     ``_breaker_turn`` watcher sees those games' fast sides no more: its
-    starvation count comes from the SlowTurns min-box and random Makers on
-    every tape and the min-box Maker on the adversarial one.  The one loop
-    has its own differential test below."""
+    starvation count comes from the SlowTurns min-box and random Makers.
+    The one loop has its own differential test below."""
     starved_mid_turn = []
     real_turn = box_game._breaker_turn
 
@@ -503,34 +502,38 @@ class _KeptRuntime(box_game._BoxRuntime):
 
     kept = []
 
-    def __init__(self, cfg, seed):
-        super().__init__(cfg, seed)
+    def __init__(self, cfg, seed, **kwargs):
+        super().__init__(cfg, seed, **kwargs)
         self.kept.append(self)
 
 
 def _end_state(rt):
     state, goal = rt.state, rt.goal
     return (state.maker_ptr, state.breaker_ptr, state.revealed_upto, state.turns_used,
-            state.goal_met, state.goal_position, state.owner.tobytes(), goal.btb,
-            goal.covered, goal.covered_count, goal.max_uncovered, goal.dead,
-            rt.breaker_turns)
+            state.goal_met, state.goal_position, state.owner.tobytes(),
+            state.market.perm.tobytes(), goal.btb, goal.covered, goal.covered_count,
+            goal.max_uncovered, goal.dead, rt.breaker_turns)
 
 
 def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
     """``play_box`` plays the min-box Maker against a Breaker with a fixed
-    take probability on a tape ordered in advance in one loop,
-    ``_play_minbox_fixed_p``; with both players wrapped in SlowTurns the same
-    game is offered ball by ball.  The two give the same record, damage log
-    included, leave the same pointers, owners and scoreboard behind, and a
-    random Breaker's generator ends in the same state.  The slow twin's
-    ``_breaker_turn`` is watched for boxes starved with quota left and balls
-    ahead, and Breaker takes behind Maker's pointer, which add nothing."""
-    loops, starved_mid_turn, behind = [], [], []
+    take probability in one loop, ``_play_minbox_fixed_p``, on every tape;
+    with both players wrapped in SlowTurns the same game is offered ball by
+    ball.  The two give the same record, damage log included, leave the
+    same pointers, owners, tape ranks (placed as the game goes on an
+    adversarial tape) and scoreboard behind, and a random Breaker's
+    generator ends in the same state, so the loop hands back exactly the
+    doubles it drew and did not use.  The slow twin is watched for boxes
+    starved with quota left and balls ahead, Breaker takes behind Maker's
+    pointer, which add nothing, and random Breakers that draw more than
+    two blocks of doubles."""
+    loops, starved_mid_turn, behind, draws = [], [], [], []
     real_loop, real_turn = box_game._play_minbox_fixed_p, box_game._breaker_turn
+    real_decide = RandomStrategy.decide
 
-    def watched_loop(rt, breaker, p, damage_log):
-        loops.append(p)
-        real_loop(rt, breaker, p, damage_log)
+    def watched_loop(*args):
+        loops.append(args[2])
+        return real_loop(*args)
 
     def watched_turn(rt, breaker, view):
         before = len(rt.state.breaker_positions)
@@ -540,18 +543,23 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
         starved_mid_turn.append(rt.goal.dead and len(taken) < view.b
                                 and rt.state.breaker_ptr < rt.state.n)
 
+    def counted_decide(self, view, item):
+        draws.append(1)
+        return real_decide(self, view, item)
+
     monkeypatch.setattr(box_game, "_play_minbox_fixed_p", watched_loop)
     monkeypatch.setattr(box_game, "_breaker_turn", watched_turn)
     monkeypatch.setattr(box_game, "_BoxRuntime", _KeptRuntime)
+    monkeypatch.setattr(RandomStrategy, "decide", counted_decide)
     breakers = {f"random{p}": functools.partial(RandomStrategy, p)
                 for p in (0.0, 0.2, 0.5, 0.8, 1.0)}
     breakers.update(always=lambda seed: AlwaysTake(), never=lambda seed: NeverTake())
-    breaker_wins = mid_turn = behind_games = 0
+    breaker_wins = mid_turn = behind_games = refilled = 0
     # m = bn + 1 at (5, 11, 2); the rest sit far below it, where Breaker
-    # often wins.
+    # often wins, except (6, 20, 3), whose long games draw several blocks.
     for (n, m, b), ordering, breaker, t in itertools.product(
-            [(3, 4, 2), (5, 11, 2), (4, 3, 3), (8, 4, 6), (10, 3, 5), (12, 5, 8)],
-            ("random", "scripted"), breakers, range(8)):
+            [(3, 4, 2), (5, 11, 2), (4, 3, 3), (8, 4, 6), (10, 3, 5), (12, 5, 8), (6, 20, 3)],
+            ("random", "scripted", "adversarial"), breakers, range(8)):
         seed = mix_seed(29, t)
         sequence = None
         if ordering == "scripted":
@@ -567,6 +575,7 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
         assert len(loops) == 1
         starved_mid_turn.clear()
         behind.clear()
+        draws.clear()
         slow = play_box(cfg, SlowTurns(MinboxMaker()), SlowTurns(slow_breaker), seed=seed,
                         damage_log=slow_log)
         assert len(loops) == 1
@@ -580,14 +589,49 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
         breaker_wins += not fast.success
         mid_turn += any(starved_mid_turn)
         behind_games += any(behind)
-    assert breaker_wins >= 100
-    assert mid_turn >= 20  # a box starved with quota left and balls ahead
-    assert behind_games >= 20
+        refilled += len(draws) > 2 * box_game._DRAWS
+    assert breaker_wins >= 250
+    assert mid_turn >= 100  # a box starved with quota left and balls ahead
+    assert behind_games >= 200
+    assert refilled >= 30
 
 
-def test_only_the_exact_pair_on_a_tape_in_advance_plays_the_one_loop(monkeypatch):
-    """Subclasses of ``MinboxMaker``, SlowTurns wrappers of either player,
-    other Breakers and the adversarial tape take the per-turn driver."""
+def test_adversarial_block_rows_are_play_box_winners():
+    """Each row of ``play_adversarial_block`` is the winner of the same
+    game offered ball by ball through ``play_box`` (both players wrapped in
+    SlowTurns): a random Breaker at p in {0, 0.2, 0.5, 0.8, 1}, whose row
+    holds the first n*m doubles of its generator, ``AlwaysTake`` (p = 1)
+    and ``NeverTake`` (p = 0, no doubles), from sizes where Breaker always
+    wins up to m = bn + 1."""
+    rows, breaker_wins, games = 6, 0, 0
+    takers = {f"random{p}": p for p in (0.0, 0.2, 0.5, 0.8, 1.0)}
+    takers.update(always=1.0, never=0.0)
+    for (n, m, b), name in itertools.product(
+            [(1, 1, 1), (2, 3, 1), (3, 2, 2), (3, 4, 2), (4, 3, 3), (6, 5, 4), (8, 4, 6),
+             (10, 3, 5), (12, 5, 8), (5, 11, 2)], takers):
+        p = takers[name]
+        seeds = [mix_seed(n * 100 + m * 10 + b, row) for row in range(rows)]
+        if name.startswith("random"):
+            breakers = [RandomStrategy(p, seed) for seed in seeds]
+            draws = np.array([np.random.Generator(np.random.PCG64(seed)).random(n * m)
+                              for seed in seeds])
+        else:
+            breakers = [AlwaysTake() if name == "always" else NeverTake() for _ in seeds]
+            draws = None
+        won = box_game.play_adversarial_block(n, m, b, p, rows, draws)
+        cfg = BoxConfig(n=n, m=m, b=b, ordering="adversarial")
+        expected = [play_box(cfg, SlowTurns(MinboxMaker()), SlowTurns(breaker)).success
+                    for breaker in breakers]
+        assert won.dtype == bool and won.tolist() == expected, ((n, m, b), name)
+        breaker_wins += rows - sum(expected)
+        games += rows
+    assert breaker_wins >= 80 and games - breaker_wins >= 200
+
+
+def test_only_the_exact_pair_plays_the_one_loop(monkeypatch):
+    """Subclasses of ``MinboxMaker``, SlowTurns wrappers of either player
+    and other Breakers take the per-turn driver; the exact pair plays the
+    one loop on every tape."""
     loops = []
     real_loop = box_game._play_minbox_fixed_p
     monkeypatch.setattr(box_game, "_play_minbox_fixed_p",
@@ -597,6 +641,7 @@ def test_only_the_exact_pair_on_a_tape_in_advance_plays_the_one_loop(monkeypatch
         pass
 
     cfg = BoxConfig(n=3, m=4, b=2, ordering="random")
+    adversarial = BoxConfig(n=3, m=4, b=2, ordering="adversarial")
     general = [
         (cfg, Subclass(), RandomStrategy(0.5, 3)),
         (cfg, SlowTurns(MinboxMaker()), RandomStrategy(0.5, 3)),
@@ -604,16 +649,18 @@ def test_only_the_exact_pair_on_a_tape_in_advance_plays_the_one_loop(monkeypatch
         (cfg, MinboxMaker(), SlowTurns(NeverTake())),
         (cfg, MinboxMaker(), FocusBreaker()),
         (cfg, RandomStrategy(0.5, 4), AlwaysTake()),
-        (BoxConfig(n=3, m=4, b=2, ordering="adversarial"), MinboxMaker(), AlwaysTake()),
+        (adversarial, MinboxMaker(), FocusBreaker()),
+        (adversarial, SlowTurns(MinboxMaker()), AlwaysTake()),
     ]
     for config, maker, breaker in general:
         play_box(config, maker, breaker, seed=7)
     assert loops == []
     scripted = BoxConfig(n=3, m=4, b=2, ordering="scripted", sequence=(0, 1, 2) * 4)
     for config, breaker in ((cfg, RandomStrategy(0.2, 3)), (cfg, AlwaysTake()),
-                            (scripted, NeverTake())):
+                            (scripted, NeverTake()), (adversarial, RandomStrategy(0.8, 3)),
+                            (adversarial, AlwaysTake())):
         play_box(config, MinboxMaker(), breaker, seed=7)
-    assert loops == [0.2, 1.0, 0.0]
+    assert loops == [0.2, 1.0, 0.0, 0.8, 1.0]
 
 
 def test_remembered_random_breaker_draws_as_its_slow_twin():

@@ -873,8 +873,8 @@ def test_bulk_box_trials_match_play_box_from_n_5():
     """n 5-8, b 2-5 and m <= 6, against the catalog's random (p = 1/2)
     Breaker, 200 games a config, and its always Breaker, whose games on an
     adversarial tape are all alike, in one block: the configs where the
-    kernel's most Breaker balls in an uncovered box must be recounted after
-    Maker covers the box that held them."""
+    most Breaker balls in an uncovered box must be recounted after Maker
+    covers the box that held them."""
     try:
         for n, b, m in itertools.product(range(5, 9), range(2, 6), range(1, 7)):
             for breaker, games in (("random", 200), ("always", harness._BOX_ROWS)):
@@ -914,7 +914,7 @@ def test_bulk_box_chunk_equals_play_box_trial_by_trial(cfg, start, count, rows, 
 
 
 # --------------------------------------------------------------------------
-# both bulk kernels against the paper's numbers, through run_trials
+# both bulk blocks against the paper's numbers, through run_trials
 # --------------------------------------------------------------------------
 
 

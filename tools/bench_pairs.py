@@ -6,9 +6,11 @@ directory, so the checkout is never written to.  Pair i runs
     python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
 in both trees, the base first when i is even and the working tree first
-when it is odd, and reads the JSON line each run ends with.  For every
-end-to-end metric it prints both sides' medians and quartiles, the relative
-change of the medians and in how many pairs the working tree read lower:
+when it is odd, and reads the JSON line each run ends with and the
+``ms_per_trial.<config>: median ...`` line it prints for each config.  For
+every end-to-end metric and every config's median it prints both sides'
+medians and quartiles, the relative change of the medians and in how many
+pairs the working tree read lower:
 
     python3 tools/bench_pairs.py --base HEAD --workload short-trials --pairs 10
 
@@ -18,6 +20,7 @@ change of the medians and in how many pairs the working tree read lower:
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -42,15 +45,29 @@ def unpack(rev: str, dest: Path, repo: Path = ROOT) -> str:
     return sha
 
 
+_PER_CONFIG = re.compile(r"(ms_per_trial\.\S+): median (\S+) ms ")
+
+
+def per_config(stdout: str) -> dict:
+    """Each config's median ms/trial, by its ``ms_per_trial.<config>`` name,
+    from the ``ms_per_trial.<config>: median <x> ms over ...`` lines of a
+    run's output."""
+    return {match[1]: float(match[2])
+            for match in map(_PER_CONFIG.match, stdout.splitlines()) if match}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its final JSON line."""
+    """One ``perfbench/run.py`` run in ``tree``: its final JSON line, with
+    ``per_config`` (``per_config``) added."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"run in {tree} failed ({proc.returncode}): {proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["per_config"] = per_config(proc.stdout)
+    return result
 
 
 def _quartiles(values: list) -> tuple:
@@ -95,7 +112,10 @@ def format_summary(summary: dict) -> list:
 
 
 def _values(result: dict) -> dict:
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    """A run's end-to-end metrics, then its configs' medians."""
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    values.update(result.get("per_config", {}))
+    return values
 
 
 def main(argv=None) -> int:

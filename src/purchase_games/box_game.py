@@ -59,12 +59,11 @@ from .engine import (
     RandomStrategy,
     Strategy,
     View,
-    _generator,
     _opened,
     _outcome_from_state,
     generate_market,
-    mix_seed,
 )
+from .streams import _COST_STREAM, _generator, mix_seed
 
 __all__ = [
     "BoxConfig",
@@ -247,7 +246,7 @@ class _BoxRuntime:
                                    kind="stable")
                 perm = np.empty(total, dtype=np.int64)
                 perm[order] = np.arange(total)  # rank b*m + j
-                costs = _generator(mix_seed(seed, 0)).random(total)
+                costs = _generator(mix_seed(seed, _COST_STREAM)).random(total)
                 market = Market(total, costs, labels, seed, perm=perm)
                 if scans:
                     order += 1
@@ -596,24 +595,14 @@ def _take_probability(breaker: Strategy) -> Optional[float]:
 def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
     """Scan until Breaker has taken ``b`` balls, an uncovered box is dead or
     the stream ends.  A Breaker with a ``box_turn`` hook (the focus Breaker)
-    claims its quota in one step on a tape ordered in advance.  A Breaker
-    with a fixed take probability (``_take_probability``) is offered no
-    Item: the scan takes each unowned ball when a ``RandomStrategy``'s next
-    double is below p, drawn as its ``decide`` draws it, or always for
-    ``AlwaysTake``; ``NeverTake`` sweeps to the stream end in one step.
-    Other Breakers are offered each unowned ball."""
+    claims its quota in one step on a tape ordered in advance; any other
+    Breaker is offered each unowned ball."""
     quota = view.b
     hook = getattr(breaker, "box_turn", None)
     if hook is not None and hook(rt, view, quota) is not None:
         return
     state, goal = rt.state, rt.goal
     m, total = goal.m, state.n
-    p = _take_probability(breaker)
-    draw = breaker._rng.random if type(breaker) is RandomStrategy else None
-    if p is not None and draw is None and p <= 0.0:
-        rt.reveal_to(total, BREAKER)
-        state.breaker_ptr = total
-        return
     owner, ranks, costs = rt.owner, rt.ranks, state.market.costs
     takes = 0
     while takes < quota and not goal.dead and state.breaker_ptr < total:
@@ -623,12 +612,8 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         state.breaker_ptr = pos
         if owner[pos - 1] != UNOWNED:
             continue
-        if p is None:
-            item = Item(pos, divmod(ranks[pos - 1], m), float(costs[pos - 1]), UNOWNED, True)
-            take = breaker.decide(view, item)
-        else:
-            take = draw is None or draw() < p
-        if take:
+        item = Item(pos, divmod(ranks[pos - 1], m), float(costs[pos - 1]), UNOWNED, True)
+        if breaker.decide(view, item):
             _breaker_claim(rt, pos)
             takes += 1
 

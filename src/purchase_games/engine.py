@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from .streams import _COST_STREAM, _TAPE_STREAM, _generator, mix_seed
 
 __all__ = [
     "UNOWNED",
@@ -73,9 +74,6 @@ BREAKER = 2
 
 _OWNER_NAMES = {UNOWNED: "unowned", MAKER: "maker", BREAKER: "breaker"}
 
-_MASK64 = (1 << 64) - 1
-
-
 class ProtocolViolation(RuntimeError):
     """A strategy or caller attempted an illegal move (taking an owned item,
     revealing out of order, regressing a pointer)."""
@@ -83,34 +81,6 @@ class ProtocolViolation(RuntimeError):
 
 class HiddenInformationError(RuntimeError):
     """A strategy asked its view for data that has not been revealed yet."""
-
-
-def mix_seed(master: int, index: int) -> int:
-    """Derive a 64-bit child seed from a master seed and an index.
-
-    This is the splitmix64 finalizer applied to ``master + (index + 1) * phi``
-    where phi is the 64-bit golden-ratio increment.  The construction is fixed
-    forever: identical (master, index) pairs give identical child seeds on any
-    platform, which is what makes parallel trial execution reproducible.
-    """
-    z = (master + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _mix_seeds(master, index) -> np.ndarray:
-    """``mix_seed`` elementwise over uint64 arrays; either argument may also
-    be a Python int, reduced mod 2**64 first as ``mix_seed`` reduces its sum.
-    uint64 arithmetic wraps mod 2**64, which is ``mix_seed``'s mask (numpy
-    warns of that wrap on scalars, so the warning is silenced)."""
-    master, index = (np.asarray(x % 2**64 if isinstance(x, int) else x, dtype=np.uint64)
-                     for x in (master, index))
-    with np.errstate(over="ignore"):
-        z = master + (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 @contextmanager
@@ -287,8 +257,8 @@ class BoxLabels:
 class Market:
     """An immutable priced stream: n positions, each holding one label and one cost.
 
-    ``perm[i]`` is the universe rank of the label at position i+1; it is
-    materialized lazily from its own child seed (through ``_generator``), on
+    ``perm[i]`` is the universe rank of the label at position i+1; unless
+    given, it is drawn from the tape stream of ``seed`` (``streams``) on
     the first read of a label.  Costs are eager.  The game driver reads no
     label on its own: ``Item.label``, ``View.label`` and ``View.my_labels``, the Outcome's
     ``maker_items``/``breaker_items`` and goals that look at labels are what
@@ -296,23 +266,22 @@ class Market:
     positions, costs and owners, never builds the permutation.
     """
 
-    __slots__ = ("n", "costs", "universe", "seed", "_perm", "_perm_seed")
+    __slots__ = ("n", "costs", "universe", "seed", "_perm")
 
     def __init__(self, n: int, costs: np.ndarray, universe, seed: Optional[int],
-                 perm: Optional[np.ndarray] = None, perm_seed: Optional[int] = None):
-        if perm is None and perm_seed is None:
+                 perm: Optional[np.ndarray] = None):
+        if perm is None and seed is None:
             raise ValueError("a market needs its permutation or the seed to build it from")
         self.n = n
         self.costs = costs
         self.universe = universe
         self.seed = seed
         self._perm = perm
-        self._perm_seed = perm_seed
 
     @property
     def perm(self) -> np.ndarray:
         if self._perm is None:
-            self._perm = _permutation(self.n, self._perm_seed)
+            self._perm = _generator(mix_seed(self.seed, _TAPE_STREAM)).permutation(self.n)
         return self._perm
 
     def label(self, position: int):
@@ -325,10 +294,6 @@ class Market:
         """Per-position endpoint arrays (u, v) for edge-label markets, all
         n of them; the edge-game Makers build only their stages' candidates."""
         return self.universe.endpoints(self.perm)
-
-
-def _permutation(n: int, seed: int) -> np.ndarray:
-    return _generator(seed).permutation(n)
 
 
 def _ranks_at(perm: np.ndarray, positions) -> np.ndarray:
@@ -352,9 +317,8 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
 
     ``labeler`` defaults to plain index labels 1..n; pass an EdgeLabels or
     BoxLabels universe for edge and box games (its size must equal n).  Costs
-    and permutation come from independent child seeds of ``seed``, each
-    through ``_generator``, so lazily materializing the permutation cannot
-    disturb the costs.
+    and permutation come from independent streams of ``seed``, so lazily
+    materializing the permutation cannot disturb the costs.
     """
     if n < 1:
         raise ValueError(f"market size must be >= 1, got {n}")
@@ -362,124 +326,7 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
         labeler = IndexLabels(n)
     if labeler.size != n:
         raise ValueError(f"labeler has {labeler.size} labels but n={n}")
-    costs = _generator(mix_seed(seed, 0)).random(n)
-    return Market(n, costs, labeler, seed, perm=None, perm_seed=mix_seed(seed, 1))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-@lru_cache(maxsize=4)
-def _hash_constants(init: int, mult: int, calls: int) -> tuple:
-    """The xor and multiply constants of ``calls`` successive hashmix calls
-    of a hash started at ``init``, as read-only uint32 columns: call j xors
-    with init * mult**j and multiplies by init * mult**(j+1), mod 2**32."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column[:-1], column[1:]
-
-
-def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
-    """What ``np.random.PCG64(s)`` seeds itself from, for each s of the uint64
-    ``seeds``: row i is ``SeedSequence(seeds[i]).generate_state(4,
-    np.uint64)``, and ``_seeded(row)`` is that generator.
-    ``generate_market(n, seed)`` draws its costs from
-    ``PCG64(mix_seed(seed, 0))``.
-
-    The hash runs on uint32 arrays, which wrap as its C code does: the
-    4-word pool of every seed is one (4, k) array, so each mixing round is
-    one broadcast hashmix of a source word against the other three.  A
-    64-bit seed is two entropy words, and a seed under 2**32 is one, padded
-    with the hash of 0 that a zero second word gives too.  The hash
-    constants are derived from ``_INIT_*`` and ``_MULT_*`` on each call, and
-    ``_seeded(words[0])`` is checked against ``PCG64(seeds[0]).state``, so a
-    numpy that seeds otherwise raises RuntimeError instead of drawing other
-    costs."""
-    entropy = np.asarray(seeds, dtype=np.uint64)
-    u32 = np.uint32
-
-    def hashmix(value, xor, mult):
-        value = (value ^ xor) * mult
-        return value ^ (value >> u32(16))
-
-    xor_a, mult_a = _hash_constants(_INIT_A, _MULT_A, 16)
-    pool = np.zeros((4,) + entropy.shape, dtype=u32)
-    pool[0] = entropy & np.uint64(0xFFFFFFFF)
-    pool[1] = entropy >> np.uint64(32)
-    pool = hashmix(pool, xor_a[:4], mult_a[:4])
-    for src in range(4):
-        dst, j = [i for i in range(4) if i != src], 4 + 3 * src
-        hashed = hashmix(pool[src], xor_a[j:j + 3], mult_a[j:j + 3])
-        mixed = u32(_MIX_MULT_L) * pool[dst] - u32(_MIX_MULT_R) * hashed
-        pool[dst] = mixed ^ (mixed >> u32(16))
-    xor_b, mult_b = _hash_constants(_INIT_B, _MULT_B, 8)
-    words = hashmix(np.concatenate([pool, pool]), xor_b, mult_b)
-    words = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
-    if entropy.size:
-        if (_seeded(words[0]).bit_generator.state
-                != np.random.PCG64(int(entropy[0])).state):
-            raise RuntimeError("numpy's PCG64 no longer seeds as _pcg64_seed_words assumes")
-    return words
-
-
-def _seeded(words: np.ndarray) -> np.random.Generator:
-    """The generator PCG64 seeds from ``words``, a row of
-    ``_pcg64_seed_words``, through ``_SeedWords``: the one route from
-    precomputed seed words to a stream."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands PCG64 its four precomputed seed words, a
-    contiguous uint64 row of ``_pcg64_seed_words``, whatever it is asked.
-    It subclasses numpy's ``ISeedSequence`` rather than being registered as
-    one: ``abc`` caches a subclass for PCG64's ``isinstance`` check, but
-    never a registered class, whose check then runs in Python on every
-    build."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-_seed_memo = threading.local()  # .table: ({seed: row}, words), or None
-
-
-def _remember_seed_words(seeds) -> None:
-    """Until the next call, let ``_generator`` in the calling thread seed
-    from ``_pcg64_seed_words(seeds)`` for each of the uint64 ``seeds``;
-    None forgets them."""
-    _seed_memo.table = None
-    if seeds is not None:
-        _seed_memo.table = (dict(zip(seeds.tolist(), range(seeds.size))),
-                            _pcg64_seed_words(seeds))
-
-
-def _generator(seed: int) -> np.random.Generator:
-    """A fresh ``Generator(PCG64(seed))``; every per-game stream is built
-    here.  numpy seeds PCG64 from its seed sequence's ``generate_state(4,
-    uint64)``, which hashes the seed, most of a build's time.  When the
-    seed's words are remembered in the calling thread
-    (``_remember_seed_words``, which the harness calls a few hundred trials
-    at a time for each trial's cost, tape, Maker and Breaker streams), the
-    generator is ``_seeded`` from them instead.  The words are a pure
-    function of the seed, and ``_pcg64_seed_words`` checks that such a
-    build reproduces ``PCG64(seed).state``, so both routes give the same
-    stream bit for bit; the memo holds words, never a generator."""
-    table = getattr(_seed_memo, "table", None)
-    if table is not None:
-        row = table[0].get(seed)
-        if row is not None:
-            return _seeded(table[1][row])
-    return np.random.Generator(np.random.PCG64(seed))
+    return Market(n, _generator(mix_seed(seed, _COST_STREAM)).random(n), labeler, seed)
 
 
 def dump_market(market: Market, file) -> None:
@@ -746,14 +593,6 @@ class View:
     @property
     def phase_ends(self) -> np.ndarray:
         return self._state.ends
-
-    @property
-    def maker_pointer(self) -> int:
-        return self._state.maker_ptr
-
-    @property
-    def breaker_pointer(self) -> int:
-        return self._state.breaker_ptr
 
     @property
     def revealed_upto(self) -> int:

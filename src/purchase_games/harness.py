@@ -24,10 +24,12 @@ threshold Breaker in ``_run_item_block``, an adversarially ordered box game
 between the min-box Maker and a fixed-probability Breaker in
 ``_run_box_block`` (through ``box_game.play_adversarial_block``), and every
 other config one trial at a time.  Both blocks give ``run_one_trial``'s
-results, trial by trial.  A box game has three implementations of its turn
-rules (``box_game``): per-ball offers, the strategies' ``box_turn`` hooks,
-and one loop a game for the min-box Maker against a fixed-probability
-Breaker, which ``play_box`` and the adversarial block both play through.
+results, trial by trial.  Every trial draws from the streams of its seed
+(``streams``), built from seed words computed a block of trials at a time.
+A box game has three implementations of its turn rules (``box_game``):
+per-ball offers, the strategies' ``box_turn`` hooks, and one loop a game for
+the min-box Maker against a fixed-probability Breaker, which ``play_box``
+and the adversarial block both play through.
 """
 
 from __future__ import annotations
@@ -55,16 +57,21 @@ from .engine import (
     OwnAnyItem,
     RandomStrategy,
     ScheduleStrategy,
-    _mix_seeds,
     _opened,
-    _pcg64_seed_words,
-    _remember_seed_words,
-    _seeded,
     generate_market,
-    mix_seed,
     play,
 )
 from .oracle import item_b0_dp
+from .streams import (
+    _BREAKER_STREAM,
+    _COST_STREAM,
+    _MAKER_STREAM,
+    _fill_rows,
+    _pcg64_seed_words,
+    _remember_seed_words,
+    _stream_seeds,
+    mix_seed,
+)
 
 __all__ = [
     "TrialConfig",
@@ -300,7 +307,8 @@ def run_one_trial(cfg: TrialConfig, index: int):
     """Run trial ``index``: returns (success, maker_cost, failure_tag)."""
     seed = mix_seed(cfg.master_seed, index)
     new_maker, new_breaker, play_trial, _ = _build(cfg)
-    out = play_trial(seed, new_maker(mix_seed(seed, 101)), new_breaker(mix_seed(seed, 102)))
+    out = play_trial(seed, new_maker(mix_seed(seed, _MAKER_STREAM)),
+                     new_breaker(mix_seed(seed, _BREAKER_STREAM)))
     tag = None if out.success else str(out.failure_phase or "unmet")
     return out.success, out.maker_cost, tag
 
@@ -319,21 +327,8 @@ def _threshold(strategy):
 _SEED_BATCH = 2**12  # trials whose cost streams are seeded in one pass
 _MEMO_BATCH = 2**8   # trials played alone whose streams' seed words are remembered at once
 _MEMO_FLOOR = 16     # fewest trials played alone for which remembering them pays
-_TRIAL_STREAMS = np.array([[0], [1], [101], [102]], dtype=np.uint64)  # costs, tape, Maker, Breaker
 _BLOCK = 2**15       # costs held at once, unless one window of one row is wider
 _WINDOW = 2**10      # columns of the narrowest first window
-
-
-def _stream_seeds(cfg: TrialConfig, trials, stream) -> np.ndarray:
-    """The seed ``mix_seed(mix_seed(cfg.master_seed, i), stream)`` of each
-    trial i of the index array ``trials``; a column of streams gives a row
-    of seeds per stream."""
-    return _mix_seeds(_mix_seeds(cfg.master_seed, np.asarray(trials, dtype=np.uint64)), stream)
-
-
-def _seed_words(cfg: TrialConfig, trials, stream: int) -> np.ndarray:
-    """``_pcg64_seed_words`` of each trial's stream ``stream``."""
-    return _pcg64_seed_words(_stream_seeds(cfg, trials, stream))
 
 
 def _first_window(n: int, t) -> int:
@@ -359,19 +354,18 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     and takes the first attempt Breaker did not take.  The goal is met, or
     Maker takes nothing and the trial is unmet.
 
-    No market is built.  For 2**12 trials at a time, the seeds of the cost
-    streams ``generate_market`` would draw from are computed with array
-    operations (``_pcg64_seed_words`` raises RuntimeError unless the first
-    reproduces ``PCG64(seed).state``), and each trial's costs are drawn from
-    a generator ``_seeded`` from its words.  Rows are read in column
-    windows, the first ``_first_window(n, t)`` wide and each later one as
-    wide as all before it, reached by restarting the row's stream and
-    advancing it.  Breaker's takes in a window are its first hits there, up
-    to the takes it has left, and Maker's attempts are its first hits in
-    each phase after the last phase it attempted; both are carried from
-    window to window per row.  So a window that holds Maker's take decides
-    the row, and only undecided rows read the next window.  At most 2**15
-    costs, or one window of one row, are held at once."""
+    No market is built.  The seed words of the cost streams
+    ``generate_market`` would draw from are computed for 2**12 trials at a
+    time, and each trial's costs are drawn from them by ``_fill_rows``.
+    Rows are read in column windows, the first ``_first_window(n, t)`` wide
+    and each later one as wide as all before it, reached by restarting the
+    row's stream and advancing it.  Breaker's takes in a window are its
+    first hits there, up to the takes it has left, and Maker's attempts are
+    its first hits in each phase after the last phase it attempted; both
+    are carried from window to window per row.  So a window that holds
+    Maker's take decides the row, and only undecided rows read the next
+    window.  At most 2**15 costs, or one window of one row, are held at
+    once."""
     n, b = cfg.n, cfg.b
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
@@ -379,7 +373,7 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
     first = _first_window(n, t)
     for lo in range(0, count, _SEED_BATCH):
         live = np.arange(lo, min(count, lo + _SEED_BATCH))  # rows still undecided
-        words = _seed_words(cfg, start + live, 0)  # generate_market's cost streams
+        words = _pcg64_seed_words(_stream_seeds(cfg.master_seed, start + live, _COST_STREAM))
         need = np.full(live.size, b)  # Breaker's takes still to come, per live row
         tried = np.full(live.size, -1)  # the last phase Maker attempted, per live row
         a, e = 0, first
@@ -391,11 +385,7 @@ def _run_item_block(cfg: TrialConfig, start: int, count: int, t, ends, s):
             for g in range(0, live.size, rows):
                 group = live[g:g + rows]
                 costs = buffer[:group.size * w].reshape(group.size, w)
-                for row, row_words in zip(costs, words[group - lo]):
-                    rng = _seeded(row_words)
-                    if a:
-                        rng.bit_generator.advance(a)
-                    rng.random(out=row)
+                _fill_rows(costs, words[group - lo], a)
                 met, at = _maker_takes(costs, tw, sw, need[g:g + rows], ew, tried[g:g + rows])
                 success[group[met]] = True
                 cost[group[met]] = costs[met, at[met]]
@@ -448,9 +438,9 @@ def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     as ``_run_chunk`` returns them, played by
     ``box_game.play_adversarial_block`` in blocks of as many games as
     ``_BLOCK`` holds balls.  A random Breaker's doubles are the n*m first of
-    its stream, ``PCG64(mix_seed(seed, 102))``, seeded from seed words
-    computed for a block at a time.  The tape has no market, so every cost
-    is 0.0 and every Breaker win is tagged "box-starved"."""
+    its trial's Breaker stream, drawn by ``_fill_rows`` a block at a time.
+    The tape has no market, so every cost is 0.0 and every Breaker win is
+    tagged "box-starved"."""
     total = cfg.n * cfg.m
     rows = _BLOCK // total
     success = np.zeros(count, dtype=bool)
@@ -458,10 +448,9 @@ def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     for lo in range(0, count, rows):
         hi = min(count, lo + rows)
         if 0.0 < p < 1.0:
-            words = _seed_words(cfg, np.arange(start + lo, start + hi), 102)
             draws = np.empty((hi - lo, total))
-            for row, row_words in zip(draws, words):
-                _seeded(row_words).random(out=row)
+            _fill_rows(draws, _pcg64_seed_words(_stream_seeds(
+                cfg.master_seed, np.arange(start + lo, start + hi), _BREAKER_STREAM)))
         success[lo:hi] = box_game.play_adversarial_block(cfg.n, cfg.m, cfg.b, p, hi - lo,
                                                          draws)
     met = int(np.count_nonzero(success))
@@ -512,8 +501,8 @@ def _run_chunk(cfg: TrialConfig, start: int, count: int):
     try:
         for i in range(count):
             if count >= _MEMO_FLOOR and i % _MEMO_BATCH == 0:
-                batch = np.arange(start + i, start + min(count, i + _MEMO_BATCH))
-                _remember_seed_words(_stream_seeds(cfg, batch, _TRIAL_STREAMS).ravel())
+                _remember_seed_words(cfg.master_seed,
+                                     np.arange(start + i, start + min(count, i + _MEMO_BATCH)))
             s, c, tag = run_one_trial(cfg, start + i)
             success[i] = s
             cost[i] = c

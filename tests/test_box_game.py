@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game, engine
+from purchase_games import box_game, engine, streams
 from purchase_games.box_game import (
     AdversarialOrderer,
     BoxConfig,
@@ -438,16 +438,13 @@ def _box_game_record(out, log):
 
 
 def test_fixed_p_breaker_turn_matches_decide_loop(monkeypatch):
-    """A Breaker that takes each unowned ball with a fixed probability plays
-    its turns in ``_breaker_turn`` without offers; SlowTurns has no
-    ``box_turn`` and no fixed probability, so play_box offers the wrapped
-    twin every ball.  Both give the same game, and a random Breaker's
-    generator ends in the same state: the fast turn draws exactly as
-    ``decide`` does, on the last turn too.  The min-box Maker plays the
-    whole game in ``_play_minbox_fixed_p`` on every tape, so the
-    ``_breaker_turn`` watcher sees those games' fast sides no more: its
-    starvation count comes from the SlowTurns min-box and random Makers.
-    The one loop has its own differential test below."""
+    """A Breaker that takes each unowned ball with a fixed probability and
+    its SlowTurns twin give the same game, and a random Breaker's generator
+    ends in the same state.  Against the exact min-box Maker the fast side
+    plays the whole game in ``_play_minbox_fixed_p`` on every tape; against
+    the SlowTurns min-box and random Makers both sides are offered every
+    ball in ``_breaker_turn``, whose watcher counts the games starved
+    mid-turn.  The one loop has its own differential test below."""
     starved_mid_turn = []
     real_turn = box_game._breaker_turn
 
@@ -664,7 +661,7 @@ def test_only_the_exact_pair_plays_the_one_loop(monkeypatch):
 
 
 def test_remembered_random_breaker_draws_as_its_slow_twin():
-    """With the game's streams remembered (``engine._generator``), the fast
+    """With the game's streams remembered (``streams._generator``), the fast
     random Breaker is built from seed words and its SlowTurns twin, played
     after they are forgotten, from numpy's seeding: the games are the same,
     and so are the two generators' end states."""
@@ -678,23 +675,22 @@ def test_remembered_random_breaker_draws_as_its_slow_twin():
                 rng = np.random.Generator(np.random.PCG64(seed))
                 sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
             cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
-            fast_breaker = RandomStrategy(p, mix_seed(seed, 102))
-            slow_breaker = RandomStrategy(p, mix_seed(seed, 102))
+            fast_breaker = RandomStrategy(p, mix_seed(seed, streams._BREAKER_STREAM))
+            slow_breaker = RandomStrategy(p, mix_seed(seed, streams._BREAKER_STREAM))
             fast_log, slow_log = [], []
-            engine._remember_seed_words(
-                engine._mix_seeds(seed, np.array([0, 1, 102], dtype=np.uint64)))
+            streams._remember_seed_words(23, np.array([t]))
             fast = play_box(cfg, MinboxMaker(), fast_breaker, seed=seed, damage_log=fast_log)
-            engine._remember_seed_words(None)
+            streams._remember_seed_words(None)
             slow = play_box(cfg, MinboxMaker(), SlowTurns(slow_breaker), seed=seed,
                             damage_log=slow_log)
             case = ((n, m, b), ordering, p, t)
-            assert isinstance(fast_breaker._rng.bit_generator.seed_seq, engine._SeedWords)
-            assert not isinstance(slow_breaker._rng.bit_generator.seed_seq, engine._SeedWords)
+            assert isinstance(fast_breaker._rng.bit_generator.seed_seq, streams._SeedWords)
+            assert not isinstance(slow_breaker._rng.bit_generator.seed_seq, streams._SeedWords)
             assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), case
             assert (fast_breaker._rng.bit_generator.state
                     == slow_breaker._rng.bit_generator.state), case
     finally:
-        engine._remember_seed_words(None)
+        streams._remember_seed_words(None)
 
 
 def test_scripted_ordering_needs_a_seed():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from purchase_games import engine
+from purchase_games import engine, streams
 from purchase_games.engine import (
     BREAKER,
     MAKER,
@@ -76,10 +76,10 @@ def test_mix_seed_spreads():
 @pytest.mark.parametrize("master", [0, 11, -5, 2**64 - 1, 2**64 + 5, -(2**70)])
 def test_vectorised_mix_equals_mix_seed(master):
     index = np.arange(3000, dtype=np.uint64)
-    mixed = engine._mix_seeds(master, index)
+    mixed = streams._mix_seeds(master, index)
     assert mixed.dtype == np.uint64
     assert mixed.tolist() == [mix_seed(master, i) for i in range(3000)]
-    assert engine._mix_seeds(mixed, 0).tolist() == [mix_seed(m, 0) for m in mixed.tolist()]
+    assert streams._mix_seeds(mixed, 0).tolist() == [mix_seed(m, 0) for m in mixed.tolist()]
 
 
 def test_pcg64_seed_words_reproduce_pcg64_state():
@@ -87,30 +87,30 @@ def test_pcg64_seed_words_reproduce_pcg64_state():
     rng = np.random.default_rng(2024)
     seeds = np.concatenate([np.array(edges, dtype=np.uint64),
                             rng.integers(0, 2**64, 1200, dtype=np.uint64, endpoint=False)])
-    words = engine._pcg64_seed_words(seeds)
+    words = streams._pcg64_seed_words(seeds)
     assert words.shape == (seeds.size, 4) and words.dtype == np.uint64
     for seed, row in zip(seeds.tolist(), words):
-        assert engine._seeded(row).bit_generator.state == np.random.PCG64(seed).state, seed
+        assert streams._seeded(row).bit_generator.state == np.random.PCG64(seed).state, seed
 
 
 def test_pcg64_seed_words_draw_the_market_costs():
     """A generator seeded from a trial's cost words draws its market's
     costs, and one advanced by ``a`` draws them from position ``a + 1`` on."""
-    seeds = engine._mix_seeds(7, np.arange(5, dtype=np.uint64))
-    words = engine._pcg64_seed_words(engine._mix_seeds(seeds, 0))
+    seeds = streams._mix_seeds(7, np.arange(5, dtype=np.uint64))
+    words = streams._pcg64_seed_words(streams._mix_seeds(seeds, 0))
     for seed, row in zip(seeds.tolist(), words):
         costs = generate_market(50, seed).costs
-        assert engine._seeded(row).random(50).tobytes() == costs.tobytes()
+        assert streams._seeded(row).random(50).tobytes() == costs.tobytes()
         for a in (1, 17, 49):
-            rng = engine._seeded(row)
+            rng = streams._seeded(row)
             rng.bit_generator.advance(a)
             assert rng.random(50 - a).tobytes() == costs[a:].tobytes(), (seed, a)
 
 
 def test_pcg64_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatch):
-    monkeypatch.setattr(engine, "_MULT_B", engine._MULT_B + 2)
+    monkeypatch.setattr(streams, "_MULT_B", streams._MULT_B + 2)
     with pytest.raises(RuntimeError, match="PCG64"):
-        engine._pcg64_seed_words(np.arange(3, dtype=np.uint64))
+        streams._pcg64_seed_words(np.arange(3, dtype=np.uint64))
 
 
 GENERATOR_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]  # one and two entropy words
@@ -119,18 +119,23 @@ GENERATOR_SEEDS = [0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]  # one and two entropy
 @pytest.fixture
 def forget_seed_words():
     yield
-    engine._remember_seed_words(None)
+    streams._remember_seed_words(None)
 
 
 def test_generator_is_pcg64_of_its_seed_remembered_or_not(forget_seed_words):
     """``_generator(seed)`` starts where ``PCG64(seed)`` does and draws the
-    same doubles, whether it is built from remembered seed words or not."""
+    same doubles, whether it is built from remembered seed words or not;
+    ``_remember_seed_words(master, trials)`` remembers exactly the seeds of
+    those trials' streams."""
+    trials = np.arange(3)
+    streamed = streams._stream_seeds(2**64 - 1, trials, streams._TRIAL_STREAMS).ravel().tolist()
     for remembered in (False, True):
         if remembered:
-            engine._remember_seed_words(np.array(GENERATOR_SEEDS, dtype=np.uint64))
-        for seed in GENERATOR_SEEDS:
-            rng = engine._generator(seed)
-            assert isinstance(rng.bit_generator.seed_seq, engine._SeedWords) == remembered
+            streams._remember_seed_words(2**64 - 1, trials)
+        for seed in GENERATOR_SEEDS + streamed:
+            rng = streams._generator(seed)
+            assert (isinstance(rng.bit_generator.seed_seq, streams._SeedWords)
+                    == (remembered and seed in streamed))
             assert rng.bit_generator.state == np.random.PCG64(seed).state, seed
             assert (rng.random(7).tobytes()
                     == np.random.Generator(np.random.PCG64(seed)).random(7).tobytes()), seed
@@ -138,21 +143,21 @@ def test_generator_is_pcg64_of_its_seed_remembered_or_not(forget_seed_words):
 
 def test_remembered_seed_words_refuse_a_seeding_they_do_not_reproduce(monkeypatch,
                                                                       forget_seed_words):
-    class WrongWords(engine._SeedWords):
+    class WrongWords(streams._SeedWords):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words ^ np.uint64(1)
 
-    monkeypatch.setattr(engine, "_SeedWords", WrongWords)
+    monkeypatch.setattr(streams, "_SeedWords", WrongWords)
     with pytest.raises(RuntimeError, match="PCG64"):
-        engine._remember_seed_words(np.array(GENERATOR_SEEDS, dtype=np.uint64))
-    assert engine._seed_memo.table is None
+        streams._remember_seed_words(2**64 - 1, np.arange(3))
+    assert streams._seed_memo.table is None
 
 
 def test_generators_are_built_only_in_the_stream_helpers():
-    """Every numpy generator in ``src/`` is built by ``_generator``, by
-    ``_pcg64_seed_words``'s self-check or by ``_seeded``, so no per-game
-    build bypasses the remembered seed words, and exactly one expression
-    builds a PCG64 from seed words."""
+    """Every numpy generator in ``src/`` is built in ``streams.py``, by
+    ``_generator``, ``_pcg64_seed_words``'s self-check or ``_seeded``, so no
+    per-game build bypasses the remembered seed words, and exactly one
+    expression builds a PCG64 from seed words."""
     allowed = {"_generator", "_pcg64_seed_words", "_seeded"}
     builders = {"PCG64", "Generator", "default_rng", "SeedSequence", "RandomState"}
     found = []
@@ -173,9 +178,30 @@ def test_generators_are_built_only_in_the_stream_helpers():
                 visit(child, inner)
 
         visit(ast.parse(path.read_text()), None)
-    assert {where for _, where, _ in found} <= allowed, found
+    builds = {(name, where) for name, where, _ in found}
+    assert builds <= {("streams.py", where) for where in allowed}, found
     assert {where for _, where, _ in found} == allowed  # the scan sees each helper's builds
-    assert from_words == [("engine.py", "_seeded")], from_words
+    assert from_words == [("streams.py", "_seeded")], from_words
+
+
+def test_no_stream_id_is_open_coded():
+    """Outside ``streams.py``, no call in ``src/`` derives a stream's seed
+    from an integer literal: every stream id is a named constant of
+    ``streams``."""
+    mixers = {"mix_seed", "_mix_seeds", "_stream_seeds"}
+    open_coded = []
+    for path in sorted(pathlib.Path(engine.__file__).parent.glob("*.py")):
+        if path.name == "streams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and len(node.args) >= 2:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                stream = node.args[-1]
+                if (name in mixers and isinstance(stream, ast.Constant)
+                        and type(stream.value) is int):
+                    open_coded.append((path.name, node.lineno, ast.unparse(node)))
+    assert open_coded == [], open_coded
 
 
 @given(st.integers(1, 500), st.integers(1, 60))

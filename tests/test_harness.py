@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game, clique_game, engine, harness, item_game
+from purchase_games import box_game, clique_game, engine, harness, item_game, streams
 from purchase_games.cli import cli_main
 from purchase_games.engine import mix_seed
 from purchase_games.harness import TrialAggregate, TrialConfig, confidence_interval, export, run_trials
@@ -454,7 +454,7 @@ def test_other_item_configs_play_each_trial(monkeypatch, changes):
 
 
 def _remembered():
-    return getattr(engine._seed_memo, "table", None)
+    return getattr(streams._seed_memo, "table", None)
 
 
 def _exported(agg):
@@ -483,12 +483,12 @@ def test_trials_played_alone_build_their_generators_from_remembered_words(monkey
     cfg = _alone_box_cfg(trials=trials)
     built = []
 
-    class CountedWords(engine._SeedWords):
+    class CountedWords(streams._SeedWords):
         def __init__(self, words):
             built.append(1)
             super().__init__(words)
 
-    monkeypatch.setattr(engine, "_SeedWords", CountedWords)
+    monkeypatch.setattr(streams, "_SeedWords", CountedWords)
     remembered = _exported(run_trials(cfg, jobs=1))
     assert _remembered() is None
     batches = -(-trials // batch) if trials >= harness._MEMO_FLOOR else 0

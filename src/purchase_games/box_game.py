@@ -27,8 +27,8 @@ have three implementations:
   a turn without offers on a tape ordered in advance, against any opponent;
 - ``_play_minbox_fixed_p``, one loop a game for the exact ``MinboxMaker``
   against an exact ``RandomStrategy``, ``AlwaysTake`` or ``NeverTake`` on
-  every tape; ``play_adversarial_block`` plays blocks of adversarially
-  ordered games through it for the harness.
+  every tape, which the harness also calls to play adversarially ordered
+  games in bulk.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "AdversarialOrderer",
     "adversarial_ordering",
     "play_box",
-    "play_adversarial_block",
     "load_scripted_ordering",
     "save_scripted_ordering",
 ]
@@ -203,9 +202,10 @@ class _BoxRuntime:
     """Box-only driver state beside the engine's GameState, which holds the
     tape, pointers, ownership and purchases: the adversarial orderer and its
     stock (None on a tape ordered in advance), every box's positions in
-    stream order, box b's at indices b*m to b*m + m - 1 (None on an
-    adversarial tape), each box's positions that Breaker took ahead of
-    Maker's pointer, in stream order, and the number of Breaker turns.
+    stream order, box b's at indices b*m to b*m + m - 1, and each box's
+    positions that Breaker took ahead of Maker's pointer, in stream order
+    (both for the ``box_turn`` hooks, and None on an adversarial tape), and
+    the number of Breaker turns.
     ``owner`` and ``ranks`` view the game's owners and the tape's ranks
     (``market.perm``, which the orderer fills in on an adversarial tape)
     without copying them.  These views and ``box_positions`` are
@@ -238,7 +238,6 @@ class _BoxRuntime:
                     order = np.empty(total, dtype=np.min_scalar_type(total))
                     order[market.perm] = np.arange(1, total + 1, dtype=order.dtype)
                     order.reshape(n, m).sort(axis=1)
-                    self.box_positions = memoryview(order)
             else:
                 # Box ids in the narrowest unsigned dtype, which numpy sorts by radix;
                 # stable, so that box b's j-th ball is rank b*m + j of the tape.
@@ -246,13 +245,11 @@ class _BoxRuntime:
                                    kind="stable")
                 perm = np.empty(total, dtype=np.int64)
                 perm[order] = np.arange(total)  # rank b*m + j
+                order += 1  # box b's positions
                 costs = _generator(mix_seed(seed, _COST_STREAM)).random(total)
                 market = Market(total, costs, labels, seed, perm=perm)
-                if scans:
-                    order += 1
-                    self.box_positions = memoryview(order)
-        if scans:
-            self.claims = [[] for _ in range(n)]
+            if scans:
+                self.box_positions, self.claims = memoryview(order), [[] for _ in range(n)]
         self.state = GameState(market, _box_rules(cfg.b, n, m), seed_record=seed)
         self.goal = self.state._goal
         self.owner, self.ranks = memoryview(self.state.owner), memoryview(market.perm)
@@ -512,31 +509,6 @@ def adversarial_ordering(config: BoxConfig, trace) -> tuple:
     return (box, config.m - stock[box])
 
 
-def play_adversarial_block(n: int, m: int, b: int, p: float, rows: int,
-                           draws: Optional[np.ndarray] = None) -> np.ndarray:
-    """Whether Maker wins each of ``rows`` adversarially ordered games of the
-    min-box Maker against a Breaker that takes each unowned ball it is
-    offered with probability ``p``, with ``play_box``'s results, game by
-    game: each game is played by ``_play_minbox_fixed_p`` on plain lists.
-
-    ``draws[row]`` holds the n*m doubles of that game's Breaker, used one
-    per unowned ball it is offered, in order; it takes the ball when the
-    double is below ``p``.  With ``p`` at most 0 or at least 1 no double
-    decides anything, and ``draws`` may be None.  Breaker is offered fewer
-    than n*m unowned balls (Maker always takes ball 1), so a game never
-    runs out of doubles."""
-    total = n * m
-    drawing = 0.0 < p < 1.0
-    success = np.zeros(rows, dtype=bool)
-    for row in range(rows):
-        goal = BoxState(n, m)
-        _play_minbox_fixed_p(goal, b, p, [UNOWNED] * total, [0] * total, 0,
-                             (lambda row=row: draws[row].tolist()) if drawing else None,
-                             [], [], None)
-        success[row] = goal.covered_count == n
-    return success
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -548,7 +520,8 @@ def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
     state.breaker_ptr = pos
     if pos > state.maker_ptr:
         box = rt.ranks[pos - 1] // rt.goal.m
-        rt.claims[box].append(pos)
+        if rt.claims is not None:
+            rt.claims[box].append(pos)
         rt.goal.breaker_gain(box)
 
 

@@ -22,9 +22,9 @@ process and thread, and ``_bulk_plan`` decides there how its trials are
 played: a one-phase item game between a threshold or phased Maker and a
 threshold Breaker in ``_run_item_block``, an adversarially ordered box game
 between the min-box Maker and a fixed-probability Breaker in
-``_run_box_block`` (through ``box_game.play_adversarial_block``), and every
-other config one trial at a time.  Both blocks give ``run_one_trial``'s
-results, trial by trial.  Every trial draws from the streams of its seed
+``_run_box_block``, and every other config one trial at a time.  Either
+block plays a chunk of any size and gives ``run_one_trial``'s results,
+trial by trial.  Every trial draws from the streams of its seed
 (``streams``), built from seed words computed a block of trials at a time.
 A box game has three implementations of its turn rules (``box_game``):
 per-ball offers, the strategies' ``box_turn`` hooks, and one loop a game for
@@ -56,6 +56,7 @@ from .engine import (
     NeverTake,
     OwnAnyItem,
     RandomStrategy,
+    UNOWNED,
     ScheduleStrategy,
     _opened,
     generate_market,
@@ -69,6 +70,7 @@ from .streams import (
     _fill_rows,
     _pcg64_seed_words,
     _remember_seed_words,
+    _seeded,
     _stream_seeds,
     mix_seed,
 )
@@ -429,47 +431,48 @@ def _maker_takes(costs, t, s, need, ends, tried):
     return open_[np.arange(len(costs)), at], at
 
 
-_BOX_ROWS = 64  # fewest games an adversarial box block plays at once
-
-
 def _run_box_block(cfg: TrialConfig, start: int, count: int, p: float):
     """Trials ``start .. start+count-1`` of an adversarially ordered box game
     between the min-box Maker and a Breaker taking with probability ``p``,
-    as ``_run_chunk`` returns them, played by
-    ``box_game.play_adversarial_block`` in blocks of as many games as
-    ``_BLOCK`` holds balls.  A random Breaker's doubles are the n*m first of
-    its trial's Breaker stream, drawn by ``_fill_rows`` a block at a time.
-    The tape has no market, so every cost is 0.0 and every Breaker win is
-    tagged "box-starved"."""
-    total = cfg.n * cfg.m
-    rows = _BLOCK // total
-    success = np.zeros(count, dtype=bool)
-    draws = None
-    for lo in range(0, count, rows):
-        hi = min(count, lo + rows)
-        if 0.0 < p < 1.0:
-            draws = np.empty((hi - lo, total))
-            _fill_rows(draws, _pcg64_seed_words(_stream_seeds(
-                cfg.master_seed, np.arange(start + lo, start + hi), _BREAKER_STREAM)))
-        success[lo:hi] = box_game.play_adversarial_block(cfg.n, cfg.m, cfg.b, p, hi - lo,
-                                                         draws)
-    met = int(np.count_nonzero(success))
-    return success, np.zeros(count), ["box-starved"] * (count - met)
+    as ``_run_chunk`` returns them.  Each game is played as ``play_box``
+    plays it, by ``box_game._play_minbox_fixed_p`` on plain lists: every
+    ball unowned and placed as a pointer first reaches it (``front`` 0).
+    A random Breaker draws its doubles from its trial's Breaker stream,
+    ``box_game._DRAWS`` at a time, as ``play_box`` draws them; the
+    streams' seed words are computed for 2**12 trials at a time.  The tape
+    has no market, so every cost is 0.0 and every Breaker win is tagged
+    "box-starved"."""
+    n, m, total = cfg.n, cfg.m, cfg.n * cfg.m
+    drawing = 0.0 < p < 1.0
+    won = []
+    for lo in range(0, count, _SEED_BATCH):
+        hi = min(count, lo + _SEED_BATCH)
+        if drawing:
+            words = _pcg64_seed_words(_stream_seeds(
+                cfg.master_seed, np.arange(start + lo, start + hi), _BREAKER_STREAM))
+        for rng in (map(_seeded, words) if drawing else [None] * (hi - lo)):
+            goal = box_game.BoxState(n, m)
+            box_game._play_minbox_fixed_p(
+                goal, cfg.b, p, [UNOWNED] * total, [0] * total, 0,
+                None if rng is None else lambda: rng.random(box_game._DRAWS).tolist(),
+                [], [], None)
+            won.append(goal.covered_count == n)
+    success = np.array(won, dtype=bool)
+    return success, np.zeros(count), ["box-starved"] * (count - sum(won))
 
 
-def _bulk_plan(cfg: TrialConfig, new_maker, new_breaker) -> tuple:
-    """How ``_run_chunk`` plays the config's trials: ``(block, rows)``, where
-    ``block(cfg, start, count)`` plays a chunk of at least ``rows`` trials in
-    bulk, or block None, for every trial played alone.
+def _bulk_plan(cfg: TrialConfig, new_maker, new_breaker):
+    """The block ``block(cfg, start, count)`` that ``_run_chunk`` plays any
+    chunk of the config's trials with, or None, for every trial played
+    alone.
 
     A one-phase item game plays in ``_run_item_block`` when Maker is a
     threshold rule (thresholds ``t``, ``ends`` None) or a ``PhasedMaker``
     (its plan's thresholds and phase ends) and Breaker a threshold rule
     (thresholds ``s``).  An adversarially ordered box game plays in
-    ``_run_box_block`` when Maker is the min-box rule, Breaker takes each
+    ``_run_box_block`` when Maker is the min-box rule and Breaker takes each
     unowned offered ball with a fixed probability p
-    (``box_game._take_probability``), and ``_BOX_ROWS`` games' n*m balls
-    fit in ``_BLOCK``; its chunks need ``_BOX_ROWS`` trials."""
+    (``box_game._take_probability``)."""
     if cfg.game == "item" and cfg.phases == 1:
         maker = new_maker(0)
         if type(maker) is item_game.PhasedMaker:
@@ -478,22 +481,21 @@ def _bulk_plan(cfg: TrialConfig, new_maker, new_breaker) -> tuple:
             t, ends = _threshold(maker), None
         s = _threshold(new_breaker(0))
         if t is not None and s is not None:
-            return functools.partial(_run_item_block, t=t, ends=ends, s=s), 1
+            return functools.partial(_run_item_block, t=t, ends=ends, s=s)
     if (cfg.game == "box" and cfg.ordering == "adversarial"
-            and _BLOCK // (cfg.n * cfg.m) >= _BOX_ROWS
             and type(new_maker(0)) is box_game.MinboxMaker):
         p = box_game._take_probability(new_breaker(0))
         if p is not None:
-            return functools.partial(_run_box_block, p=p), _BOX_ROWS
-    return None, 1
+            return functools.partial(_run_box_block, p=p)
+    return None
 
 
 def _run_chunk(cfg: TrialConfig, start: int, count: int):
     """Trials ``start .. start+count-1``: (success, cost, failure tags).  A
     chunk of ``_MEMO_FLOOR`` or more trials played alone remembers their
     streams' seed words ``_MEMO_BATCH`` trials at a time (``_generator``)."""
-    block, rows = _build(cfg)[3]
-    if block is not None and count >= rows:
+    block = _build(cfg)[3]
+    if block is not None:
         return block(cfg, start, count)
     success = np.zeros(count, dtype=bool)
     cost = np.zeros(count, dtype=np.float64)
@@ -616,16 +618,15 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
     so an unknown strategy name or a bad game parameter raises ValueError
     there, whatever the trial and worker counts.  With ``jobs`` > 1 the
     trials split into chunks whose sizes differ by at most one.  A call the
-    config's bulk plan plays (``_bulk_plan``: blocks of at least ``rows``
-    trials) sends one chunk to each worker, ``min(jobs, trials // rows)``,
-    as a bulk trial costs the same wherever it runs; any other call splits
-    into ``min(4 * jobs, trials)`` chunks, as its trials vary in cost.  A
-    call of one chunk plays it in the calling process, and one of more on a
-    pool of at most one worker per chunk.  Parallel calls from several
-    threads take turns on the pool; an error while the chunks run shuts it
-    down, and the next parallel call forks a new one.  Results are reduced
-    in trial-index order with exact summation, so the aggregate does not
-    depend on the worker count."""
+    config's bulk plan plays (``_bulk_plan``) sends one chunk to each
+    worker, ``min(jobs, trials)``, as a bulk trial costs the same wherever
+    it runs; any other call splits into ``min(4 * jobs, trials)`` chunks, as
+    its trials vary in cost.  A call of one chunk plays it in the calling
+    process, and one of more on a pool of at most one worker per chunk.
+    Parallel calls from several threads take turns on the pool; an error
+    while the chunks run shuts it down, and the next parallel call forks a
+    new one.  Results are reduced in trial-index order with exact summation,
+    so the aggregate does not depend on the worker count."""
     if jobs is None:
         jobs = config.jobs or _env_jobs()
     if jobs < 0:
@@ -635,13 +636,8 @@ def run_trials(config: TrialConfig, jobs: Optional[int] = None) -> TrialAggregat
         raise ValueError("trials must be >= 0")
 
     try:
-        block, rows = _build(config)[3]
-        if jobs <= 1:
-            parts = 1
-        elif block is not None and trials >= rows:
-            parts = min(jobs, trials // rows)  # each of at least `rows` trials
-        else:
-            parts = min(4 * jobs, trials)
+        per_worker = 1 if _build(config)[3] is not None else 4
+        parts = 1 if jobs <= 1 else min(per_worker * jobs, trials)
         if parts <= 1:
             chunks = [_run_chunk(config, 0, trials)]
         else:

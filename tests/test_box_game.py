@@ -2,16 +2,19 @@
 orderings, and the engine-vs-oracle comparisons."""
 
 import functools
+import hashlib
 import io
 import itertools
+import json
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purchase_games import box_game, engine, streams
+from purchase_games import box_game, engine, harness, streams
 from purchase_games.box_game import (
     AdversarialOrderer,
     BoxConfig,
@@ -512,6 +515,25 @@ def _end_state(rt):
             goal.max_uncovered, goal.dead, rt.breaker_turns)
 
 
+def test_adversarial_per_ball_games_keep_no_claims(monkeypatch):
+    """On an adversarial tape the ``box_turn`` hooks, the only readers of
+    a runtime's claims, play no turn, so a per-ball game there (the min-box
+    Maker against the focus Breaker) keeps none; each game's outcome and
+    damage log hash to its pin in ``box_pins.json``."""
+    pins = json.loads(Path(__file__).with_name("box_pins.json").read_text())
+    monkeypatch.setattr(box_game, "_BoxRuntime", _KeptRuntime)
+    for (n, m, b), seed in itertools.product([(2, 3, 1), (3, 4, 2), (5, 11, 2), (6, 5, 4)],
+                                             (0, 7, 2024)):
+        _KeptRuntime.kept.clear()
+        log = []
+        out = play_box(BoxConfig(n=n, m=m, b=b, ordering="adversarial"), MinboxMaker(),
+                       FocusBreaker(), seed=seed, damage_log=log)
+        (rt,) = _KeptRuntime.kept
+        assert rt.box_positions is None and rt.claims is None
+        assert (hashlib.sha256((repr(out) + repr(log)).encode()).hexdigest()
+                == pins[f"n{n}m{m}b{b}/adversarial/minbox/focus/{seed}"])
+
+
 def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
     """``play_box`` plays the min-box Maker against a Breaker with a fixed
     take probability in one loop, ``_play_minbox_fixed_p``, on every tape;
@@ -594,12 +616,12 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
 
 
 def test_adversarial_block_rows_are_play_box_winners():
-    """Each row of ``play_adversarial_block`` is the winner of the same
-    game offered ball by ball through ``play_box`` (both players wrapped in
-    SlowTurns): a random Breaker at p in {0, 0.2, 0.5, 0.8, 1}, whose row
-    holds the first n*m doubles of its generator, ``AlwaysTake`` (p = 1)
-    and ``NeverTake`` (p = 0, no doubles), from sizes where Breaker always
-    wins up to m = bn + 1."""
+    """Each game of the harness's adversarial box block has the winner of
+    the same game offered ball by ball through ``play_box`` (both players
+    wrapped in SlowTurns): a random Breaker at p in {0, 0.2, 0.5, 0.8, 1},
+    drawing from its trial's Breaker stream, ``AlwaysTake`` (p = 1) and
+    ``NeverTake`` (p = 0, no stream), from sizes where Breaker always wins
+    up to m = bn + 1."""
     rows, breaker_wins, games = 6, 0, 0
     takers = {f"random{p}": p for p in (0.0, 0.2, 0.5, 0.8, 1.0)}
     takers.update(always=1.0, never=0.0)
@@ -607,17 +629,18 @@ def test_adversarial_block_rows_are_play_box_winners():
             [(1, 1, 1), (2, 3, 1), (3, 2, 2), (3, 4, 2), (4, 3, 3), (6, 5, 4), (8, 4, 6),
              (10, 3, 5), (12, 5, 8), (5, 11, 2)], takers):
         p = takers[name]
-        seeds = [mix_seed(n * 100 + m * 10 + b, row) for row in range(rows)]
+        cfg = harness.TrialConfig(game="box", n=n, m=m, b=b, trials=rows,
+                                  master_seed=n * 100 + m * 10 + b, maker="minbox",
+                                  breaker="random", ordering="adversarial")
         if name.startswith("random"):
-            breakers = [RandomStrategy(p, seed) for seed in seeds]
-            draws = np.array([np.random.Generator(np.random.PCG64(seed)).random(n * m)
-                              for seed in seeds])
+            breakers = [RandomStrategy(p, mix_seed(mix_seed(cfg.master_seed, row),
+                                                   streams._BREAKER_STREAM))
+                        for row in range(rows)]
         else:
-            breakers = [AlwaysTake() if name == "always" else NeverTake() for _ in seeds]
-            draws = None
-        won = box_game.play_adversarial_block(n, m, b, p, rows, draws)
-        cfg = BoxConfig(n=n, m=m, b=b, ordering="adversarial")
-        expected = [play_box(cfg, SlowTurns(MinboxMaker()), SlowTurns(breaker)).success
+            breakers = [AlwaysTake() if name == "always" else NeverTake() for _ in range(rows)]
+        won = harness._run_box_block(cfg, 0, rows, p)[0]
+        box = BoxConfig(n=n, m=m, b=b, ordering="adversarial")
+        expected = [play_box(box, SlowTurns(MinboxMaker()), SlowTurns(breaker)).success
                     for breaker in breakers]
         assert won.dtype == bool and won.tolist() == expected, ((n, m, b), name)
         breaker_wins += rows - sum(expected)

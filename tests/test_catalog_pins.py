@@ -2,9 +2,8 @@
 
 Each maker x breaker pair of each game runs a few small trials, and the
 sha256 of its JSON export must match ``catalog_pins.json`` at jobs=1 and at
-jobs=2.  Box pairs are pinned on random tapes and, at a trial count below
-and one above the rows the harness plays adversarial box games in bulk
-from, on the adversarial tape.  A change that only makes the library faster must leave every digest
+jobs=2.  Box pairs are pinned on random tapes and, at a small and a large
+trial count, on the adversarial tape.  A change that only makes the library faster must leave every digest
 alone.  To rebuild the pins after a change meant to alter outputs:
 
     PYTHONPATH=src python tests/test_catalog_pins.py > pins.tmp && mv pins.tmp tests/catalog_pins.json
@@ -30,7 +29,8 @@ _BASE = {
     "box": dict(n=3, b=1, m=4, trials=10),
 }
 _CLIQUE_K = {"triangle": 3, "kclique": 4}
-# Below and above harness._BOX_ROWS, with chunks above it at jobs=2 too.
+# A small and a large call, each played in bulk for the min-box Maker
+# against a fixed-probability Breaker.
 _ADVERSARIAL_TRIALS = (10, 600)
 
 

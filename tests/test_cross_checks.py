@@ -1,6 +1,7 @@
 """Cross-module dual-route checks: every formula validated by an independent
 computation path (grid enumeration, engine Monte Carlo, or both)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purchase_games import harness
 from purchase_games.engine import GameRules, generate_market, mix_seed, play
 from purchase_games.item_game import ThresholdSchedule, expected_cost
-from purchase_games.oracle import eval_schedules_on_grid, item_b0_dp
+from purchase_games.oracle import eval_schedules_on_grid, grid_points, item_b0_dp
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -38,6 +40,24 @@ def test_expected_cost_agrees_with_grid_enumeration(pairs):
     assert grid_val == pytest.approx(exact_snap, abs=1e-9)
     # and the unsnapped value is close for a fine grid
     assert abs(exact - exact_snap) < 0.1
+
+
+def test_item_kernel_equals_the_grid_enumerator_exactly():
+    """The bulk item kernel, ``harness._maker_takes`` at quota 1, over all
+    g**n markets whose costs are grid midpoints, gives the mean cost that
+    ``eval_schedules_on_grid`` computes, for 40 random schedule pairs with
+    n, g <= 5.  The thresholds are grid midpoints too, so costs tie with
+    them, and a strict comparison on either player's line fails."""
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        n, g = (int(x) for x in rng.integers(1, 6, size=2))
+        grid = np.array(grid_points(g))
+        s, t = rng.choice(grid, size=(2, n))
+        costs = grid[np.array(list(itertools.product(range(g), repeat=n)))]
+        met, at = harness._maker_takes(costs, t, s, np.ones(len(costs), dtype=np.int64),
+                                       None, None)
+        mean = np.where(met, costs[np.arange(len(costs)), at], 0.0).mean()
+        assert abs(mean - eval_schedules_on_grid(n, g, s, t)) <= 1e-12, (n, g, s, t)
 
 
 @pytest.mark.slow

@@ -109,38 +109,35 @@ def inline_pool(fresh_pool, monkeypatch):
 
 
 def test_parallel_calls_of_one_chunk_play_it_in_the_caller(inline_pool):
-    """A one-trial call makes one chunk, and so does a bulk box call of
-    fewer than ``2 * _BOX_ROWS`` trials: the caller plays it, without
+    """A one-trial call makes one chunk: the caller plays it, without
     forking a pool or shutting down the one it has."""
-    cfgs = [_cfg(n=200, trials=trials) for trials in (1, 2000, 1, 2000)]
-    for cfg in cfgs + [_box_cfg(n=5, m=11, b=2, trials=100)]:
+    for cfg in [_cfg(n=200, trials=trials) for trials in (1, 2000, 1, 2000)]:
         assert run_trials(cfg, jobs=2) == run_trials(cfg, jobs=1)
     assert _InlinePool.made == [2]
 
 
 CHUNK_PLAN_TRIALS = (1, 2, 3, 63, 64, 65, 127, 521, 2000)
-CHUNK_PLAN_CFGS = {  # config, and the fewest trials its chunks play in bulk (None: never)
-    "bulk-item": (dict(n=200), 1),
+CHUNK_PLAN_CFGS = {  # config, and whether its chunks play in bulk
+    "bulk-item": (dict(n=200), True),
     "bulk-box": (dict(game="box", n=5, m=11, b=2, master_seed=3, maker="minbox",
-                      breaker="random", ordering="adversarial"), 64),
-    "item-alone": (dict(phases=2), None),
+                      breaker="random", ordering="adversarial"), True),
+    "item-alone": (dict(phases=2), False),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CHUNK_PLAN_CFGS))
 def test_chunk_plan_submits_one_bulk_chunk_a_worker(inline_pool, kind):
-    """A call played in bulk sends ``min(jobs, trials // rows)`` chunks, any
-    other ``min(4 * jobs, trials)``; a call of one chunk submits none."""
-    changes, rows = CHUNK_PLAN_CFGS[kind]
-    block, plan_rows = harness._build(_cfg(**changes))[3]
+    """A call played in bulk sends ``min(jobs, trials)`` chunks, any other
+    ``min(4 * jobs, trials)``; a call of one chunk submits none."""
+    changes, bulk = CHUNK_PLAN_CFGS[kind]
+    block = harness._build(_cfg(**changes))[3]
     harness._build.cache_clear()
-    assert (block is not None, plan_rows) == (rows is not None, rows or 1)
+    assert (block is not None) == bulk
     for jobs in (2, 3):
         for trials in CHUNK_PLAN_TRIALS:
             _InlinePool.submitted.clear()
             run_trials(_cfg(trials=trials, **changes), jobs=jobs)
-            bulk = rows is not None and trials >= rows
-            parts = min(jobs, trials // rows) if bulk else min(4 * jobs, trials)
+            parts = min(jobs, trials) if bulk else min(4 * jobs, trials)
             assert len(_InlinePool.submitted) == (parts if parts > 1 else 0), (jobs, trials)
             assert sum(count for _, _, count in _InlinePool.submitted) in (0, trials)
 
@@ -358,7 +355,7 @@ BULK_BREAKERS = ("closed_form", "best_response", "cheap_grab", "mimic", "never",
 
 
 def _bulk(cfg):
-    return harness._build(cfg)[3][0] is not None
+    return harness._build(cfg)[3] is not None
 
 
 def test_bulk_item_pairs_are_the_threshold_rules():
@@ -775,9 +772,9 @@ def _assert_chunk_matches_run_one_trial(cfg, start, count):
 ])
 def test_box_games_in_bulk_are_adversarial_minbox_blocks(monkeypatch, changes, bulk):
     """A chunk plays no game through ``play_box`` exactly when it is an
-    adversarial min-box chunk against a take-with-probability-p Breaker
-    whose block holds ``_BOX_ROWS`` games; every other chunk plays one game
-    per trial."""
+    adversarial min-box chunk against a take-with-probability-p Breaker,
+    whatever its trial count and game size; every other chunk plays one
+    game per trial."""
     games = []
     real = box_game.play_box
 
@@ -786,14 +783,10 @@ def test_box_games_in_bulk_are_adversarial_minbox_blocks(monkeypatch, changes, b
         return real(*args, **kwargs)
 
     monkeypatch.setattr(box_game, "play_box", counting)
-    rows = harness._BOX_ROWS
-    for trials, block in [(rows - 1, harness._BLOCK), (rows, harness._BLOCK),
-                          (rows, 12 * rows - 1)]:  # a block of 12-ball games too small
-        monkeypatch.setattr(harness, "_BLOCK", block)
+    for trials, m in [(1, 4), (63, 4), (64, 4), (5, 1000)]:
         games.clear()
-        run_trials(_box_cfg(trials=trials, **changes), jobs=1)
-        in_bulk = bulk and trials >= rows and block >= 12 * rows
-        assert len(games) == (0 if in_bulk else trials)
+        run_trials(_box_cfg(trials=trials, m=m, **changes), jobs=1)
+        assert len(games) == (0 if bulk else trials)
 
 
 def test_random_tape_minbox_games_take_the_turns_without_offers(monkeypatch):
@@ -831,10 +824,10 @@ def test_random_tape_minbox_games_take_the_turns_without_offers(monkeypatch):
     assert calls["RandomStrategy.decide"] > 0
 
 
-@pytest.mark.parametrize("trials", [64, 127, 250, 521])
+@pytest.mark.parametrize("trials", [1, 3, 63, 64, 127, 250, 521])
 def test_bulk_box_calls_keep_bulk_chunks_at_jobs_2(fresh_pool, monkeypatch, trials):
-    """At jobs=2 every chunk of a call that plays in bulk holds at least
-    ``_BOX_ROWS`` trials, so no game goes through ``play_box``: the pool is
+    """At jobs=2 every chunk of a call that plays in bulk, of any size, is
+    played in bulk, so no game goes through ``play_box``: the pool is
     forked after it is replaced by one that refuses, and the export equals
     jobs=1's byte for byte."""
     cfg = _box_cfg(n=5, m=11, b=2, trials=trials, master_seed=1)
@@ -849,17 +842,14 @@ def test_bulk_box_calls_keep_bulk_chunks_at_jobs_2(fresh_pool, monkeypatch, tria
     assert parallel.getvalue() == serial.getvalue()
 
 
-def test_bulk_box_trials_match_play_box_on_a_grid(monkeypatch):
+def test_bulk_box_trials_match_play_box_on_a_grid():
     """Every n <= 4 and b <= 3, with m in {1, 2, b(n-1), b(n-1)+1, bn,
-    bn+1}, so that both players win, against each take probability; blocks
-    of 7 games."""
-    monkeypatch.setattr(harness, "_BOX_ROWS", 1)
+    bn+1}, so that both players win, against each take probability."""
     tags = []
     try:
         for n in range(1, 5):
             for b in range(1, 4):
                 for m in sorted({1, 2, b * (n - 1), b * (n - 1) + 1, b * n, b * n + 1} - {0}):
-                    monkeypatch.setattr(harness, "_BLOCK", 7 * n * m)
                     for breaker in BOX_BULK_BREAKERS:
                         cfg = _box_cfg(n=n, m=m, b=b, trials=40, master_seed=n * 100 + m * 10 + b,
                                        breaker=breaker)
@@ -877,10 +867,10 @@ def test_bulk_box_trials_match_play_box_from_n_5():
     covers the box that held them."""
     try:
         for n, b, m in itertools.product(range(5, 9), range(2, 6), range(1, 7)):
-            for breaker, games in (("random", 200), ("always", harness._BOX_ROWS)):
+            for breaker, games in (("random", 200), ("always", 64)):
                 cfg = _box_cfg(n=n, m=m, b=b, trials=games, master_seed=n * 100 + b * 10 + m,
                                breaker=breaker)
-                assert harness._build(cfg)[3][0] is not None
+                assert harness._build(cfg)[3] is not None
                 _assert_chunk_matches_run_one_trial(cfg, 0, games)
     finally:
         harness._build.cache_clear()
@@ -898,19 +888,31 @@ def _box_bulk_cfgs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cfg=_box_bulk_cfgs(), start=st.integers(0, 40), count=st.integers(1, 12),
-       rows=st.integers(1, 4), spare=st.integers(0, 1))
-def test_bulk_box_chunk_equals_play_box_trial_by_trial(cfg, start, count, rows, spare):
-    """Blocks of ``rows`` games, with ``_BLOCK`` exactly their balls or
-    one ball more."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_BOX_ROWS", 1)
-        mp.setattr(harness, "_BLOCK", rows * cfg.n * cfg.m + spare)
-        try:
-            assert harness._build(cfg)[3][0] is not None
-            _assert_chunk_matches_run_one_trial(cfg, start, count)
-        finally:
-            harness._build.cache_clear()
+@given(cfg=_box_bulk_cfgs(), start=st.integers(0, 40), count=st.integers(1, 12))
+def test_bulk_box_chunk_equals_play_box_trial_by_trial(cfg, start, count):
+    try:
+        assert harness._build(cfg)[3] is not None
+        _assert_chunk_matches_run_one_trial(cfg, start, count)
+    finally:
+        harness._build.cache_clear()
+
+
+@pytest.mark.parametrize("m, trials", [(11, 10), (103, 20)])
+def test_small_chunks_and_long_tapes_play_in_bulk(monkeypatch, m, trials):
+    """A chunk of fewer than 64 trials and a game of more than 512 balls
+    (n = 5) are played in bulk, with ``run_one_trial``'s results: the only
+    ``play_box`` games are ``run_one_trial``'s own."""
+    games = []
+    real = box_game.play_box
+    monkeypatch.setattr(box_game, "play_box",
+                        lambda *args, **kwargs: games.append(1) or real(*args, **kwargs))
+    cfg = _box_cfg(n=5, m=m, b=2, trials=trials, master_seed=m)
+    try:
+        assert harness._build(cfg)[3] is not None
+        _assert_chunk_matches_run_one_trial(cfg, 0, trials)
+    finally:
+        harness._build.cache_clear()
+    assert len(games) == trials
 
 
 # --------------------------------------------------------------------------
@@ -922,10 +924,9 @@ def _run_in_bulk(cfg):
     """``run_trials(cfg)``, after checking that its plan plays every chunk
     in bulk."""
     try:
-        block, rows = harness._build(cfg)[3]
+        assert harness._build(cfg)[3] is not None
     finally:
         harness._build.cache_clear()
-    assert block is not None and cfg.trials >= rows
     return run_trials(cfg, jobs=1)
 
 

@@ -27,8 +27,8 @@ have three implementations:
   a turn without offers on a tape ordered in advance, against any opponent;
 - ``_play_minbox_fixed_p``, one loop a game for the exact ``MinboxMaker``
   against an exact ``RandomStrategy``, ``AlwaysTake`` or ``NeverTake`` on
-  every tape, which the harness also calls to play adversarially ordered
-  games in bulk.
+  every tape, on plain lists with no ``GameState`` or views, in ``play_box``
+  and in the harness's block of adversarially ordered games.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .engine import (
     Strategy,
     View,
     _opened,
-    _outcome_from_state,
+    _outcome,
     generate_market,
 )
 from .streams import _COST_STREAM, _generator, mix_seed
@@ -198,6 +198,30 @@ def _box_rules(b: int, n: int, m: int) -> GameRules:
     return GameRules(b, goal=functools.partial(BoxState, n, m))
 
 
+def _box_market(cfg: BoxConfig, seed: Optional[int]) -> Market:
+    """The game's market.  An adversarial tape is costless, and its ranks
+    are -1 until the orderer places each ball as it is revealed; a scripted
+    tape's box b's j-th ball is rank b*m + j, with costs from ``seed``'s
+    cost stream; a random tape is ``generate_market``'s."""
+    n, m, total = cfg.n, cfg.m, cfg.total
+    labels = BoxLabels(n, m)
+    if cfg.ordering == "adversarial":
+        return Market(total, np.zeros(total), labels, seed,
+                      perm=np.full(total, -1, dtype=np.int64))
+    if seed is None:
+        raise ValueError(f"{cfg.ordering} ordering needs a seed")
+    if cfg.ordering == "random":
+        return generate_market(total, seed, labels)
+    # Box ids in the narrowest unsigned dtype, which numpy sorts by radix;
+    # stable, so that box b's j-th ball is rank b*m + j of the tape.
+    order = np.argsort(np.asarray(cfg.sequence, dtype=np.min_scalar_type(n - 1)),
+                       kind="stable")
+    perm = np.empty(total, dtype=np.int64)
+    perm[order] = np.arange(total)
+    costs = _generator(mix_seed(seed, _COST_STREAM)).random(total)
+    return Market(total, costs, labels, seed, perm=perm)
+
+
 class _BoxRuntime:
     """Box-only driver state beside the engine's GameState, which holds the
     tape, pointers, ownership and purchases: the adversarial orderer and its
@@ -210,47 +234,26 @@ class _BoxRuntime:
     (``market.perm``, which the orderer fills in on an adversarial tape)
     without copying them.  These views and ``box_positions`` are
     memoryviews, so that the per-ball loops and ``bisect`` read Python ints
-    from them rather than numpy scalars; a ball's box is its rank // m.
-    With ``scans`` False, for a game ``_play_minbox_fixed_p`` plays, neither
-    the positions nor the claims are built."""
+    from them rather than numpy scalars; a ball's box is its rank // m."""
 
     __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
                  "breaker_turns", "owner", "ranks")
 
-    def __init__(self, cfg: BoxConfig, seed: Optional[int], scans: bool = True):
+    def __init__(self, cfg: BoxConfig, seed: Optional[int]):
         n, m, total = cfg.n, cfg.m, cfg.total
-        labels = BoxLabels(n, m)
+        market = _box_market(cfg, seed)
         self.orderer = self.stock = self.box_positions = self.claims = None
         if cfg.ordering == "adversarial":
-            # Costless; the orderer fills in perm as each ball is revealed.
-            market = Market(total, np.zeros(total), labels, seed,
-                            perm=np.full(total, -1, dtype=np.int64))
             self.orderer = AdversarialOrderer(n)
             self.stock = [m] * n
         else:
-            if seed is None:
-                raise ValueError(f"{cfg.ordering} ordering needs a seed")
-            if cfg.ordering == "random":
-                market = generate_market(total, seed, labels)
-                if scans:
-                    # Box b's balls hold ranks b*m .. b*m + m - 1, so each row
-                    # of the inverse permutation, sorted, is one box's positions.
-                    order = np.empty(total, dtype=np.min_scalar_type(total))
-                    order[market.perm] = np.arange(1, total + 1, dtype=order.dtype)
-                    order.reshape(n, m).sort(axis=1)
-            else:
-                # Box ids in the narrowest unsigned dtype, which numpy sorts by radix;
-                # stable, so that box b's j-th ball is rank b*m + j of the tape.
-                order = np.argsort(np.asarray(cfg.sequence, dtype=np.min_scalar_type(n - 1)),
-                                   kind="stable")
-                perm = np.empty(total, dtype=np.int64)
-                perm[order] = np.arange(total)  # rank b*m + j
-                order += 1  # box b's positions
-                costs = _generator(mix_seed(seed, _COST_STREAM)).random(total)
-                market = Market(total, costs, labels, seed, perm=perm)
-            if scans:
-                self.box_positions, self.claims = memoryview(order), [[] for _ in range(n)]
-        self.state = GameState(market, _box_rules(cfg.b, n, m), seed_record=seed)
+            # Box b's balls hold ranks b*m .. b*m + m - 1, so each row of the
+            # inverse permutation, sorted, is one box's positions.
+            order = np.empty(total, dtype=np.min_scalar_type(total))
+            order[market.perm] = np.arange(1, total + 1, dtype=order.dtype)
+            order.reshape(n, m).sort(axis=1)
+            self.box_positions, self.claims = memoryview(order), [[] for _ in range(n)]
+        self.state = GameState(market, _box_rules(cfg.b, n, m))
         self.goal = self.state._goal
         self.owner, self.ranks = memoryview(self.state.owner), memoryview(market.perm)
         self.breaker_turns = 0
@@ -696,6 +699,11 @@ def _play_minbox_fixed_p(goal: BoxState, b: int, p: float, owner, ranks, front: 
     return mp, bp, breaker_turns, turns, operator.length_hint(doubles)
 
 
+def _details(goal: BoxState, won: bool, breaker_turns: int) -> dict:
+    return {"winner": "maker" if won else "breaker", "covered": goal.covered_count,
+            "btb": list(goal.btb), "breaker_turns": breaker_turns}
+
+
 def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
              seed: Optional[int] = None, damage_log: Optional[list] = None) -> Outcome:
     """Run one box game to completion.  Maker moves first; pointers persist
@@ -705,29 +713,36 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
     ``damage_log``, if given, collects (breaker_turns_so_far, max uncovered
     belongs-to-Breaker count) after every completed turn, for checking the
     bounded-damage invariant (at most b*i after i Breaker turns).
+
+    The exact min-box Maker against a Breaker with a fixed take probability
+    (``_take_probability``) plays in ``_play_minbox_fixed_p`` on the market,
+    a ``BoxState`` and a plain owner list; every other pair plays turn by
+    turn on a ``_BoxRuntime``.
     """
     if seed is None:
         seed = config.seed
     p = _take_probability(breaker)
-    loop = type(maker) is MinboxMaker and p is not None
-    rt = _BoxRuntime(config, seed, scans=not loop)
+    if type(maker) is MinboxMaker and p is not None:
+        market, goal = _box_market(config, seed), BoxState(config.n, config.m)
+        breaker.begin(None)  # the exact fixed-p Breakers read no view
+        rng = breaker._rng if type(breaker) is RandomStrategy else None
+        maker_positions, breaker_positions = [], []
+        mp, _, breaker_turns, turns, unused = _play_minbox_fixed_p(
+            goal, config.b, p, [UNOWNED] * config.total, memoryview(market.perm),
+            0 if config.ordering == "adversarial" else config.total,
+            None if rng is None else lambda: rng.random(_DRAWS).tolist(),
+            maker_positions, breaker_positions, damage_log)
+        if unused:  # hand them back: the generator ends where per-ball draws leave it
+            rng.bit_generator.advance(2**128 - unused)
+        won = goal.covered_count == config.n
+        return _outcome(market, maker_positions, breaker_positions, won, mp if won else None,
+                        turns, seed, "box-starved", _details(goal, won, breaker_turns))
+    rt = _BoxRuntime(config, seed)
     state, goal = rt.state, rt.goal
     maker_view = BoxView(rt, MAKER)
     breaker_view = BoxView(rt, BREAKER)
     maker.begin(maker_view)
     breaker.begin(breaker_view)
-    if loop:
-        rng = breaker._rng if type(breaker) is RandomStrategy else None
-        mp, bp, rt.breaker_turns, state.turns_used, unused = _play_minbox_fixed_p(
-            goal, config.b, p, rt.owner, rt.ranks,
-            0 if config.ordering == "adversarial" else config.total,
-            None if rng is None else lambda: rng.random(_DRAWS).tolist(),
-            state.maker_positions, state.breaker_positions, damage_log)
-        if unused:  # hand them back: the generator ends where per-ball draws leave it
-            rng.bit_generator.advance(2**128 - unused)
-        state.maker_ptr, state.breaker_ptr, state.revealed_upto = mp, bp, max(mp, bp)
-        if goal.covered_count == config.n:
-            state.goal_met, state.goal_position = True, mp
 
     def end_turn():
         state.turns_used += 1
@@ -743,12 +758,10 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
         rt.breaker_turns += 1
         end_turn()
 
-    return _outcome_from_state(state, "box-starved", details={
-        "winner": "maker" if state.goal_met else "breaker",
-        "covered": goal.covered_count,
-        "btb": list(goal.btb),
-        "breaker_turns": rt.breaker_turns,
-    })
+    won = state.goal_met
+    return _outcome(state.market, state.maker_positions, state.breaker_positions, won,
+                    state.goal_position, state.turns_used, seed, "box-starved",
+                    _details(goal, won, rt.breaker_turns))
 
 
 # --------------------------------------------------------------------------

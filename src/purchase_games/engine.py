@@ -473,12 +473,6 @@ class GameState:
     def n(self) -> int:
         return self.market.n
 
-    @property
-    def maker_cost_paid(self) -> float:
-        """Exact sum of Maker's purchase costs (correctly rounded)."""
-        costs = self.market.costs
-        return math.fsum(costs[p - 1] for p in self.maker_positions)
-
     def pointer(self, player: int) -> int:
         return self.maker_ptr if player == MAKER else self.breaker_ptr
 
@@ -844,11 +838,13 @@ class NeverTake(Strategy):
 
 
 class RandomStrategy(Strategy):
-    """Takes each offered unowned item with probability p, from its own seeded
-    generator, ``_generator(seed)`` (deterministic replay requires a fresh
-    instance per game)."""
+    """Takes each offered unowned item with probability p, in [0, 1], from
+    its own seeded generator, ``_generator(seed)`` (deterministic replay
+    requires a fresh instance per game)."""
 
     def __init__(self, p: float, seed: int):
+        if not 0.0 <= p <= 1.0:  # NaN included
+            raise ValueError(f"take probability must lie in [0, 1], got {p}")
         self.p = p
         self.seed = seed
         self._rng = None
@@ -1048,25 +1044,28 @@ class Outcome:
         return self.breaker_positions
 
 
-def _outcome_from_state(state: GameState, failure_phase: Optional[object],
-                        details: Optional[dict] = None) -> Outcome:
-    """The Outcome of a finished game; ``failure_phase`` is recorded only
-    when the goal was not met."""
-    market = state.market
-    maker_positions = tuple(state.maker_positions)
-    breaker_positions = tuple(state.breaker_positions)
+def _outcome(market: Market, maker_positions: list, breaker_positions: list, success: bool,
+             M: Optional[int], turns_used: int, seed, failure_phase: Optional[object],
+             details: Optional[dict] = None) -> Outcome:
+    """The Outcome of a finished game on ``market`` in which the players
+    took ``maker_positions`` and ``breaker_positions``, with Maker's exact
+    cost and the labels to look up on first read; ``failure_phase`` is
+    recorded only when the goal was not met."""
+    maker_positions = tuple(maker_positions)
+    breaker_positions = tuple(breaker_positions)
+    costs = market.costs
     return _deferred(
         Outcome, {"maker_items": partial(_labels_of, market, maker_positions),
                   "breaker_items": partial(_labels_of, market, breaker_positions)},
-        success=state.goal_met,
-        maker_cost=state.maker_cost_paid,
+        success=success,
+        maker_cost=math.fsum(costs[p - 1] for p in maker_positions),
         maker_positions=maker_positions,
         breaker_positions=breaker_positions,
-        M=state.goal_position,
-        turns_used=state.turns_used,
-        n=state.n,
-        seed=state.seed_record,
-        failure_phase=None if state.goal_met else failure_phase,
+        M=M,
+        turns_used=turns_used,
+        n=market.n,
+        seed=seed,
+        failure_phase=None if success else failure_phase,
         details=details,
     )
 
@@ -1122,4 +1121,6 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
             state.trace.append(("end", MAKER, state.maker_ptr, ctx.takes, False))
 
     details = {"trace": state.trace} if record_trace else None
-    return _outcome_from_state(state, getattr(maker, "failure_phase", None), details)
+    return _outcome(state.market, state.maker_positions, state.breaker_positions,
+                    state.goal_met, state.goal_position, state.turns_used, state.seed_record,
+                    getattr(maker, "failure_phase", None), details)

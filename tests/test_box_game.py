@@ -502,8 +502,8 @@ class _KeptRuntime(box_game._BoxRuntime):
 
     kept = []
 
-    def __init__(self, cfg, seed, **kwargs):
-        super().__init__(cfg, seed, **kwargs)
+    def __init__(self, cfg, seed):
+        super().__init__(cfg, seed)
         self.kept.append(self)
 
 
@@ -542,17 +542,25 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
     same pointers, owners, tape ranks (placed as the game goes on an
     adversarial tape) and scoreboard behind, and a random Breaker's
     generator ends in the same state, so the loop hands back exactly the
-    doubles it drew and did not use.  The slow twin is watched for boxes
-    starved with quota left and balls ahead, Breaker takes behind Maker's
-    pointer, which add nothing, and random Breakers that draw more than
-    two blocks of doubles."""
-    loops, starved_mid_turn, behind, draws = [], [], [], []
+    doubles it drew and did not use.  The fast game builds no runtime, so
+    its end state is read where the loop returns: the pointers, turn
+    counters and scoreboard it leaves and the owners and ranks it wrote,
+    with the reveal frontier at the further pointer.  The slow twin is
+    watched for boxes starved with quota left and balls ahead, Breaker
+    takes behind Maker's pointer, which add nothing, and random Breakers
+    that draw more than two blocks of doubles."""
+    loops, ends, starved_mid_turn, behind, draws = [], [], [], [], []
     real_loop, real_turn = box_game._play_minbox_fixed_p, box_game._breaker_turn
     real_decide = RandomStrategy.decide
 
     def watched_loop(*args):
         loops.append(args[2])
-        return real_loop(*args)
+        mp, bp, breaker_turns, turns, _ = result = real_loop(*args)
+        goal, owner, ranks = args[0], args[3], args[4]
+        ends.append((mp, bp, max(mp, bp), turns, np.array(owner, dtype=np.int8).tobytes(),
+                     np.asarray(ranks).tobytes(), list(goal.btb), list(goal.covered),
+                     goal.covered_count, goal.max_uncovered, goal.dead, breaker_turns))
+        return result
 
     def watched_turn(rt, breaker, view):
         before = len(rt.state.breaker_positions)
@@ -589,9 +597,10 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
         slow_breaker = breakers[breaker](mix_seed(seed, 5))
         fast_log, slow_log = [], []
         loops.clear()
+        ends.clear()
         _KeptRuntime.kept.clear()
         fast = play_box(cfg, MinboxMaker(), fast_breaker, seed=seed, damage_log=fast_log)
-        assert len(loops) == 1
+        assert len(loops) == 1 and _KeptRuntime.kept == []
         starved_mid_turn.clear()
         behind.clear()
         draws.clear()
@@ -600,8 +609,8 @@ def test_minbox_fixed_p_loop_matches_its_slow_twin(monkeypatch):
         assert len(loops) == 1
         case = ((n, m, b), ordering, breaker, t)
         assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), case
-        fast_rt, slow_rt = _KeptRuntime.kept
-        assert _end_state(fast_rt) == _end_state(slow_rt), case
+        (slow_rt,), (end,) = _KeptRuntime.kept, ends
+        assert end[:4] + (fast.success, fast.M) + end[4:] == _end_state(slow_rt), case
         if isinstance(fast_breaker, RandomStrategy):
             assert (fast_breaker._rng.bit_generator.state
                     == slow_breaker._rng.bit_generator.state), case
@@ -681,6 +690,32 @@ def test_only_the_exact_pair_plays_the_one_loop(monkeypatch):
                             (adversarial, AlwaysTake())):
         play_box(config, MinboxMaker(), breaker, seed=7)
     assert loops == [0.2, 1.0, 0.0, 0.8, 1.0]
+
+
+def test_fixed_p_minbox_games_build_no_runtime(monkeypatch):
+    """A game of the exact min-box Maker against a fixed-probability
+    Breaker builds no ``_BoxRuntime`` and no ``GameState`` on any tape;
+    against the focus Breaker, or with a SlowTurns player, it builds one
+    of each."""
+    built = []
+    real_runtime, real_state = box_game._BoxRuntime, box_game.GameState
+    monkeypatch.setattr(box_game, "_BoxRuntime",
+                        lambda *args: built.append("runtime") or real_runtime(*args))
+    monkeypatch.setattr(box_game, "GameState",
+                        lambda *args, **kwargs: built.append("state")
+                        or real_state(*args, **kwargs))
+    for ordering in ("random", "scripted", "adversarial"):
+        cfg = BoxConfig(n=3, m=4, b=2, ordering=ordering, seed=5,
+                        sequence=(0, 1, 2) * 4 if ordering == "scripted" else None)
+        for breaker in (RandomStrategy(0.5, 3), AlwaysTake(), NeverTake()):
+            assert play_box(cfg, MinboxMaker(), breaker).turns_used > 0
+        assert built == [], ordering
+        for maker, breaker in ((MinboxMaker(), FocusBreaker()),
+                               (SlowTurns(MinboxMaker()), RandomStrategy(0.5, 3)),
+                               (MinboxMaker(), SlowTurns(AlwaysTake()))):
+            play_box(cfg, maker, breaker)
+            assert built == ["runtime", "state"], ordering
+            built.clear()
 
 
 def test_remembered_random_breaker_draws_as_its_slow_twin():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purchase_games import harness
-from purchase_games.engine import GameRules, generate_market, mix_seed, play
+from purchase_games.engine import (GameRules, IndexLabels, Market, ScheduleStrategy, SlowTurns,
+                                   generate_market, mix_seed, play)
 from purchase_games.item_game import ThresholdSchedule, expected_cost
 from purchase_games.oracle import eval_schedules_on_grid, grid_points, item_b0_dp
 
@@ -58,6 +59,28 @@ def test_item_kernel_equals_the_grid_enumerator_exactly():
                                        None, None)
         mean = np.where(met, costs[np.arange(len(costs)), at], 0.0).mean()
         assert abs(mean - eval_schedules_on_grid(n, g, s, t)) <= 1e-12, (n, g, s, t)
+
+
+def test_play_equals_the_grid_enumerator_exactly():
+    """``play`` at quota 1, over all g**n markets whose costs are grid
+    midpoints, with Maker and Breaker each a per-position
+    ``ScheduleStrategy``, gives the mean cost that
+    ``eval_schedules_on_grid`` computes, for 40 random schedule pairs with
+    n, g <= 5; so does the per-item route, with both wrapped in SlowTurns.
+    The thresholds are grid midpoints, so costs tie with them."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n, g = (int(x) for x in rng.integers(1, 6, size=2))
+        grid = np.array(grid_points(g))
+        s, t = rng.choice(grid, size=(2, n))
+        exact = eval_schedules_on_grid(n, g, s, t)
+        markets = [Market(n, grid[np.array(cells)], IndexLabels(n), seed=0)
+                   for cells in itertools.product(range(g), repeat=n)]
+        for route, wrap in (("fast", lambda strategy: strategy), ("slow", SlowTurns)):
+            mean = math.fsum(
+                play(market, GameRules(b=1), wrap(ScheduleStrategy(t)),
+                     wrap(ScheduleStrategy(s))).maker_cost for market in markets) / len(markets)
+            assert abs(mean - exact) <= 1e-12, (n, g, s, t, route)
 
 
 @pytest.mark.slow

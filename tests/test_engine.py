@@ -407,6 +407,15 @@ def test_replay_determinism():
         assert out1 == out2
 
 
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, math.inf])
+def test_random_strategy_refuses_a_probability_outside_the_unit_interval(p):
+    """A NaN take probability once split the routes: the box game's one
+    loop took every ball at p = NaN and the per-ball offers none."""
+    with pytest.raises(ValueError, match="take probability"):
+        RandomStrategy(p, 7)
+    assert [RandomStrategy(q, 7).p for q in (0.0, 1.0)] == [0.0, 1.0]
+
+
 def test_taking_owned_item_is_violation():
     class Grabby(AlwaysTake):
         def decide(self, view, item):

@@ -22,9 +22,11 @@ moving first actually lets it win from m >= b(n-1)+1; see the oracle module.
 have three implementations:
 
 - per-ball offers (``_maker_turn``, ``_breaker_turn``), for any pair on any
-  tape, ``SlowTurns`` wrappers included; the reference for the other two;
-- the ``box_turn`` hooks of ``MinboxMaker`` and ``FocusBreaker``, which play
-  a turn without offers on a tape ordered in advance, against any opponent;
+  tape, subclasses and ``SlowTurns`` wrappers included; the reference for
+  the other two;
+- ``_minbox_turn`` and ``_focus_turn``, which play a turn of the exact
+  ``MinboxMaker`` or ``FocusBreaker`` without offers on a tape ordered in
+  advance, against any opponent;
 - ``_play_minbox_fixed_p``, one loop a game for the exact ``MinboxMaker``
   against an exact ``RandomStrategy``, ``AlwaysTake`` or ``NeverTake`` on
   every tape, on plain lists with no ``GameState`` or views, in ``play_box``
@@ -228,8 +230,8 @@ class _BoxRuntime:
     stock (None on a tape ordered in advance), every box's positions in
     stream order, box b's at indices b*m to b*m + m - 1, and each box's
     positions that Breaker took ahead of Maker's pointer, in stream order
-    (both for the ``box_turn`` hooks, and None on an adversarial tape), and
-    the number of Breaker turns.
+    (both for ``_minbox_turn`` and ``_focus_turn``, and None on an
+    adversarial tape), and the number of Breaker turns.
     ``owner`` and ``ranks`` view the game's owners and the tape's ranks
     (``market.perm``, which the orderer fills in on an adversarial tape)
     without copying them.  These views and ``box_positions`` are
@@ -315,84 +317,6 @@ class MinboxMaker(Strategy):
         return (item.owner == UNOWNED and not view.covered[box]
                 and view.btb_counts[box] >= view.max_uncovered_btb)
 
-    def box_turn(self, rt: _BoxRuntime, view: BoxView) -> Optional[int]:
-        """Fast turn for tapes ordered in advance: take the ball ``decide``
-        would take without offering any.  Returns the position taken, or
-        None to fall back to the generic per-ball loop.
-
-        While Maker scans, ``max_uncovered`` does not change: Maker passes a
-        ball of an uncovered box only while that box's count is below the
-        maximum.  Most turns take within a few balls, so the turn first
-        applies ``decide``'s rule ball by ball to the 2n balls past the
-        pointer, skipping Breaker's and counting every other ball it passes,
-        of a covered box too, against its box.  Failing a take there, it
-        moves the pointer to the end of that scan and jumps: Maker takes the
-        earliest, over uncovered boxes c, of the (max - btb[c] + 1)-th ball
-        of c past its pointer that Breaker does not own, and every unowned
-        ball it passes now belongs to Breaker.  Exactly m - btb[c] balls of
-        c past the pointer are unowned, so while no box is dead every
-        uncovered box has that ball, and the jump never runs off the end of
-        the stream.  A box's passed balls are its positions between the
-        pointer and the take less its claims there: each Breaker ball ahead
-        of Maker's pointer is a claim, and Maker owns none there.
-        """
-        if rt.box_positions is None:
-            return None
-        state, goal = rt.state, rt.goal
-        start, top, m = state.maker_ptr, goal.max_uncovered, goal.m
-        covered, btb, owner, ranks = goal.covered, goal.btb, rt.owner, rt.ranks
-        end = min(start + 2 * goal.n, state.n)
-        for take in range(start + 1, end + 1):
-            if owner[take - 1] != UNOWNED:
-                continue
-            box = ranks[take - 1] // m
-            if not covered[box] and btb[box] >= top:
-                break
-            btb[box] += 1
-        else:
-            start = end
-            positions, claims = rt.box_positions, rt.claims
-            take = min(_free_ball(positions, box * m, box * m + m, claims[box], start,
-                                  top - count + 1)
-                       for box, (cov, count) in enumerate(zip(covered, btb)) if not cov)
-            if take > start + 1:
-                for box, mine in enumerate(claims):
-                    lo = box * m
-                    first = bisect_right(positions, start, lo, lo + m)
-                    if first < lo + m and positions[first] < take:
-                        btb[box] += (bisect_right(positions, take - 1, first, lo + m) - first
-                                     - bisect_right(mine, take - 1) + bisect_right(mine, start))
-        state.maker_ptr = take
-        state.revealed_upto = max(state.revealed_upto, take)
-        state.assign(MAKER, take)
-        return take
-
-
-def _free_ball(positions, lo: int, hi: int, claims: list, after: int, k: int) -> int:
-    """The k-th of the sorted ``positions[lo:hi]`` past ``after`` that is not
-    in ``claims`` (a sorted subset of them).
-
-    Its index is the least i with i - (claims <= positions[i]) + (claims
-    <= after) >= kth, the index of the k-th ball past ``after``: the left
-    side counts unclaimed balls and never falls as i grows, so a binary
-    search finds it, at most kth plus the claims ahead.  The least such i
-    is not a claim itself.  The search starts from kth plus the claims in
-    (after, positions[kth]], a lower bound on it that is the answer itself
-    when there are none, as on most turns."""
-    kth = bisect_right(positions, after, lo, hi) + k - 1
-    skipped = bisect_right(claims, after)
-    i = kth + bisect_right(claims, positions[kth]) - skipped if kth < hi else kth
-    j = min(hi, kth + len(claims) - skipped) if i > kth else i
-    while i < j:
-        mid = (i + j) // 2
-        if mid - bisect_right(claims, positions[mid]) + skipped >= kth:
-            j = mid
-        else:
-            i = mid + 1
-    if i >= hi:
-        raise RuntimeError(f"fewer than {k} unowned balls past position {after}")
-    return positions[i]
-
 
 def minbox_maker(config: BoxConfig) -> MinboxMaker:
     return MinboxMaker()
@@ -422,41 +346,6 @@ class FocusBreaker(Strategy):
             return False
         self._refresh(view)
         return item.label[0] == self.focus
-
-    def box_turn(self, rt: _BoxRuntime, view: BoxView, quota: int) -> Optional[int]:
-        """Fast turn for tapes ordered in advance: take the next ``quota``
-        focus-box balls as one slice of its positions.  Returns the number
-        of takes, or None to fall back to the generic per-ball loop.
-
-        The focus cannot change mid-turn (Maker does not move during
-        Breaker's turn), and every focus-box ball ahead of Breaker's pointer
-        is unowned: Maker owning one would mean the box is covered, and
-        Breaker only ever takes at its own pointer.  The ball that kills the
-        focus box is its last one, so the slice ends there by itself.
-        """
-        if rt.box_positions is None:
-            return None
-        self._refresh(view)
-        state, goal = rt.state, rt.goal
-        m = goal.m
-        lo, hi = self.focus * m, self.focus * m + m
-        first = bisect_right(rt.box_positions, state.breaker_ptr, lo, hi)
-        taken = rt.box_positions[first:min(first + quota, hi)]
-        takes = len(taken)
-        if takes:
-            state.owner[np.asarray(taken) - 1] = BREAKER
-            taken = taken.tolist()
-            state.breaker_positions += taken
-            state.breaker_ptr = taken[-1]
-            state.revealed_upto = max(state.revealed_upto, taken[-1])
-            # Balls behind Maker's pointer already belong to Breaker.
-            ahead = taken[bisect_right(taken, state.maker_ptr):]
-            rt.claims[self.focus] += ahead
-            goal.breaker_gain(self.focus, len(ahead))
-        if takes < quota and not goal.dead:
-            # Ran out of focus-box balls: the scan sweeps to the stream end.
-            state.breaker_ptr = state.revealed_upto = state.n
-        return takes
 
 
 def focus_breaker(config: BoxConfig) -> FocusBreaker:
@@ -495,6 +384,8 @@ def adversarial_ordering(config: BoxConfig, trace) -> tuple:
     ``trace`` carries the full revealed history: an object or mapping with
     ``revealed_boxes`` (box ids in stream order so far) and ``scanning``
     (which player's pointer is at the frontier, "maker" or "breaker").
+    Raises ValueError for any other ``scanning``, a box id outside 0..n-1,
+    a box revealed more than m times, or a trace with no ball left.
     """
     if isinstance(trace, dict):
         revealed = list(trace["revealed_boxes"])
@@ -502,12 +393,18 @@ def adversarial_ordering(config: BoxConfig, trace) -> tuple:
     else:
         revealed = list(trace.revealed_boxes)
         scanning = trace.scanning
-    player = MAKER if scanning == "maker" else BREAKER
+    if scanning not in ("maker", "breaker"):
+        raise ValueError(f"scanning must be 'maker' or 'breaker', got {scanning!r}")
     stock = [config.m] * config.n
     for box in revealed:
+        if not 0 <= box < config.n:
+            raise ValueError(f"trace reveals box {box!r}, outside 0..{config.n - 1}")
         stock[box] -= 1
         if stock[box] < 0:
             raise ValueError(f"trace over-reveals box {box}")
+    if len(revealed) == config.total:
+        raise ValueError("trace has revealed every ball")
+    player = MAKER if scanning == "maker" else BREAKER
     box = AdversarialOrderer(config.n).next_box(player, stock)
     return (box, config.m - stock[box])
 
@@ -530,15 +427,16 @@ def _breaker_claim(rt: _BoxRuntime, pos: int) -> None:
 
 def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
     """Scan until Maker takes a ball; each unowned ball passed on the way
-    now belongs to Breaker.  A Maker with a ``box_turn`` hook (the min-box
-    Maker) plays its turn without offers on a tape ordered in advance.
-    Other Makers, and the adversarial tape, which is filled in as it is
-    revealed, are offered each ball in turn.  Those Items are built eagerly
-    from ``rt.ranks``: on this per-ball path, GameState.item's deferred
-    labels cost half again as much.  The scan never runs past the stream
-    end: an uncovered box starves at its last ball before then."""
-    hook = getattr(maker, "box_turn", None)
-    if hook is not None and hook(rt, view) is not None:
+    now belongs to Breaker.  The exact ``MinboxMaker`` on a tape ordered in
+    advance plays its turn without offers, in ``_minbox_turn``.  Every
+    other Maker, subclasses included, and every Maker on the adversarial
+    tape, which is filled in as it is revealed, is offered each ball in
+    turn.  Those Items are built eagerly from ``rt.ranks``: on this
+    per-ball path, GameState.item's deferred labels cost half again as
+    much.  The scan never runs past the stream end: an uncovered box
+    starves at its last ball before then."""
+    if rt.box_positions is not None and type(maker) is MinboxMaker:
+        _minbox_turn(rt)
         return
     state, goal = rt.state, rt.goal
     owner, costs, ranks = rt.owner, state.market.costs, rt.ranks
@@ -557,6 +455,81 @@ def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
         goal.breaker_gain(label[0])
 
 
+def _minbox_turn(rt: _BoxRuntime) -> None:
+    """The min-box Maker's turn on a tape ordered in advance: take the ball
+    ``MinboxMaker.decide`` would take without offering any.
+
+    While Maker scans, ``max_uncovered`` does not change: Maker passes a
+    ball of an uncovered box only while that box's count is below the
+    maximum.  Most turns take within a few balls, so the turn first
+    applies ``decide``'s rule ball by ball to the 2n balls past the
+    pointer, skipping Breaker's and counting every other ball it passes,
+    of a covered box too, against its box.  Failing a take there, it
+    moves the pointer to the end of that scan and jumps: Maker takes the
+    earliest, over uncovered boxes c, of the (max - btb[c] + 1)-th ball
+    of c past its pointer that Breaker does not own, and every unowned
+    ball it passes now belongs to Breaker.  Exactly m - btb[c] balls of
+    c past the pointer are unowned, so while no box is dead every
+    uncovered box has that ball, and the jump never runs off the end of
+    the stream.  A box's passed balls are its positions between the
+    pointer and the take less its claims there: each Breaker ball ahead
+    of Maker's pointer is a claim, and Maker owns none there.
+    """
+    state, goal = rt.state, rt.goal
+    start, top, m = state.maker_ptr, goal.max_uncovered, goal.m
+    covered, btb, owner, ranks = goal.covered, goal.btb, rt.owner, rt.ranks
+    end = min(start + 2 * goal.n, state.n)
+    for take in range(start + 1, end + 1):
+        if owner[take - 1] != UNOWNED:
+            continue
+        box = ranks[take - 1] // m
+        if not covered[box] and btb[box] >= top:
+            break
+        btb[box] += 1
+    else:
+        start = end
+        positions, claims = rt.box_positions, rt.claims
+        take = min(_free_ball(positions, box * m, box * m + m, claims[box], start,
+                              top - count + 1)
+                   for box, (cov, count) in enumerate(zip(covered, btb)) if not cov)
+        if take > start + 1:
+            for box, mine in enumerate(claims):
+                lo = box * m
+                first = bisect_right(positions, start, lo, lo + m)
+                if first < lo + m and positions[first] < take:
+                    btb[box] += (bisect_right(positions, take - 1, first, lo + m) - first
+                                 - bisect_right(mine, take - 1) + bisect_right(mine, start))
+    state.maker_ptr = take
+    state.revealed_upto = max(state.revealed_upto, take)
+    state.assign(MAKER, take)
+
+
+def _free_ball(positions, lo: int, hi: int, claims: list, after: int, k: int) -> int:
+    """The k-th of the sorted ``positions[lo:hi]`` past ``after`` that is not
+    in ``claims`` (a sorted subset of them).
+
+    Its index is the least i with i - (claims <= positions[i]) + (claims
+    <= after) >= kth, the index of the k-th ball past ``after``: the left
+    side counts unclaimed balls and never falls as i grows, so a binary
+    search finds it, at most kth plus the claims ahead.  The least such i
+    is not a claim itself.  The search starts from kth plus the claims in
+    (after, positions[kth]], a lower bound on it that is the answer itself
+    when there are none, as on most turns."""
+    kth = bisect_right(positions, after, lo, hi) + k - 1
+    skipped = bisect_right(claims, after)
+    i = kth + bisect_right(claims, positions[kth]) - skipped if kth < hi else kth
+    j = min(hi, kth + len(claims) - skipped) if i > kth else i
+    while i < j:
+        mid = (i + j) // 2
+        if mid - bisect_right(claims, positions[mid]) + skipped >= kth:
+            j = mid
+        else:
+            i = mid + 1
+    if i >= hi:
+        raise RuntimeError(f"fewer than {k} unowned balls past position {after}")
+    return positions[i]
+
+
 def _take_probability(breaker: Strategy) -> Optional[float]:
     """The probability p with which ``breaker`` takes each unowned ball it
     is offered, for a Breaker that plays no other way: a ``RandomStrategy``
@@ -570,15 +543,14 @@ def _take_probability(breaker: Strategy) -> Optional[float]:
 
 def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
     """Scan until Breaker has taken ``b`` balls, an uncovered box is dead or
-    the stream ends.  A Breaker with a ``box_turn`` hook (the focus Breaker)
-    claims its quota in one step on a tape ordered in advance; any other
-    Breaker is offered each unowned ball."""
-    quota = view.b
-    hook = getattr(breaker, "box_turn", None)
-    if hook is not None and hook(rt, view, quota) is not None:
+    the stream ends.  The exact ``FocusBreaker`` on a tape ordered in
+    advance claims its quota in one step, in ``_focus_turn``; every other
+    Breaker, subclasses included, is offered each unowned ball."""
+    if rt.box_positions is not None and type(breaker) is FocusBreaker:
+        _focus_turn(rt, breaker, view)
         return
     state, goal = rt.state, rt.goal
-    m, total = goal.m, state.n
+    m, total, quota = goal.m, state.n, view.b
     owner, ranks, costs = rt.owner, rt.ranks, state.market.costs
     takes = 0
     while takes < quota and not goal.dead and state.breaker_ptr < total:
@@ -592,6 +564,38 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         if breaker.decide(view, item):
             _breaker_claim(rt, pos)
             takes += 1
+
+
+def _focus_turn(rt: _BoxRuntime, breaker: FocusBreaker, view: BoxView) -> None:
+    """The focus Breaker's turn on a tape ordered in advance: take the next
+    ``b`` focus-box balls as one slice of its positions.
+
+    The focus cannot change mid-turn (Maker does not move during Breaker's
+    turn), and every focus-box ball ahead of Breaker's pointer is unowned:
+    Maker owning one would mean the box is covered, and Breaker only ever
+    takes at its own pointer.  The ball that kills the focus box is its
+    last one, so the slice ends there by itself.
+    """
+    breaker._refresh(view)
+    state, goal, quota = rt.state, rt.goal, view.b
+    m = goal.m
+    lo, hi = breaker.focus * m, breaker.focus * m + m
+    first = bisect_right(rt.box_positions, state.breaker_ptr, lo, hi)
+    taken = rt.box_positions[first:min(first + quota, hi)]
+    takes = len(taken)
+    if takes:
+        state.owner[np.asarray(taken) - 1] = BREAKER
+        taken = taken.tolist()
+        state.breaker_positions += taken
+        state.breaker_ptr = taken[-1]
+        state.revealed_upto = max(state.revealed_upto, taken[-1])
+        # Balls behind Maker's pointer already belong to Breaker.
+        ahead = taken[bisect_right(taken, state.maker_ptr):]
+        rt.claims[breaker.focus] += ahead
+        goal.breaker_gain(breaker.focus, len(ahead))
+    if takes < quota and not goal.dead:
+        # Ran out of focus-box balls: the scan sweeps to the stream end.
+        state.breaker_ptr = state.revealed_upto = state.n
 
 
 _DRAWS = 32  # doubles a random Breaker draws at once in _play_minbox_fixed_p

@@ -54,8 +54,6 @@ __all__ = [
     "OwnAnyItem",
     "GameState",
     "View",
-    "phase_gate",
-    "reveal",
     "TurnContext",
     "Strategy",
     "ScheduleStrategy",
@@ -76,7 +74,7 @@ _OWNER_NAMES = {UNOWNED: "unowned", MAKER: "maker", BREAKER: "breaker"}
 
 class ProtocolViolation(RuntimeError):
     """A strategy or caller attempted an illegal move (taking an owned item,
-    revealing out of order, regressing a pointer)."""
+    exceeding a turn quota, regressing a pointer)."""
 
 
 class HiddenInformationError(RuntimeError):
@@ -529,36 +527,6 @@ class GameState:
             self.breaker_positions.append(position)
         if self.trace is not None:
             self.trace.append(("take", player, position))
-
-
-def phase_gate(state: GameState) -> bool:
-    """True iff Breaker may advance past its current position.
-
-    False exactly when the next position starts a phase whose predecessor
-    Maker has not finished yet.  Always true for unrestricted games and at the
-    end of the stream (end-of-stream is a separate blocking condition).
-    """
-    if state.rules.phase_count == 1:
-        return True
-    if state.breaker_ptr >= state.n:
-        return True
-    return state.breaker_ptr < state.breaker_stop()
-
-
-def reveal(state: GameState, position: int) -> Item:
-    """Reveal the item at ``position``, which must be the next unrevealed one.
-
-    Reveals happen implicitly as pointers advance; this is the underlying
-    primitive, exposed for scripted play and tests.
-    """
-    if position != state.revealed_upto + 1:
-        raise ProtocolViolation(
-            f"cannot reveal position {position}: frontier is at {state.revealed_upto}"
-        )
-    if position > state.n:
-        raise ProtocolViolation("reveal past end of stream")
-    state.revealed_upto = position
-    return state.item(position)
 
 
 class View:
@@ -1019,9 +987,8 @@ class Outcome:
 
     maker_cost is the exact (correctly rounded) sum of Maker's purchase
     costs.  M is the position of the goal-completing purchase, when the goal
-    was met.  B lists the positions Breaker took.  failure_phase carries the
-    acting Maker strategy's self-reported failing stage, when it gave up.
-    maker_items and breaker_items are the labels bought; ``play`` leaves them
+    was met.  failure_phase carries the acting Maker strategy's
+    self-reported failing stage, when it gave up.  maker_items and breaker_items are the labels bought; ``play`` leaves them
     to be looked up in the game's market on first read, so the Outcome keeps
     that market until it is dropped.
     """
@@ -1038,10 +1005,6 @@ class Outcome:
     seed: Optional[int] = None
     failure_phase: Optional[object] = None
     details: Optional[dict] = None
-
-    @property
-    def B(self) -> tuple:
-        return self.breaker_positions
 
 
 def _outcome(market: Market, maker_positions: list, breaker_positions: list, success: bool,

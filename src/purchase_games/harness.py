@@ -27,9 +27,9 @@ block plays a chunk of any size and gives ``run_one_trial``'s results,
 trial by trial.  Every trial draws from the streams of its seed
 (``streams``), built from seed words computed a block of trials at a time.
 A box game has three implementations of its turn rules (``box_game``):
-per-ball offers, the strategies' ``box_turn`` hooks, and one loop a game for
-the min-box Maker against a fixed-probability Breaker, which ``play_box``
-and the adversarial block both play through.
+per-ball offers, fast turns of the exact min-box Maker and focus Breaker,
+and one loop a game for the min-box Maker against a fixed-probability
+Breaker, which ``play_box`` and the adversarial block both play through.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Box game tests: protocol, the min-box and focus strategies, adversarial
 orderings, and the engine-vs-oracle comparisons."""
 
+import ast
 import functools
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -141,34 +143,30 @@ def test_bounded_damage_invariant_random_games():
         assert all(mx <= cfg.b * i for i, mx in log)
 
 
-class RecordingFocus(FocusBreaker):
-    """A focus Breaker that records, each time it moves, whether every box
-    is covered."""
-
-    def __init__(self, seen):
-        super().__init__()
-        self.seen = seen
-
-    def _refresh(self, view):
-        self.seen.append(all(view.covered))
-        super()._refresh(view)
-
-
-def test_games_end_before_a_scan_runs_out():
+def test_games_end_before_a_scan_runs_out(monkeypatch):
     """Below bn + 1, with Makers offered every ball and on every kind of
     tape: a Breaker win always has a box with all m balls belonging to
     Breaker (such a box holds no Maker ball, so it is uncovered), so Maker's
     scan starves a box before it can run past the stream end; and the focus
-    Breaker never moves once every box is covered."""
+    Breaker never moves once every box is covered.  Its ``_refresh`` is
+    watched on the class, so that its fast turn, ``_focus_turn``, which
+    plays only the exact class, is watched too."""
+    seen = []
+    real_refresh = FocusBreaker._refresh
+
+    def recorded_refresh(self, view):
+        seen.append(all(view.covered))
+        real_refresh(self, view)
+
+    monkeypatch.setattr(FocusBreaker, "_refresh", recorded_refresh)
     makers = {
         "slow_minbox": lambda seed: SlowTurns(MinboxMaker()),
         "minbox": lambda seed: MinboxMaker(),  # offered every ball on adversarial tapes
         "random": lambda seed: RandomStrategy(0.5, seed),
     }
-    seen = []
     breakers = {
-        "focus": lambda seed: RecordingFocus(seen),
-        "slow_focus": lambda seed: SlowTurns(RecordingFocus(seen)),
+        "focus": lambda seed: FocusBreaker(),
+        "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
         "random": lambda seed: RandomStrategy(0.5, seed),
         "always": lambda seed: AlwaysTake(),
         "never": lambda seed: NeverTake(),
@@ -217,7 +215,8 @@ def test_focus_switch_only_on_maker_acquisition():
 
 
 def test_focus_fast_path_matches_decide_loop():
-    # SlowTurns has no box_turn, so the driver takes the per-ball loop.
+    # Only the exact FocusBreaker plays _focus_turn: its SlowTurns twin is
+    # offered each ball.
     for ordering, t in itertools.product(("random", "scripted"), range(40)):
         seed = mix_seed(9, t)
         sequence = None
@@ -230,51 +229,58 @@ def test_focus_fast_path_matches_decide_loop():
         assert fast == slow, (ordering, t)
 
 
-class WatchedMinbox(MinboxMaker):
-    """The min-box Maker's fast turn, noting each result, the most
-    Breaker-owned balls ahead of Maker's pointer that a turn saw, the most
-    balls a turn passed and the passes with a Breaker-owned ball inside.
-    The turn scans the 2n balls past the pointer before it jumps; it also
-    counts the turns that take inside that window and those that jump past
-    it, the scans that skip a Breaker-owned ball, and the windows that reach
-    the end of the stream."""
+_MINBOX_TURN = box_game._minbox_turn
 
-    def __init__(self):
-        self.results = []
+
+class WatchedMinbox:
+    """Watches the min-box Maker's fast turn, ``box_game._minbox_turn``,
+    for one game, noting each take, the most Breaker-owned balls ahead of
+    Maker's pointer that a turn saw, the most balls a turn passed and the
+    passes with a Breaker-owned ball inside.  The turn scans the 2n balls
+    past the pointer before it jumps; the watcher also counts the turns
+    that take inside that window and those that jump past it, the scans
+    that skip a Breaker-owned ball, and the windows that reach the end of
+    the stream."""
+
+    def __init__(self, monkeypatch):
+        self.takes = []
         self.most_ahead = 0
         self.longest_pass = 0
         self.claimed_passes = 0
         self.scanned = self.jumped = self.scan_skips = self.window_at_end = 0
+        monkeypatch.setattr(box_game, "_minbox_turn", self.turn)
 
-    def box_turn(self, rt, view):
+    def turn(self, rt):
         ptr = rt.state.maker_ptr
         ahead = sum(p > ptr for p in rt.state.breaker_positions)
         self.most_ahead = max(self.most_ahead, ahead)
         end = min(ptr + 2 * rt.goal.n, rt.state.n)
-        take = super().box_turn(rt, view)
-        self.results.append(take)
+        _MINBOX_TURN(rt)
+        take = rt.state.maker_ptr
+        self.takes.append(take)
         self.longest_pass = max(self.longest_pass, take - ptr - 1)
         self.claimed_passes += any(ptr < p < take for p in rt.state.breaker_positions)
         self.scanned += take <= end
         self.jumped += take > end
         self.scan_skips += any(ptr < p <= min(take, end) for p in rt.state.breaker_positions)
         self.window_at_end += end == rt.state.n
-        return take
 
     def counts(self):
         return (self.scanned, self.jumped, self.scan_skips, self.window_at_end)
 
 
-def _add_counts(total, maker):
-    return tuple(a + b for a, b in zip(total, maker.counts()))
+def _add_counts(total, watch):
+    return tuple(a + b for a, b in zip(total, watch.counts()))
 
 
-def test_minbox_fast_path_matches_decide_loop():
-    # SlowTurns has no box_turn, so play_box offers Maker every ball.
+def test_minbox_fast_path_matches_decide_loop(monkeypatch):
+    # Only the exact MinboxMaker plays _minbox_turn: its SlowTurns twin is
+    # offered every ball.  The random Breaker is wrapped in SlowTurns, since
+    # the exact pair plays the one loop.
     breakers = {
         "focus": lambda seed: FocusBreaker(),
         "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
-        "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
+        "random": lambda seed: SlowTurns(RandomStrategy(0.5, mix_seed(seed, 4))),
     }
     starved = most_ahead = longest_pass = claimed_passes = 0
     counts = {"random": (0, 0, 0, 0), "scripted": (0, 0, 0, 0)}
@@ -291,17 +297,18 @@ def test_minbox_fast_path_matches_decide_loop():
             sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
         cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
         fast_log, slow_log = [], []
-        maker = WatchedMinbox()
-        fast = play_box(cfg, maker, breakers[breaker](seed), seed=seed, damage_log=fast_log)
+        watch = WatchedMinbox(monkeypatch)
+        fast = play_box(cfg, MinboxMaker(), breakers[breaker](seed), seed=seed,
+                        damage_log=fast_log)
         slow = play_box(cfg, SlowTurns(MinboxMaker()), breakers[breaker](seed), seed=seed,
                         damage_log=slow_log)
         assert fast == slow and fast_log == slow_log, ((n, m, b), ordering, breaker, t)
-        assert None not in maker.results
+        assert tuple(watch.takes) == fast.maker_positions
         starved += not fast.success
-        most_ahead = max(most_ahead, maker.most_ahead)
-        longest_pass = max(longest_pass, maker.longest_pass)
-        claimed_passes += maker.claimed_passes
-        counts[ordering] = _add_counts(counts[ordering], maker)
+        most_ahead = max(most_ahead, watch.most_ahead)
+        longest_pass = max(longest_pass, watch.longest_pass)
+        claimed_passes += watch.claimed_passes
+        counts[ordering] = _add_counts(counts[ordering], watch)
     assert starved >= 100
     assert most_ahead >= 10  # Breaker-owned balls the fast turn had to skip
     assert longest_pass > 48
@@ -325,18 +332,17 @@ class RecountedMinbox(WatchedMinbox):
     """The min-box Maker's fast turn, watched, recounting the scoreboard
     after it."""
 
-    def box_turn(self, rt, view):
-        take = super().box_turn(rt, view)
-        assert rt.goal.btb == _recounted_btb(rt.state, rt.goal.n, rt.goal.m), take
-        return take
+    def turn(self, rt):
+        super().turn(rt)
+        assert rt.goal.btb == _recounted_btb(rt.state, rt.goal.n, rt.goal.m), self.takes[-1]
 
 
 @pytest.mark.parametrize("ordering", ["random", "scripted"])
-def test_minbox_fast_turn_scoreboard_matches_a_recount(ordering):
+def test_minbox_fast_turn_scoreboard_matches_a_recount(ordering, monkeypatch):
     breakers = {
         "focus": lambda seed: FocusBreaker(),
         "slow_focus": lambda seed: SlowTurns(FocusBreaker()),
-        "random": lambda seed: RandomStrategy(0.5, mix_seed(seed, 4)),
+        "random": lambda seed: SlowTurns(RandomStrategy(0.5, mix_seed(seed, 4))),
     }
     turns, counts = 0, (0, 0, 0, 0)
     for (n, m, b), breaker, t in itertools.product(
@@ -347,10 +353,10 @@ def test_minbox_fast_turn_scoreboard_matches_a_recount(ordering):
             rng = np.random.Generator(np.random.PCG64(seed))
             sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
         cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
-        maker = RecountedMinbox()
-        play_box(cfg, maker, breakers[breaker](seed), seed=seed)
-        turns += len(maker.results)
-        counts = _add_counts(counts, maker)
+        watch = RecountedMinbox(monkeypatch)
+        play_box(cfg, MinboxMaker(), breakers[breaker](seed), seed=seed)
+        turns += len(watch.takes)
+        counts = _add_counts(counts, watch)
     assert turns >= 400
     assert all(counts), counts  # both halves of the turn, skips, windows at the end
 
@@ -516,9 +522,9 @@ def _end_state(rt):
 
 
 def test_adversarial_per_ball_games_keep_no_claims(monkeypatch):
-    """On an adversarial tape the ``box_turn`` hooks, the only readers of
-    a runtime's claims, play no turn, so a per-ball game there (the min-box
-    Maker against the focus Breaker) keeps none; each game's outcome and
+    """On an adversarial tape ``_minbox_turn`` and ``_focus_turn``, the
+    only readers of a runtime's claims, play no turn, so a per-ball game
+    there (the min-box Maker against the focus Breaker) keeps none; each game's outcome and
     damage log hash to its pin in ``box_pins.json``."""
     pins = json.loads(Path(__file__).with_name("box_pins.json").read_text())
     monkeypatch.setattr(box_game, "_BoxRuntime", _KeptRuntime)
@@ -692,6 +698,75 @@ def test_only_the_exact_pair_plays_the_one_loop(monkeypatch):
     assert loops == [0.2, 1.0, 0.0, 0.8, 1.0]
 
 
+class GreedyMaker(MinboxMaker):
+    """A ``MinboxMaker`` subclass that takes any unowned ball of an
+    uncovered box."""
+
+    def decide(self, view, item):
+        return item.owner == UNOWNED and not view.covered[item.label[0]]
+
+
+class TwoBoxFocus(FocusBreaker):
+    """A ``FocusBreaker`` subclass that also takes the balls of the last
+    box."""
+
+    def decide(self, view, item):
+        return (super().decide(view, item)
+                or (item.owner == UNOWNED and item.label[0] == len(view.covered) - 1))
+
+
+def test_subclasses_that_override_decide_play_as_their_slow_twins():
+    """The fast turns play only the exact ``MinboxMaker`` and
+    ``FocusBreaker``: a subclass of either that overrides ``decide`` is
+    offered each ball, so it plays the same game as its SlowTurns twin on
+    every ordering, against the exact other player too."""
+    pairs = {
+        "greedy/focus": (GreedyMaker, FocusBreaker),
+        "minbox/two": (MinboxMaker, TwoBoxFocus),
+        "greedy/two": (GreedyMaker, TwoBoxFocus),
+    }
+    breaker_wins = games = 0
+    for (n, m, b), ordering, pair, t in itertools.product(
+            [(2, 3, 1), (3, 4, 2), (4, 6, 3), (5, 11, 2)],
+            ("random", "scripted", "adversarial"), pairs, range(5)):
+        seed = mix_seed(37, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+        cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        maker, breaker = pairs[pair]
+        fast_log, slow_log = [], []
+        fast = play_box(cfg, maker(), breaker(), seed=seed, damage_log=fast_log)
+        slow = play_box(cfg, SlowTurns(maker()), SlowTurns(breaker()), seed=seed,
+                        damage_log=slow_log)
+        case = ((n, m, b), ordering, pair, t)
+        assert _box_game_record(fast, fast_log) == _box_game_record(slow, slow_log), case
+        breaker_wins += not fast.success
+        games += 1
+    assert 30 <= breaker_wins <= games - 30
+
+
+def test_no_strategy_method_names_the_box_runtime():
+    """No ``Strategy`` subclass in ``src/`` has a method that takes or names
+    ``_BoxRuntime``: the box game's fast turns are driver code, chosen by
+    the player's exact type.  ``BoxView``, a view and not a strategy, is
+    built from one."""
+    package = Path(box_game.__file__).parent
+    naming = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(
+            "purchase_games" if path.stem == "__init__" else f"purchase_games.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    (isinstance(sub, ast.Name) and sub.id == "_BoxRuntime")
+                    or (isinstance(sub, ast.Attribute) and sub.attr == "_BoxRuntime")
+                    for sub in ast.walk(node)):
+                naming.append((path.name, node.name,
+                               issubclass(getattr(module, node.name), engine.Strategy)))
+    assert naming == [("box_game.py", "BoxView", False)], naming
+
+
 def test_fixed_p_minbox_games_build_no_runtime(monkeypatch):
     """A game of the exact min-box Maker against a fixed-probability
     Breaker builds no ``_BoxRuntime`` and no ``GameState`` on any tape;
@@ -797,6 +872,20 @@ def test_adversarial_ordering_function():
     assert box == 0  # non-box-0 stock exhausted
     box, _ = adversarial_ordering(cfg, {"revealed_boxes": [], "scanning": "breaker"})
     assert box == 0
+
+
+@pytest.mark.parametrize("revealed, scanning, message", [
+    ([-1, -1], "maker", "trace reveals box -1, outside 0..1"),
+    ([0, 2], "breaker", "trace reveals box 2, outside 0..1"),
+    ([1, 1, 1], "maker", "trace over-reveals box 1"),
+    ([], "Maker", "scanning must be 'maker' or 'breaker', got 'Maker'"),
+    ([0, 1, 1, 0], "breaker", "trace has revealed every ball"),
+])
+def test_adversarial_ordering_rejects_bad_traces(revealed, scanning, message):
+    cfg = BoxConfig(n=2, m=2, b=1, ordering="adversarial")
+    with pytest.raises(ValueError) as exc:
+        adversarial_ordering(cfg, {"revealed_boxes": revealed, "scanning": scanning})
+    assert str(exc.value) == message
 
 
 def test_adversarial_game_trace_vs_oracle():

@@ -14,15 +14,16 @@ import itertools
 
 import numpy as np
 
-from purchase_games import streams
-from purchase_games.box_game import BoxConfig, MinboxMaker, play_box
+from purchase_games import box_game, streams
+from purchase_games.box_game import BoxConfig, FocusBreaker, MinboxMaker, play_box
 from purchase_games.engine import AlwaysTake, NeverTake, RandomStrategy, SlowTurns, mix_seed
 
 
 def reference_game(n, m, b, ordering, seed, sequence, breaker_takes_ball):
     """(Maker's positions, Breaker's positions, winner, M, turns, damage
     log) of the min-box Maker against a Breaker that takes an unowned ball
-    it is offered when ``breaker_takes_ball()`` says so."""
+    of box ``box`` it is offered when ``breaker_takes_ball(box, covered)``
+    says so, ``covered(c)`` telling whether Maker holds a ball of box c."""
     total = n * m
     if ordering == "random":
         tape = np.random.default_rng(mix_seed(seed, streams._TAPE_STREAM)).permutation(total)
@@ -77,8 +78,7 @@ def reference_game(n, m, b, ordering, seed, sequence, breaker_takes_ball):
             pointer["breaker"] += 1
             if owner[pos] is not None:
                 continue
-            box_at(pos, "breaker")
-            if breaker_takes_ball():
+            if breaker_takes_ball(box_at(pos, "breaker"), covered):
                 owner[pos] = "breaker"
                 breaker_takes.append(pos + 1)
                 taken += 1
@@ -114,8 +114,10 @@ def test_play_box_matches_the_reference_driver():
         cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
         p, drawing = breakers[name], name.startswith("random")
         ref_rng = np.random.default_rng(mix_seed(seed, 5))  # a double an offer
-        expected = reference_game(n, m, b, ordering, seed, sequence,
-                                  (lambda: ref_rng.random() < p) if drawing else (lambda: p == 1.0))
+        expected = reference_game(
+            n, m, b, ordering, seed, sequence,
+            (lambda box, covered: ref_rng.random() < p) if drawing
+            else (lambda box, covered: p == 1.0))
         for slow in (False, True):
             if drawing:
                 breaker = RandomStrategy(p, mix_seed(seed, 5))
@@ -133,3 +135,48 @@ def test_play_box_matches_the_reference_driver():
         breaker_wins += not out.success
         games += 1
     assert breaker_wins >= 80 and games - breaker_wins >= 300
+
+
+def focus_takes_ball(n):
+    """The focus Breaker's rule: its focus is box 0 until Maker covers it,
+    then the lowest uncovered box, and it takes only the focus box's balls.
+    Maker covers boxes only between Breaker's turns, so the focus is always
+    the lowest uncovered box."""
+    return lambda box, covered: box == next(c for c in range(n) if not covered(c))
+
+
+def test_focus_games_match_the_reference_driver(monkeypatch):
+    """The exact min-box Maker against the exact focus Breaker, whose turns
+    on a tape ordered in advance are ``_minbox_turn`` and ``_focus_turn``,
+    and the same pair wrapped in SlowTurns, offered each ball, on all three
+    orderings: the same positions, winner, M, turn count and per-turn
+    damage log as the reference.  (2, 60, 29) has Maker passes of dozens of
+    balls with Breaker's claims inside them."""
+    focus_turns = []
+    real_focus_turn = box_game._focus_turn
+    monkeypatch.setattr(box_game, "_focus_turn",
+                        lambda *args: focus_turns.append(1) or real_focus_turn(*args))
+    breaker_wins = games = 0
+    for (n, m, b), ordering, t in itertools.product(
+            [(2, 3, 1), (3, 4, 2), (4, 6, 3), (6, 5, 4), (5, 11, 2), (2, 60, 29)],
+            ("random", "scripted", "adversarial"), range(6)):
+        seed = mix_seed(43, t)
+        sequence = None
+        if ordering == "scripted":
+            rng = np.random.default_rng(seed)
+            sequence = tuple(rng.permutation(np.repeat(np.arange(n), m)).tolist())
+        cfg = BoxConfig(n=n, m=m, b=b, ordering=ordering, sequence=sequence)
+        expected = reference_game(n, m, b, ordering, seed, sequence, focus_takes_ball(n))
+        for slow in (False, True):
+            focus_turns.clear()
+            maker, breaker = MinboxMaker(), FocusBreaker()
+            log = []
+            out = play_box(cfg, SlowTurns(maker) if slow else maker,
+                           SlowTurns(breaker) if slow else breaker, seed=seed, damage_log=log)
+            case = ((n, m, b), ordering, t, slow)
+            assert (out.maker_positions, out.breaker_positions, out.details["winner"], out.M,
+                    out.turns_used, log) == expected, case
+            assert bool(focus_turns) == (not slow and ordering != "adversarial"), case
+        breaker_wins += not out.success
+        games += 1
+    assert breaker_wins >= 30 and games - breaker_wins >= 30

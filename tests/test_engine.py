@@ -34,10 +34,8 @@ from purchase_games.engine import (
     generate_market,
     mix_seed,
     phase_ends,
-    phase_gate,
     phase_of_position,
     play,
-    reveal,
 )
 from purchase_games.clique_game import (
     CliqueGoal,
@@ -427,7 +425,7 @@ def test_taking_owned_item_is_violation():
 
 
 # --------------------------------------------------------------------------
-# phase_gate and reveal as standalone operations
+# The phase rule as GameState.breaker_stop states it
 # --------------------------------------------------------------------------
 
 
@@ -442,29 +440,17 @@ def test_phase_gate_boundary_cases():
     st_.maker_ptr = 5
     st_.breaker_ptr = 5
     st_.revealed_upto = 5
-    assert phase_gate(st_)
+    assert st_.breaker_ptr < st_.breaker_stop() == 10
     # maker mid-phase-1, breaker at phase-1 end -> closed
     st2 = _state()
     st2.maker_ptr = 3
     st2.breaker_ptr = 5
     st2.revealed_upto = 5
-    assert not phase_gate(st2)
+    assert st2.breaker_stop() == st2.breaker_ptr
     # unrestricted game -> always open
     st3 = _state(phases=1)
     st3.breaker_ptr = 9
-    assert phase_gate(st3)
-
-
-def test_reveal_in_order_only():
-    st_ = _state()
-    item = reveal(st_, 1)
-    assert item.position == 1 and item.revealed
-    with pytest.raises(ProtocolViolation):
-        reveal(st_, 1)  # already revealed
-    with pytest.raises(ProtocolViolation):
-        reveal(st_, 3)  # out of order
-    reveal(st_, 2)
-    assert st_.revealed_upto == 2
+    assert st3.breaker_ptr < st3.breaker_stop() == st3.n
 
 
 def test_view_shows_breaker_reveals_to_maker():

@@ -275,8 +275,8 @@ class _BoxRuntime:
 
 class BoxView(View):
     """A View of the box game that adds the scoreboard (derived from revealed
-    balls only) and each revealed ball's box.  ``covered`` and
-    ``btb_counts`` are the game's own scoreboard lists, not copies: a
+    balls only); a revealed ball's box is ``label(pos)[0]``.  ``covered``
+    and ``btb_counts`` are the game's own scoreboard lists, not copies: a
     strategy reads them and must not write to them."""
 
     __slots__ = ("_goal",)
@@ -296,9 +296,6 @@ class BoxView(View):
     @property
     def max_uncovered_btb(self) -> int:
         return self._goal.max_uncovered
-
-    def box_of(self, pos: int) -> int:
-        return self.label(pos)[0]
 
 
 # --------------------------------------------------------------------------
@@ -740,7 +737,7 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
             rng.bit_generator.advance(2**128 - unused)
         won = goal.covered_count == config.n
         return _outcome(market, maker_positions, breaker_positions, won, mp if won else None,
-                        turns, seed, "box-starved", _details(goal, won, breaker_turns))
+                        turns, "box-starved", _details(goal, won, breaker_turns))
     rt = _BoxRuntime(config, seed)
     state, goal = rt.state, rt.goal
     maker_view = BoxView(rt, MAKER)
@@ -764,7 +761,7 @@ def play_box(config: BoxConfig, maker: Strategy, breaker: Strategy, *,
 
     won = state.goal_met
     return _outcome(state.market, state.maker_positions, state.breaker_positions, won,
-                    state.goal_position, state.turns_used, seed, "box-starved",
+                    state.goal_position, state.turns_used, "box-starved",
                     _details(goal, won, rt.breaker_turns))
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from .engine import (
     Goal,
     Item,
-    Market,
     PhaseBounds,
     ScheduleStrategy,
     StagedScanner,
@@ -211,9 +210,6 @@ class CliqueGoal(Goal):
             raise ValueError("k must be >= 3")
         self.k = k
         self.adj: dict = {}
-
-    def start(self, market: Market) -> None:
-        self.adj = {}
 
     def _has_clique(self, cands: frozenset, size: int) -> bool:
         if size == 0:

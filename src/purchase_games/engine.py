@@ -285,9 +285,6 @@ class Market:
     def label(self, position: int):
         return self.universe.label_of_rank(int(self.perm[position - 1]))
 
-    def cost(self, position: int) -> float:
-        return float(self.costs[position - 1])
-
     def edge_endpoints(self):
         """Per-position endpoint arrays (u, v) for edge-label markets, all
         n of them; the edge-game Makers build only their stages' candidates."""
@@ -390,17 +387,15 @@ class PhaseBounds:
 class Goal:
     """Incremental goal predicate over Maker's purchased labels.
 
-    One instance serves one game: ``start`` is called when the game begins and
-    ``on_maker_take`` after every Maker purchase, returning True once the goal
-    is met.  Implementations may keep state; they see only Maker's own labels.
-    A goal that never looks at labels sets ``_reads_labels = False`` and is
-    passed None instead, so the market's permutation is not built for it.
+    One instance serves one game: ``GameRules.goal`` makes a fresh one for
+    each, and ``on_maker_take`` is called after every Maker purchase,
+    returning True once the goal is met.  Implementations may keep state;
+    they see only Maker's own labels.  A goal that never looks at labels
+    sets ``_reads_labels = False`` and is passed None instead, so the
+    market's permutation is not built for it.
     """
 
     _reads_labels = True
-
-    def start(self, market: Market) -> None:
-        pass
 
     def on_maker_take(self, label) -> bool:
         raise NotImplementedError
@@ -439,16 +434,16 @@ class GameState:
     is the reveal frontier: exactly the items at positions <= revealed_upto are
     revealed, because reveals happen in stream order as pointers advance.
     Purchases are kept as positions; their labels are looked up on read.
+    The goal is a fresh one from ``rules.goal``.
     """
 
     __slots__ = (
         "market", "rules", "owner", "maker_ptr", "breaker_ptr", "revealed_upto",
         "maker_positions", "breaker_positions", "turns_used", "goal_met",
-        "goal_position", "_goal", "ends", "seed_record", "trace",
+        "goal_position", "_goal", "ends", "trace",
     )
 
-    def __init__(self, market: Market, rules: GameRules, seed_record=None,
-                 record_trace: bool = False):
+    def __init__(self, market: Market, rules: GameRules, record_trace: bool = False):
         n = market.n
         self.market = market
         self.rules = rules
@@ -462,9 +457,7 @@ class GameState:
         self.goal_met = False
         self.goal_position: Optional[int] = None
         self._goal = rules.goal()
-        self._goal.start(market)
         self.ends = phase_ends(n, rules.phase_count)
-        self.seed_record = seed_record
         self.trace = [] if record_trace else None
 
     @property
@@ -484,16 +477,12 @@ class GameState:
             revealed=position <= self.revealed_upto,
         )
 
-    def maker_finished_through(self) -> int:
-        """Number of whole phases Maker's pointer has completed."""
-        return int(np.searchsorted(self.ends, self.maker_ptr, side="right"))
-
     def breaker_stop(self) -> int:
         """Furthest position Breaker may reach this turn under the phase rule:
         the end of the phase after the last one Maker has finished."""
         if self.rules.phase_count == 1:
             return self.n
-        done = self.maker_finished_through()
+        done = int(np.searchsorted(self.ends, self.maker_ptr, side="right"))
         allowed = min(done + 1, self.rules.phase_count)
         return int(self.ends[allowed - 1])
 
@@ -574,14 +563,6 @@ class View:
         self._check(position)
         return self._state.market.label(position)
 
-    def owner_of(self, position: int) -> int:
-        self._check(position)
-        return int(self._state.owner[position - 1])
-
-    def item(self, position: int) -> Item:
-        self._check(position)
-        return self._state.item(position)
-
     def my_positions(self) -> tuple:
         st = self._state
         return tuple(st.maker_positions if self.player == MAKER else st.breaker_positions)
@@ -638,11 +619,12 @@ class TurnContext:
         return self.state.item(pos)
 
     def seek(self, thresholds, *, include_owned: bool = False,
-             start: Optional[int] = None, end: Optional[int] = None) -> Optional[Item]:
-        """Advance to the first position q in [start, min(stop, end)] with
-        cost[q] <= thresholds[q] (and unowned, unless include_owned), rejecting
-        everything in between; None (pointer at min(stop, end), or where it
-        was if that is behind it) if there is none.
+             end: Optional[int] = None) -> Optional[Item]:
+        """Advance to the first position q after the pointer and at most
+        min(stop, end) with cost[q] <= thresholds[q] (and unowned, unless
+        include_owned), rejecting everything in between; None (pointer at
+        min(stop, end), or where it was if that is behind it) if there is
+        none.
 
         ``thresholds`` is a scalar or a length-n array indexed by position-1.
         Equivalent to offering every item in between and declining it.
@@ -651,8 +633,6 @@ class TurnContext:
             return None
         st = self.state
         a = st.pointer(self.player) + 1
-        if start is not None and start > a:
-            a = start
         b = self.stop if end is None else min(self.stop, end)
         if a > b:
             self.skip_to(b)
@@ -988,9 +968,11 @@ class Outcome:
     maker_cost is the exact (correctly rounded) sum of Maker's purchase
     costs.  M is the position of the goal-completing purchase, when the goal
     was met.  failure_phase carries the acting Maker strategy's
-    self-reported failing stage, when it gave up.  maker_items and breaker_items are the labels bought; ``play`` leaves them
-    to be looked up in the game's market on first read, so the Outcome keeps
-    that market until it is dropped.
+    self-reported failing stage, when it gave up.  seed is the market's
+    (None for a market built from a permutation with no seed).
+    maker_items and breaker_items are the labels bought; ``play`` leaves
+    them to be looked up in the game's market on first read, so the Outcome
+    keeps that market until it is dropped.
     """
 
     success: bool
@@ -1008,12 +990,12 @@ class Outcome:
 
 
 def _outcome(market: Market, maker_positions: list, breaker_positions: list, success: bool,
-             M: Optional[int], turns_used: int, seed, failure_phase: Optional[object],
+             M: Optional[int], turns_used: int, failure_phase: Optional[object],
              details: Optional[dict] = None) -> Outcome:
     """The Outcome of a finished game on ``market`` in which the players
     took ``maker_positions`` and ``breaker_positions``, with Maker's exact
-    cost and the labels to look up on first read; ``failure_phase`` is
-    recorded only when the goal was not met."""
+    cost, the market's seed and the labels to look up on first read;
+    ``failure_phase`` is recorded only when the goal was not met."""
     maker_positions = tuple(maker_positions)
     breaker_positions = tuple(breaker_positions)
     costs = market.costs
@@ -1027,14 +1009,14 @@ def _outcome(market: Market, maker_positions: list, breaker_positions: list, suc
         M=M,
         turns_used=turns_used,
         n=market.n,
-        seed=seed,
+        seed=market.seed,
         failure_phase=None if success else failure_phase,
         details=details,
     )
 
 
 def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
-         *, seed_record=None, record_trace: bool = False) -> Outcome:
+         *, record_trace: bool = False) -> Outcome:
     """Run one purchase-protocol game to completion and return its Outcome.
 
     Breaker moves first.  Each Breaker turn scans forward, taking items until
@@ -1044,8 +1026,9 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
     phase-blocked Maker may take any number of items up to the blocking
     boundary.  The game ends when the goal is met or Maker exhausts the
     stream.  Strategy instances are stateful and must be fresh per game.
+    The Outcome's seed is ``market.seed``.
     """
-    state = GameState(market, rules, seed_record=seed_record, record_trace=record_trace)
+    state = GameState(market, rules, record_trace=record_trace)
     maker_view = View(state, MAKER)
     breaker_view = View(state, BREAKER)
     maker.prepare(market)
@@ -1085,5 +1068,5 @@ def play(market: Market, rules: GameRules, maker: Strategy, breaker: Strategy,
 
     details = {"trace": state.trace} if record_trace else None
     return _outcome(state.market, state.maker_positions, state.breaker_positions,
-                    state.goal_met, state.goal_position, state.turns_used, state.seed_record,
+                    state.goal_met, state.goal_position, state.turns_used,
                     getattr(maker, "failure_phase", None), details)

@@ -236,7 +236,7 @@ def _game(cfg: TrialConfig):
             raise ValueError(f"market size must be >= 1, got {cfg.n}")
         rules = GameRules(b=cfg.b, phase_count=cfg.phases, goal=OwnAnyItem)
         return lambda seed, maker, breaker: play(
-            generate_market(cfg.n, seed), rules, maker, breaker, seed_record=seed)
+            generate_market(cfg.n, seed), rules, maker, breaker)
     if cfg.game == "clique":
         k = _clique_k(cfg)
         stream = _edge_stream_length(cfg)
@@ -250,15 +250,14 @@ def _game(cfg: TrialConfig):
         rules = GameRules(b=cfg.b, phase_count=phases,
                           goal=functools.partial(clique_game.CliqueGoal, k))
         return lambda seed, maker, breaker: play(
-            generate_market(stream, seed, EdgeLabels(cfg.n)), rules, maker, breaker,
-            seed_record=seed)
+            generate_market(stream, seed, EdgeLabels(cfg.n)), rules, maker, breaker)
     if cfg.game == "path":
         plan = _path_plan(cfg)
         rules = GameRules(b=cfg.b, phase_count=plan.phase_count,
                           goal=functools.partial(path_game.PathGoal, 0, 1))
         return lambda seed, maker, breaker: play(
-            generate_market(plan.edge_count, seed, EdgeLabels(cfg.n)), rules, maker, breaker,
-            seed_record=seed)
+            generate_market(plan.edge_count, seed, EdgeLabels(cfg.n)), rules, maker,
+            breaker)
     if cfg.game == "box":
         if cfg.m is None:
             raise ValueError("box game needs m (balls per box)")

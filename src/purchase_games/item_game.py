@@ -71,7 +71,7 @@ class ThresholdSchedule:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or len(v) < 1:
             raise ValueError("schedule must be a nonempty 1-d array")
-        if np.any(v < 0) or np.any(v > 1):
+        if not np.all((v >= 0) & (v <= 1)):  # NaN included
             raise ValueError("thresholds must lie in [0, 1]")
 
     @property
@@ -298,8 +298,8 @@ class PhasedMaker(Strategy):
     def play_turn(self, ctx: TurnContext) -> None:
         plan = self.plan
         while not ctx.turn_over():
-            start = plan.phase_start(self._attempted_through + 1)
-            item = ctx.seek(plan.position_thresholds, include_owned=True, start=start)
+            ctx.skip_to(plan.phase_start(self._attempted_through + 1) - 1)
+            item = ctx.seek(plan.position_thresholds, include_owned=True)
             if item is None:
                 return
             if self.decide(ctx.view, item):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -231,17 +231,13 @@ _ADVERSARIAL_GUARD = 12
 
 @dataclass
 class MinimaxResult:
-    """Winner of a box game under optimal play, with the search's memo table
-    (keyed by canonical state) and node count for regression pinning."""
+    """Winner of a box game under optimal play, with the number of states
+    the search solved, for regression pinning.  The search's memo is freed
+    when it returns."""
 
     winner: str
     node_count: int
     inputs: dict
-    table: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def table_size(self) -> int:
-        return len(self.table)
 
     def to_json_record(self) -> str:
         return oracle_json_record(self.inputs, winner=self.winner,
@@ -301,13 +297,13 @@ def box_minimax(n: int, m: int, b: int, ordering_mode: str = "adversarial",
         seq = tuple(int(x) for x in ordering)
         if len(seq) != total or any(seq.count(i) != m for i in range(n)):
             raise ValueError("ordering must contain each box id exactly m times")
-        winner, nodes, table = _solve_fixed(n, m, b, seq, maker_first)
+        winner, nodes = _solve_fixed(n, m, b, seq, maker_first)
     elif ordering_mode == "adversarial":
         if total > _ADVERSARIAL_GUARD:
             raise ValueError(
                 f"state space guard: adversarial mode needs n*m <= {_ADVERSARIAL_GUARD}"
             )
-        winner, nodes, table = _solve_adversarial(n, m, b, maker_first)
+        winner, nodes = _solve_adversarial(n, m, b, maker_first)
     else:
         raise ValueError(f"unknown ordering_mode {ordering_mode!r}")
     inputs = {"n": n, "m": m, "b": b, "ordering_mode": ordering_mode,
@@ -315,7 +311,7 @@ def box_minimax(n: int, m: int, b: int, ordering_mode: str = "adversarial",
     if ordering_mode == "fixed":
         inputs["ordering"] = list(ordering)
     return MinimaxResult(winner="maker" if winner else "breaker",
-                         node_count=nodes, inputs=inputs, table=table)
+                         node_count=nodes, inputs=inputs)
 
 
 def _solve_fixed(n: int, m: int, b: int, seq: tuple, maker_first: bool):
@@ -378,7 +374,8 @@ def _solve_fixed(n: int, m: int, b: int, seq: tuple, maker_first: bool):
         result = solve(0, 0, start_owner, _M, 1)
     else:
         result = solve(0, 0, start_owner, _B, b)
-    return result, nodes, memo
+    del solve  # the recursive closure holds the memo until a gc pass
+    return result, nodes
 
 
 def _solve_adversarial(n: int, m: int, b: int, maker_first: bool):
@@ -480,4 +477,5 @@ def _solve_adversarial(n: int, m: int, b: int, maker_first: bool):
     start = ((), 0, 0, (False,) * n, (0,) * n, (m,) * n,
              _M if maker_first else _B, 1 if maker_first else b)
     result = solve(*start)
-    return result, nodes, memo
+    del solve  # the recursive closures hold the memo until a gc pass
+    return result, nodes

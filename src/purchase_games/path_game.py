@@ -28,7 +28,6 @@ import numpy as np
 from .engine import (
     Goal,
     Item,
-    Market,
     PhaseBounds,
     ScheduleStrategy,
     StagedScanner,
@@ -152,9 +151,6 @@ class PathGoal(Goal):
         self.u = u
         self.v = v
         self._parent: dict = {}
-
-    def start(self, market: Market) -> None:
-        self._parent = {}
 
     def _find(self, x):
         parent = self._parent

@@ -104,7 +104,7 @@ def test_acceptance_05_phased_upper_bound_scaling():
             seed = mix_seed(50_000 + b, t)
             market = generate_market(n, seed)
             out = play(market, GameRules(b=b), ig.PhasedMaker(plan),
-                       ig.cheap_grab_breaker(n, b), seed_record=seed)
+                       ig.cheap_grab_breaker(n, b))
             successes += out.success
             total += out.maker_cost
         mean = total / trials
@@ -130,7 +130,7 @@ def test_acceptance_06_triangle_game():
         market = generate_market(E, seed, EdgeLabels(n))
         out = play(market, GameRules(b=b, goal=lambda: cg.CliqueGoal(3)),
                    cg.triangle_maker_unrestricted(n, b),
-                   cg.triangle_mimic_breaker(n, b), seed_record=seed)
+                   cg.triangle_mimic_breaker(n, b))
         if out.success:
             wins += 1
             cost_sum += out.maker_cost
@@ -174,8 +174,7 @@ def test_acceptance_07_restricted_k_clique():
         market = generate_market(E, seed, EdgeLabels(n))
         out = play(market, GameRules(b=b, phase_count=k,
                                      goal=lambda: cg.CliqueGoal(k)),
-                   cg.kclique_maker(plan), cg.plan_mimic_breaker(plan),
-                   seed_record=seed)
+                   cg.kclique_maker(plan), cg.plan_mimic_breaker(plan))
         if out.success:
             assert contains_clique(out.maker_items, 3)
             wins += 1
@@ -197,8 +196,7 @@ def test_acceptance_08_path_game_desk_scale():
         maker = pth.path_maker(plan, 0, 1)
         out = play(market, GameRules(b=b, phase_count=plan.phase_count,
                                      goal=lambda: pth.PathGoal(0, 1)),
-                   maker, ig.cheap_grab_breaker(E, b), seed_record=seed,
-                   record_trace=True)
+                   maker, ig.cheap_grab_breaker(E, b), record_trace=True)
         # tree invariants on every purchase, rebuilt from the purchase order
         in_t, in_tp = {0}, {1}
         for p in out.maker_positions:

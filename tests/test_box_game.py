@@ -968,9 +968,9 @@ def test_box_view_hides_unrevealed():
             if not self.checked:
                 self.checked = True
                 assert isinstance(view, View)
-                assert view.box_of(item.position) == item.label[0]
+                assert view.label(item.position)[0] == item.label[0]
                 with pytest.raises(RuntimeError):
-                    view.box_of(item.position + 1)
+                    view.label(item.position + 1)
             return True
 
     probe = Probe()
@@ -987,7 +987,7 @@ def test_box_view_raises_hidden_information_error():
     class Probe(Strategy):
         def decide(self, view, item):
             if not raised:
-                for ask in (view.box_of, view.owner_of):
+                for ask in (view.label, view.cost):
                     for pos in (0, item.position + 1):
                         with pytest.raises(HiddenInformationError) as exc:
                             ask(pos)

@@ -141,7 +141,6 @@ def test_clique_goal_matches_brute_force():
     for k in (3, 4):
         for _ in range(40):
             goal = CliqueGoal(k)
-            goal.start(None)
             edges = []
             fired_at = None
             for _ in range(25):
@@ -172,7 +171,7 @@ def test_triangle_small_monte_carlo():
         market = generate_market(E, seed, EdgeLabels(n))
         out = play(market, _edge_rules(b, 1, 3),
                    triangle_maker_unrestricted(n, b),
-                   triangle_mimic_breaker(n, b), seed_record=seed)
+                   triangle_mimic_breaker(n, b))
         if out.success:
             wins += 1
             assert contains_clique(out.maker_items, 3)
@@ -240,7 +239,7 @@ def test_kclique_k3_small():
         seed = mix_seed(8002, t)
         market = generate_market(E, seed, EdgeLabels(n))
         out = play(market, _edge_rules(b, k, k), kclique_maker(plan),
-                   plan_mimic_breaker(plan), seed_record=seed)
+                   plan_mimic_breaker(plan))
         if out.success:
             wins += 1
             assert contains_clique(out.maker_items, 3)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from purchase_games import harness
 from purchase_games.engine import (GameRules, IndexLabels, Market, ScheduleStrategy, SlowTurns,
                                    generate_market, mix_seed, play)
-from purchase_games.item_game import ThresholdSchedule, expected_cost
+from purchase_games.item_game import PhasedMaker, ThresholdSchedule, expected_cost, phase_plan
 from purchase_games.oracle import eval_schedules_on_grid, grid_points, item_b0_dp
 
 
@@ -81,6 +81,36 @@ def test_play_equals_the_grid_enumerator_exactly():
                 play(market, GameRules(b=1), wrap(ScheduleStrategy(t)),
                      wrap(ScheduleStrategy(s))).maker_cost for market in markets) / len(markets)
             assert abs(mean - exact) <= 1e-12, (n, g, s, t, route)
+
+
+def test_phased_kernel_equals_play_on_every_grid_market():
+    """The bulk item kernel with phase ends, ``harness._maker_takes`` with
+    ``ends``, and ``play`` with a ``PhasedMaker`` against a threshold
+    Breaker agree on success and on Maker's position, on the fast and the
+    per-item route, over all g**n markets whose costs are grid midpoints,
+    for n = 2..5, g in {2, 3}, quota b in {1, 2} with b + 1 <= n, and four
+    Breaker thresholds."""
+    games = 0
+    for n, g, b in itertools.product(range(2, 6), (2, 3), (1, 2)):
+        if b + 1 > n:
+            continue
+        plan = phase_plan(n, b)
+        grid = np.array(grid_points(g))
+        costs = grid[np.array(list(itertools.product(range(g), repeat=n)))]
+        markets = [Market(n, row, IndexLabels(n), seed=0) for row in costs]
+        for s in (0.3, 0.6, 0.9, 1.0):
+            met, at = harness._maker_takes(costs, plan.position_thresholds, s,
+                                           np.full(len(costs), b), plan.ends - 1,
+                                           np.full(len(costs), -1))
+            kernel = [(bool(m), int(a) + 1 if m else None) for m, a in zip(met, at)]
+            for wrap in (lambda strategy: strategy, SlowTurns):
+                for market, want in zip(markets, kernel):
+                    out = play(market, GameRules(b=b), wrap(PhasedMaker(plan)),
+                               wrap(ScheduleStrategy(s)))
+                    got = (out.success, out.maker_positions[0] if out.success else None)
+                    assert got == want, (n, g, b, s, market.costs)
+                    games += 1
+    assert games == 6616
 
 
 @pytest.mark.slow

@@ -118,8 +118,7 @@ def _outcome(game: str, breaker: str, seed: int, turns: str):
     opponent = _breakers(stream, rules.b, mimic)[breaker](seed)
     if turns == "slow":
         maker, opponent = SlowTurns(maker), SlowTurns(opponent)
-    return play(generate_market(stream, seed, EdgeLabels(n)), rules, maker, opponent,
-                seed_record=seed)
+    return play(generate_market(stream, seed, EdgeLabels(n)), rules, maker, opponent)
 
 
 def _digest(game: str, breaker: str, seed: int, turns: str) -> str:

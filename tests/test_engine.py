@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from purchase_games import engine, streams
+from purchase_games import box_game, engine, streams
 from purchase_games.engine import (
     BREAKER,
     MAKER,
@@ -238,7 +238,7 @@ def test_phase_ends_is_computed_once_and_read_only():
 
 def test_market_single_item():
     m = generate_market(1, 999)
-    assert m.n == 1 and 0.0 <= m.cost(1) <= 1.0
+    assert m.n == 1 and 0.0 <= m.costs[0] <= 1.0
 
 
 def test_market_determinism():
@@ -405,6 +405,23 @@ def test_replay_determinism():
         assert out1 == out2
 
 
+def test_outcome_seed_is_the_markets():
+    """An Outcome's seed is its market's: ``play`` and ``play_box`` (both
+    routes, all three orderings) take no seed of their own, and a market
+    built from a permutation alone has none."""
+    rules = GameRules(b=1, phase_count=2)
+    for seed in (0, 9, mix_seed(31, 4)):
+        market = generate_market(12, seed)
+        assert play(market, rules, AlwaysTake(), RandomStrategy(0.5, 1)).seed == seed
+    market = Market(6, np.linspace(0.1, 0.6, 6), IndexLabels(6), None, perm=np.arange(6))
+    assert play(market, rules, AlwaysTake(), AlwaysTake()).seed is None
+    for ordering in ("random", "scripted", "adversarial"):
+        cfg = box_game.BoxConfig(n=3, m=4, b=1, ordering=ordering, seed=21,
+                                  sequence=(0, 1, 2) * 4)
+        for breaker in (RandomStrategy(0.5, 3), box_game.FocusBreaker()):
+            assert box_game.play_box(cfg, box_game.MinboxMaker(), breaker).seed == 21
+
+
 @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, math.inf])
 def test_random_strategy_refuses_a_probability_outside_the_unit_interval(p):
     """A NaN take probability once split the routes: the box game's one
@@ -546,14 +563,14 @@ def _with_fresh_fields(out: Outcome) -> Outcome:
 def test_item_game_outcome_labels_on_first_read():
     market = generate_market(300, 8)
     maker = PhasedMaker(phased_maker_plan(300, 2))
-    out = play(market, GameRules(b=2), maker, AlwaysTake(), seed_record=8)
+    out = play(market, GameRules(b=2), maker, AlwaysTake())
     assert len(out.breaker_positions) >= 2 and market._perm is None
     fresh = generate_market(300, 8)
     assert out.maker_items == tuple(fresh.label(p) for p in out.maker_positions)
     assert out.breaker_items == tuple(fresh.label(p) for p in out.breaker_positions)
 
     slow = play(generate_market(300, 8), GameRules(b=2),
-                SlowTurns(PhasedMaker(phased_maker_plan(300, 2))), AlwaysTake(), seed_record=8)
+                SlowTurns(PhasedMaker(phased_maker_plan(300, 2))), AlwaysTake())
     assert slow == out and repr(slow) == repr(out)
     copy = _with_fresh_fields(out)
     assert copy == out and repr(copy) == repr(out)
@@ -565,7 +582,7 @@ def test_edge_game_outcome_labels_match_market():
 
     def game(maker):
         market = generate_market(n * (n - 1) // 2, 5, EdgeLabels(n))
-        return market, play(market, rules, maker, NeverTake(), seed_record=5)
+        return market, play(market, rules, maker, NeverTake())
 
     market, out = game(triangle_maker_unrestricted(n, 1))
     assert len(out.maker_positions) > 2

@@ -75,6 +75,15 @@ def test_schedule_validation():
         ThresholdSchedule(np.array([-0.1]))
 
 
+def test_schedule_refuses_a_nan_threshold():
+    """A NaN threshold admits no item, so a NaN final threshold could leave
+    Maker empty-handed; the constructor and ``load_schedule`` refuse it."""
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ThresholdSchedule(np.array([0.5, math.nan, 1.0]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        load_schedule(io.StringIO("0.5\nnan\n1.0\n"))
+
+
 # --------------------------------------------------------------------------
 # expected_cost
 # --------------------------------------------------------------------------
@@ -218,7 +227,7 @@ def test_phased_maker_one_attempt_per_phase():
     for t in range(20):
         seed = mix_seed(77, t)
         out = play(generate_market(n, seed), GameRules(b=b),
-                   PhasedMaker(plan), cheap_grab_breaker(n, b), seed_record=seed)
+                   PhasedMaker(plan), cheap_grab_breaker(n, b))
         assert out.success
         assert len(out.maker_positions) == 1
         phases = [plan.phase_of(p) for p in out.maker_positions]

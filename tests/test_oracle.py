@@ -1,8 +1,10 @@
 """Oracle tests: the stopping DP, the discretized exact item game, and the
 box-game minimax, including the cross-checks between them."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,11 +225,25 @@ def test_box_minimax_guards_and_validation():
         box_minimax(2, 2, 1, "nonsense")
 
 
+def test_box_minimax_result_keeps_no_memo():
+    """The result holds the winner, the node count and the inputs, and no
+    memo: the search's table (12 MB here) is freed when it returns."""
+    tracemalloc.start()
+    try:
+        result = box_minimax(4, 4, 1, "fixed", ordering=[0, 1, 2, 3] * 4)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.name for f in dataclasses.fields(result)] == ["winner", "node_count", "inputs"]
+    assert result.node_count > 10_000
+    assert retained < 2_000_000
+
+
 def test_box_minimax_deterministic_and_reported():
     a = box_minimax(2, 2, 1, "adversarial")
     b = box_minimax(2, 2, 1, "adversarial")
     assert a.winner == b.winner and a.node_count == b.node_count
-    assert a.table_size > 0
+    assert a.node_count > 0
     record = json.loads(a.to_json_record())
     assert record["winner"] == a.winner
     assert record["node_count"] == a.node_count

@@ -98,7 +98,7 @@ def test_desk_run_succeeds_and_path_verified():
         seed = mix_seed(4001, t)
         market = generate_market(E, seed, EdgeLabels(n))
         out = play(market, _rules(b, plan), path_maker(plan, 0, 1),
-                   cheap_grab_breaker(E, b), seed_record=seed)
+                   cheap_grab_breaker(E, b))
         if out.success:
             wins += 1
             assert has_path(out.maker_items, 0, 1)

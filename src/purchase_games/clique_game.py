@@ -493,10 +493,10 @@ class KCliqueMaker(StagedScanner):
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
         kind = self._kind(self._phase)
-        if kind == "extension":
-            return self._ext_cands
-        if kind == "closing":
-            return self._live_closings
+        if kind == "extension" or kind == "closing":
+            # built for the whole phase on entering it; the window's slice
+            cands = self._ext_cands if kind == "extension" else self._live_closings
+            return cands[np.searchsorted(cands, lo, "right"):np.searchsorted(cands, hi, "right")]
         return super()._stage_candidates(lo, hi)
 
     # Bound in the class body for the same reason as TriangleMaker's.

@@ -217,17 +217,15 @@ class EdgeLabels:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return self._row_offset[lo] + (hi - lo - 1)
 
-    def pair_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Bool mask over the ranks, set at the edges {x, y} with x in the
-        vertex mask ``a`` and y in ``b``.  It is ranked one vertex of the
-        smaller mask at a time, so no array of all the pairs is made."""
+    def _pair_ranks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The ranks of the edges {x, y} with x in the vertex mask ``a`` and
+        y in ``b``, ranked one vertex of the smaller mask at a time; an edge
+        with both ends in both masks is listed twice."""
         if np.count_nonzero(a) > np.count_nonzero(b):
             a, b = b, a
         ys = np.flatnonzero(b)
-        hit = np.zeros(self.size, dtype=bool)
-        for x in np.flatnonzero(a).tolist():
-            hit[self.edge_rank(x, ys[ys != x])] = True
-        return hit
+        return np.concatenate([self.edge_rank(x, ys[ys != x])
+                               for x in np.flatnonzero(a).tolist()] or [ys[:0]])
 
     def format_label(self, label) -> str:
         return f"{label[0]}-{label[1]}"
@@ -252,35 +250,71 @@ class BoxLabels:
         return f"{label[0]}:{label[1]}"
 
 
+# Fewest costs a market from ``generate_market`` draws at a time.
+_COST_STEP = 1 << 16
+# Positions in the first candidate window of a ``StagedScanner`` stage.
+_FIRST_WINDOW = 1 << 16
+
+
 class Market:
     """An immutable priced stream: n positions, each holding one label and one cost.
 
     ``perm[i]`` is the universe rank of the label at position i+1; unless
     given, it is drawn from the tape stream of ``seed`` (``streams``) on
-    the first read of a label.  Costs are eager.  The game driver reads no
+    the first read of a label.  The game driver reads no
     label on its own: ``Item.label``, ``View.label`` and ``View.my_labels``, the Outcome's
     ``maker_items``/``breaker_items`` and goals that look at labels are what
     look them up.  So a plain item game, whose strategies and goal see only
     positions, costs and owners, never builds the permutation.
+
+    ``costs`` is the whole cost array.  A market built from explicit costs
+    holds them as given; one from ``generate_market`` draws them in stream
+    order only as far as the game reads (``_costs_through``), and a read of
+    ``costs`` draws the rest first.  ``costs``, ``perm`` and ``universe``
+    must all have n entries.
     """
 
-    __slots__ = ("n", "costs", "universe", "seed", "_perm")
+    __slots__ = ("n", "universe", "seed", "_perm", "_costs", "_drawn", "_cost_rng")
 
     def __init__(self, n: int, costs: np.ndarray, universe, seed: Optional[int],
                  perm: Optional[np.ndarray] = None):
         if perm is None and seed is None:
             raise ValueError("a market needs its permutation or the seed to build it from")
+        for what, size in (("costs", len(costs)), ("universe labels", universe.size),
+                           ("permutation entries", n if perm is None else len(perm))):
+            if size != n:
+                raise ValueError(f"market has {size} {what} but n={n}")
         self.n = n
-        self.costs = costs
         self.universe = universe
         self.seed = seed
         self._perm = perm
+        self._costs = costs
+        self._drawn = n  # costs[:_drawn] hold their values
+        self._cost_rng = None  # the cost stream, while costs are left to draw
 
     @property
     def perm(self) -> np.ndarray:
         if self._perm is None:
             self._perm = _generator(mix_seed(self.seed, _TAPE_STREAM)).permutation(self.n)
         return self._perm
+
+    @property
+    def costs(self) -> np.ndarray:
+        return self._costs_through(self.n)
+
+    def _costs_through(self, position: int) -> np.ndarray:
+        """The cost array, whose entries up to ``position`` (1-based) hold
+        their values; those past it may not be drawn yet.  Costs are drawn
+        from the cost stream in order, at least ``_COST_STEP`` at a time,
+        so they are the same bits as one draw of all n."""
+        drawn = self._drawn
+        if position > drawn:
+            stop = min(self.n, max(position, drawn + _COST_STEP))
+            self._cost_rng.random(out=self._costs[drawn:stop])
+            self._drawn = stop
+            if stop == self.n:
+                self._cost_rng = None
+        return self._costs
 
     def label(self, position: int):
         return self.universe.label_of_rank(int(self.perm[position - 1]))
@@ -312,8 +346,10 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
 
     ``labeler`` defaults to plain index labels 1..n; pass an EdgeLabels or
     BoxLabels universe for edge and box games (its size must equal n).  Costs
-    and permutation come from independent streams of ``seed``, so lazily
-    materializing the permutation cannot disturb the costs.
+    and permutation come from independent streams of ``seed``, and both are
+    drawn only when read: the permutation whole at its first read, the costs
+    as far as each read reaches (see ``Market``).  Neither can disturb the
+    other, and a cost array read in pieces holds the bits of one draw.
     """
     if n < 1:
         raise ValueError(f"market size must be >= 1, got {n}")
@@ -321,17 +357,20 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
         labeler = IndexLabels(n)
     if labeler.size != n:
         raise ValueError(f"labeler has {labeler.size} labels but n={n}")
-    return Market(n, _generator(mix_seed(seed, _COST_STREAM)).random(n), labeler, seed)
+    market = Market(n, np.empty(n), labeler, seed)
+    market._drawn = 0
+    market._cost_rng = _generator(mix_seed(seed, _COST_STREAM))
+    return market
 
 
 def dump_market(market: Market, file) -> None:
     """Write one ``position,label,cost`` record per item, costs at 17
     significant digits."""
     uni = market.universe
-    perm = market.perm
+    perm, costs = market.perm, market.costs
     for i in range(market.n):
         label = uni.format_label(uni.label_of_rank(int(perm[i])))
-        file.write(f"{i + 1},{label},{market.costs[i]:.17g}\n")
+        file.write(f"{i + 1},{label},{costs[i]:.17g}\n")
 
 
 # --------------------------------------------------------------------------
@@ -472,7 +511,7 @@ class GameState:
         return _deferred(
             Item, {"label": partial(market.label, position)},
             position=position,
-            cost=float(market.costs[position - 1]),
+            cost=float(market._costs_through(position)[position - 1]),
             owner=int(self.owner[position - 1]),
             revealed=position <= self.revealed_upto,
         )
@@ -557,7 +596,7 @@ class View:
 
     def cost(self, position: int) -> float:
         self._check(position)
-        return float(self._state.market.costs[position - 1])
+        return float(self._state.market._costs_through(position)[position - 1])
 
     def label(self, position: int):
         self._check(position)
@@ -637,7 +676,7 @@ class TurnContext:
         if a > b:
             self.skip_to(b)
             return None
-        costs = st.market.costs
+        market = st.market
         owner = st.owner
         scalar = np.ndim(thresholds) == 0
         # Scan in geometrically growing chunks so a nearby hit costs O(hit
@@ -647,7 +686,7 @@ class TurnContext:
         end = b  # exclusive 0-based bound
         while lo < end:
             hi = min(lo + chunk, end)
-            seg = costs[lo:hi]
+            seg = market._costs_through(hi)[lo:hi]
             mask = seg <= thresholds if scalar else seg <= thresholds[lo:hi]
             if not include_owned:
                 mask &= owner[lo:hi] == UNOWNED
@@ -711,7 +750,7 @@ class Strategy:
     def prepare(self, market: Market) -> None:
         """Optional pre-game hook handing fast-path strategies the market so
         they can index static candidate positions (``StagedScanner`` keeps
-        the market and reads its costs and permutation once per stage).
+        the market and reads its costs and permutation a window at a time).
         Prepared data may only accelerate the scan (jumping between
         positions where ``decide`` could say yes) or answer predicates on
         revealed information in O(1); it must never change a decision
@@ -836,10 +875,15 @@ class StagedScanner(PhaseBounds, Strategy):
     end in the vertex mask ``a`` and the other in ``b``, while the phase has
     taken fewer than ``quota`` edges, and then only if ``_admit`` agrees; a
     stage of None leaves the whole decision to ``_admit``.  The scanner
-    walks the phases, builds the sorted positions where ``decide`` could say
-    yes once per phase, jumps the pointer from one to the next with
-    ``skip_to`` and hands each to ``decide``, so it makes exactly the
-    decisions of the per-item loop.
+    walks the phases and builds the sorted positions where ``decide`` could
+    say yes (``_stage_candidates``) a window at a time: a phase's first
+    ``_FIRST_WINDOW`` positions when the pointer enters it, then, each time
+    the pointer passes a window's last candidate, the next window, twice
+    as wide.  A stage's vertex masks are copied when its first window is
+    built.  The scanner jumps the pointer from one candidate to the next
+    with ``skip_to`` and hands each to ``decide``, so it makes exactly the
+    decisions of the per-item loop, and builds nothing past the window the
+    game ends in.
 
     Subclasses set ``ends`` (the last position of each phase) and provide
     ``_reset()`` (fresh per-game state, with ``failure_phase`` None),
@@ -850,13 +894,21 @@ class StagedScanner(PhaseBounds, Strategy):
     """
 
     _market: Optional[Market] = None
-    _scan: Optional[tuple] = None  # (stage bounds, candidates) last built
+    # (stage bounds, end of the window last built, its width, its candidates)
+    _scan: Optional[tuple] = None
+    _frozen: Optional[tuple] = None  # (a, b, threshold) copied at the stage's scan
+    _hit: Optional[np.ndarray] = None  # bool over the universe: the pairs marked
+    _marked: Optional[tuple] = None  # (a, b, their pair ranks) marked in _hit
     _phase = 1
     _stage: Optional[tuple] = None  # (a, b, threshold, quota) of the phase
     _taken = 0  # edges taken in the phase
 
     def prepare(self, market: Market) -> None:
         self._market = market
+        # One pair mask for the whole game, made before the game reads the
+        # tape, rather than one per stage made beside it.
+        self._hit = np.zeros(market.universe.size, dtype=bool)
+        self._marked = None
 
     def begin(self, view: View) -> None:
         self._reset()
@@ -884,9 +936,9 @@ class StagedScanner(PhaseBounds, Strategy):
         return self.phase_start(self._phase) - 1, self.phase_end(self._phase)
 
     def _stage_candidates(self, lo: int, hi: int) -> np.ndarray:
-        """The sorted positions in lo+1..hi where ``decide`` could say yes."""
-        a, b, threshold, _ = self._stage
-        return self._masked(lo, hi, a, b, threshold)
+        """The sorted positions in lo+1..hi, a window of the current
+        phase, where ``decide`` could say yes."""
+        return self._masked(lo, hi, *self._frozen)
 
     def decide(self, view: View, item: Item) -> bool:
         self._sync(item.position, view)
@@ -917,7 +969,7 @@ class StagedScanner(PhaseBounds, Strategy):
         ranks = self._market.perm[lo:hi]
         pos = None
         if threshold < 1.0:
-            pos = np.flatnonzero(self._market.costs[lo:hi] <= threshold)
+            pos = np.flatnonzero(self._market._costs_through(hi)[lo:hi] <= threshold)
             ranks = ranks[pos]
         if np.count_nonzero(a) * np.count_nonzero(b) < len(ranks):
             keep = self._by_pairs(ranks, a, b)
@@ -926,11 +978,25 @@ class StagedScanner(PhaseBounds, Strategy):
         return (np.flatnonzero(keep) if pos is None else pos[keep]) + (lo + 1)
 
     def _by_pairs(self, ranks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._market.universe.pair_mask(a, b)[ranks]
+        # The pairs stay marked for the next call with the same two arrays:
+        # the later windows of a stage, whose masks are frozen copies.
+        hit, marked = self._hit, self._marked
+        if marked is None or marked[0] is not a or marked[1] is not b:
+            if marked is not None:
+                hit[marked[2]] = False
+            self._marked = marked = (a, b, self._market.universe._pair_ranks(a, b))
+            hit[marked[2]] = True
+        return hit[ranks]
 
     def _by_unranking(self, ranks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         u, v = self._market.universe.endpoints(ranks)
         return a[u] & b[v] | a[v] & b[u]
+
+    def _window(self, bounds: tuple, lo: int, width: int) -> None:
+        """Build the candidates of positions lo+1..lo+width of the stage
+        spanning ``bounds``, cut at its end."""
+        hi = min(lo + width, bounds[1])
+        self._scan = (bounds, hi, width, self._stage_candidates(lo, hi))
 
     def play_turn(self, ctx: TurnContext) -> None:
         while not ctx.turn_over():
@@ -941,16 +1007,21 @@ class StagedScanner(PhaseBounds, Strategy):
                 ctx.skip_to(ctx.stop)
                 return
             if self._scan is None or self._scan[0] != bounds:
-                self._scan = (bounds, self._stage_candidates(*bounds))
-            (_, end), cands = self._scan
+                if self._stage is not None:
+                    a, b, threshold, _ = self._stage
+                    self._frozen = (a.copy(), b.copy(), threshold)
+                self._window(bounds, bounds[0], _FIRST_WINDOW)
+            (_, end), built, width, cands = self._scan
             i = int(np.searchsorted(cands, pos))
-            target = int(cands[i]) - 1 if i < len(cands) else end
+            target = int(cands[i]) - 1 if i < len(cands) else built
             if target >= ctx.stop:
                 ctx.skip_to(ctx.stop)
                 return
             ctx.skip_to(target)
             if i == len(cands):
-                continue  # the stage ends before the turn does
+                if built < end:
+                    self._window(bounds, built, 2 * width)
+                continue  # the window or the stage ends before the turn does
             item = ctx.offer_next()
             if self.decide(ctx.view, item):
                 ctx.take(item)
@@ -998,7 +1069,7 @@ def _outcome(market: Market, maker_positions: list, breaker_positions: list, suc
     ``failure_phase`` is recorded only when the goal was not met."""
     maker_positions = tuple(maker_positions)
     breaker_positions = tuple(breaker_positions)
-    costs = market.costs
+    costs = market._costs_through(max(maker_positions, default=0))
     return _deferred(
         Outcome, {"maker_items": partial(_labels_of, market, maker_positions),
                   "breaker_items": partial(_labels_of, market, breaker_positions)},

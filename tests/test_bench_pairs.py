@@ -95,3 +95,41 @@ def test_unpack_extracts_a_revision_and_leaves_the_checkout_alone(tmp_path):
     assert sha == git("rev-parse", "HEAD")
     assert (dest / "a.txt").read_text() == "first\n"
     assert (repo / "a.txt").read_text() == "edited in the checkout\n"
+
+
+def test_run_once_records_the_cpu_seconds_of_the_run(tmp_path):
+    """A stand-in ``perfbench/run.py`` that spins for about 0.3 CPU seconds
+    in a child of its own: the run's ``cpu_s`` counts the child too."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, subprocess, sys, time\n"
+        "spin = 'import time\\nend = time.process_time() + 0.15\\n"
+        "while time.process_time() < end: pass\\n'\n"
+        "subprocess.run([sys.executable, '-c', spin], check=True)\n"
+        "exec(spin)\n"
+        "print('ms_per_trial.x: median 1.5 ms over 3 calls')\n"
+        "print(json.dumps({'correct': True, 'metrics': {'wall_s': {'value': 1.0}}}))\n")
+    result = bench_pairs.run_once(tmp_path, "w", 1, 0.1)
+    assert 0.3 <= result["cpu_s"] < 5.0
+    assert result["per_config"] == {"ms_per_trial.x": 1.5}
+    assert bench_pairs._values(result) == {"wall_s": 1.0, "cpu_s": result["cpu_s"],
+                                           "ms_per_trial.x": 1.5}
+
+
+def test_uncommitted_sees_edits_and_untracked_files(tmp_path):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("*.log\n")
+    (tmp_path / "a.txt").write_text("first\n")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    assert not bench_pairs.uncommitted(tmp_path)
+    (tmp_path / "run.log").write_text("ignored\n")
+    assert not bench_pairs.uncommitted(tmp_path)
+    (tmp_path / "b.txt").write_text("untracked\n")
+    assert bench_pairs.uncommitted(tmp_path)
+    (tmp_path / "b.txt").unlink()
+    (tmp_path / "a.txt").write_text("edited\n")
+    assert bench_pairs.uncommitted(tmp_path)

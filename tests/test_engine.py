@@ -42,6 +42,7 @@ from purchase_games.clique_game import (
     clique_plan,
     kclique_maker,
     triangle_maker_unrestricted,
+    triangle_mimic_breaker,
 )
 from purchase_games.item_game import (
     PhasedMaker,
@@ -264,6 +265,62 @@ def test_market_needs_a_permutation_or_its_seed():
     # Without either, the permutation would be drawn from fresh entropy.
     with pytest.raises(ValueError, match="permutation"):
         Market(3, np.zeros(3), IndexLabels(3), seed=None)
+
+
+def test_market_refuses_costs_of_the_wrong_size():
+    with pytest.raises(ValueError, match="3 costs but n=5"):
+        Market(5, np.zeros(3), IndexLabels(5), 1)
+
+
+def test_market_refuses_a_permutation_of_the_wrong_size():
+    with pytest.raises(ValueError, match="3 permutation entries but n=5"):
+        Market(5, np.zeros(5), IndexLabels(5), 1, perm=np.arange(3))
+
+
+def test_market_refuses_a_universe_of_the_wrong_size():
+    with pytest.raises(ValueError, match="10 universe labels but n=4"):
+        Market(4, np.zeros(4), EdgeLabels(5), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
+def test_costs_read_in_pieces_are_the_bits_of_one_draw(n):
+    """Prefixes read in random order, then the whole array, against one
+    draw of all n costs; a market of at most 2**16 items draws them all at
+    its first read."""
+    seed = mix_seed(77, n)
+    want = streams._generator(mix_seed(seed, streams._COST_STREAM)).random(n)
+    market = generate_market(n, seed)
+    assert market._drawn == 0
+    rng = np.random.default_rng(n)
+    for i, position in enumerate(rng.integers(1, n + 1, 8).tolist()):
+        got = market._costs_through(position)
+        assert market._drawn >= position
+        assert got[:position].tobytes() == want[:position].tobytes(), (n, position)
+        if i == 0 and n <= engine._COST_STEP:
+            assert market._drawn == n
+    assert market.costs.tobytes() == want.tobytes()
+    assert market._drawn == n
+
+
+def test_triangle_game_leaves_costs_past_the_pointers_undrawn(monkeypatch):
+    """With costs drawn 2**6 at a time, a won triangle game draws fewer
+    costs than its market holds, and ends as with the whole array drawn;
+    a stray read of ``Market.costs`` in the game would draw them all."""
+    n, b = 300, 2
+    E = n * (n - 1) // 2
+    rules = GameRules(b=b, goal=lambda: CliqueGoal(3))
+
+    def game(market):
+        return play(market, rules, triangle_maker_unrestricted(n, b), triangle_mimic_breaker(n, b))
+
+    monkeypatch.setattr(engine, "_COST_STEP", 2 ** 6)
+    market = generate_market(E, 5, EdgeLabels(n))
+    out = game(market)
+    assert out.success
+    assert market._drawn < E
+    eager = generate_market(E, 5, EdgeLabels(n))
+    eager.costs
+    assert game(eager) == out
 
 
 def test_market_labels_are_permutation():

@@ -382,8 +382,8 @@ def test_bulk_item_trials_match_the_per_trial_engine(monkeypatch, maker, grid):
 
         def grid_market(*args, **kwargs):
             market = real_market(*args, **kwargs)
-            market.costs = np.round(market.costs * 4.0) / 4.0
-            return market
+            return engine.Market(market.n, np.round(market.costs * 4.0) / 4.0,
+                                 market.universe, market.seed)
 
         real_takes = harness._maker_takes
 

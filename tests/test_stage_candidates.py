@@ -1,13 +1,17 @@
 """The edge-game Makers' stage candidates against whole-stream endpoints.
 
-A Maker builds each stage's candidates from the positions whose cost its
-threshold lets through (every position when the threshold is at least 1),
-either by ranking the stage's vertex pairs or by unranking those positions.
-Here each build is recomputed the slow way: the endpoint arrays of the
-whole stream from ``Market.edge_endpoints()``, a vertex mask over the
-stage's slice of them, and the cost test.
+A Maker builds each stage's candidates a window of positions at a time,
+from the positions whose cost its threshold lets through (every position
+when the threshold is at least 1), either by ranking the stage's vertex
+pairs or by unranking those positions.  Here each build is recomputed the
+slow way: the endpoint arrays of the whole stream from
+``Market.edge_endpoints()``, a vertex mask over the window's slice of them,
+and the cost test.  With the first window cut to 2**6 positions, a stage's
+windows must also tile it and together give its whole-phase build, and the
+fast==slow and pinned games must not change.
 """
 
+import importlib
 import itertools
 import math
 import warnings
@@ -16,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from purchase_games import engine
 from purchase_games.clique_game import (
     CliqueGoal,
     KCliqueMaker,
@@ -83,16 +88,31 @@ def _reference(maker, lo: int, hi: int):
 
 
 class Recorded:
-    """Records each stage build: its bounds, the candidates the Maker built
-    and the reference recomputed from the Maker's state at that moment."""
+    """Records each window build: its bounds, the candidates the Maker built,
+    the reference recomputed from the Maker's state at that moment, the
+    ``_masked`` routes the build took, the stage's bounds and the stage's
+    whole-phase build."""
 
     def prepare(self, market):
         super().prepare(market)
         self.records = []
+        self.routes = []
+
+    def _by_pairs(self, ranks, a, b):
+        self.routes.append("pairs")
+        return super()._by_pairs(ranks, a, b)
+
+    def _by_unranking(self, ranks, a, b):
+        self.routes.append("unranking")
+        return super()._by_unranking(ranks, a, b)
 
     def _stage_candidates(self, lo, hi):
+        self.routes = []
         cands = super()._stage_candidates(lo, hi)
-        self.records.append(((lo, hi), cands, _reference(self, lo, hi)))
+        routes, stage = self.routes, self._stage_bounds()
+        whole = super()._stage_candidates(*stage)
+        self.records.append(((lo, hi), cands, _reference(self, lo, hi), set(routes), stage,
+                             whole))
         return cands
 
 
@@ -145,10 +165,10 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(EXPECTED))
-def test_stage_candidates_match_whole_stream_endpoints(family):
-    kinds, routes = set(), set()
-    for game, seed in itertools.product([g for g in GAMES if g.startswith(family)], SEEDS):
+def _played(family, seeds=SEEDS):
+    """Each game of ``family`` in GAMES at ``seeds``, against its mimic and
+    a random Breaker: (game, seed, the Maker's records)."""
+    for game, seed in itertools.product([g for g in GAMES if g.startswith(family)], seeds):
         builder, args = GAMES[game]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # regime warnings at desk sizes
@@ -157,15 +177,74 @@ def test_stage_candidates_match_whole_stream_endpoints(family):
         for breaker in (mimic(), RandomStrategy(0.05, mix_seed(seed, 4))):
             maker = new_maker()
             play(generate_market(stream, seed, EdgeLabels(n)), rules, maker, breaker)
-            for bounds, cands, ref in maker.records:
-                if ref is None:
-                    continue
-                kind, thr, expected = ref
-                assert np.array_equal(cands, expected), (game, seed, bounds, kind)
-                kinds.add(kind)
-                routes.add(bool(thr < 1.0))
+            yield game, seed, maker.records
+
+
+def _check_against_reference(family) -> set:
+    """Each window build of ``family``'s games against ``_reference``; the
+    ``_masked`` routes the builds took."""
+    kinds, routes, pair_routes = set(), set(), set()
+    for game, seed, records in _played(family):
+        for bounds, cands, ref, masked, _, _ in records:
+            if ref is None:
+                continue
+            kind, thr, expected = ref
+            assert np.array_equal(cands, expected), (game, seed, bounds, kind)
+            kinds.add(kind)
+            routes.add(bool(thr < 1.0))
+            pair_routes |= masked
     assert kinds == EXPECTED[family]
     assert routes == {True, False}  # cost-first and whole-slice builds
+    return pair_routes
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED))
+def test_stage_candidates_match_whole_stream_endpoints(family):
+    _check_against_reference(family)
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED))
+def test_small_windows_match_whole_stream_endpoints(monkeypatch, family):
+    monkeypatch.setattr(engine, "_FIRST_WINDOW", 2 ** 6)
+    assert _check_against_reference(family) == {"pairs", "unranking"}
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED))
+def test_stage_windows_tile_the_whole_phase_build(monkeypatch, family):
+    """A stage's windows start at the stage, each one where the last ended
+    and twice as wide, and their candidates together are the stage's
+    whole-phase build up to the last window built."""
+    first = 2 ** 6
+    monkeypatch.setattr(engine, "_FIRST_WINDOW", first)
+    windows = 0
+    for game, seed, records in _played(family):
+        stages = itertools.groupby(records, key=lambda record: record[4])
+        for (lo, end), group in stages:
+            group = list(group)
+            at, width = lo, first
+            for (w_lo, w_hi), *_ in group:
+                assert (w_lo, w_hi) == (at, min(at + width, end)), (game, seed, lo)
+                at, width = w_hi, 2 * width
+            whole = group[0][5]
+            got = np.concatenate([record[1] for record in group])
+            assert np.array_equal(got, whole[whole <= at]), (game, seed, lo)
+            windows += len(group) - 1
+    assert windows > 0  # some stage took more than one window
+
+
+@pytest.mark.parametrize("module, test", [
+    ("test_clique_game", "test_triangle_fast_equals_slow"),
+    ("test_path_game", "test_fast_equals_slow"),
+    ("test_edge_pins", "test_outcomes_match_pins"),
+])
+def test_fast_turns_hold_in_small_windows(monkeypatch, module, test):
+    """The triangle and path fast==slow tests and the edge pins, unchanged,
+    with the first window cut to 2**6 positions."""
+    monkeypatch.setattr(engine, "_FIRST_WINDOW", 2 ** 6)
+    check = getattr(importlib.import_module(module), test)
+    (params,) = check.pytestmark
+    for args in params.args[1]:
+        check(*args) if isinstance(args, tuple) else check(args)
 
 
 class PairsOnly(StagedScanner):

@@ -7,10 +7,13 @@ directory, so the checkout is never written to.  Pair i runs
 
 in both trees, the base first when i is even and the working tree first
 when it is odd, and reads the JSON line each run ends with and the
-``ms_per_trial.<config>: median ...`` line it prints for each config.  For
-every end-to-end metric and every config's median it prints both sides'
-medians and quartiles, the relative change of the medians and in how many
-pairs the working tree read lower:
+``ms_per_trial.<config>: median ...`` line it prints for each config.  Each
+run also records its CPU seconds (``cpu_s``, user plus system, of the run's
+process and its children), and each working-tree run whether that tree had
+uncommitted changes (``dirty``).  For every end-to-end metric, the CPU
+seconds and every config's median it prints both sides' medians and
+quartiles, the relative change of the medians and in how many pairs the
+working tree read lower:
 
     python3 tools/bench_pairs.py --base HEAD --workload short-trials --pairs 10
 
@@ -21,6 +24,7 @@ import argparse
 import io
 import json
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,17 +60,33 @@ def per_config(stdout: str) -> dict:
             for match in map(_PER_CONFIG.match, stdout.splitlines()) if match}
 
 
+def uncommitted(repo: Path = ROOT) -> bool:
+    """Whether the working tree of ``repo`` differs from its HEAD, untracked
+    files that git does not ignore included."""
+    return bool(subprocess.run(["git", "status", "--porcelain"], cwd=repo, check=True,
+                               capture_output=True, text=True).stdout.strip())
+
+
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its final JSON line, with
-    ``per_config`` (``per_config``) added."""
+    ``per_config`` (``per_config``) and ``cpu_s``, the user plus system CPU
+    seconds of the run and the processes it waited for, added."""
+    before = _children_cpu_s()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
+    cpu_s = _children_cpu_s() - before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"run in {tree} failed ({proc.returncode}): {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     result["per_config"] = per_config(proc.stdout)
+    result["cpu_s"] = cpu_s
     return result
 
 
@@ -112,8 +132,11 @@ def format_summary(summary: dict) -> list:
 
 
 def _values(result: dict) -> dict:
-    """A run's end-to-end metrics, then its configs' medians."""
+    """A run's end-to-end metrics, its CPU seconds, then its configs'
+    medians."""
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    if "cpu_s" in result:
+        values["cpu_s"] = result["cpu_s"]
     values.update(result.get("per_config", {}))
     return values
 
@@ -142,6 +165,8 @@ def main(argv=None) -> int:
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    if side == "change":
+                        pair[side]["dirty"] = uncommitted()
                     correct &= bool(pair[side].get("correct"))
                 pairs.append(pair)
                 print(f"{workload} pair {i} seed {seed}: base {_values(pair['base'])}"
@@ -149,8 +174,10 @@ def main(argv=None) -> int:
             summary = summarize([_values(p["base"]) for p in pairs],
                                 [_values(p["change"]) for p in pairs])
             report["workloads"][workload] = {"pairs": pairs, "summary": summary}
+            dirty = sum(p["change"]["dirty"] for p in pairs)
             print(f"== {workload}: {args.pairs} pairs, seeds {args.seed}.."
-                  f"{args.seed + args.pairs - 1}, base {report['base'][:12]}")
+                  f"{args.seed + args.pairs - 1}, base {report['base'][:12]}, working tree"
+                  f" dirty in {dirty}/{args.pairs} runs")
             print("\n".join(format_summary(summary)), flush=True)
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n")

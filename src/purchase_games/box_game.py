@@ -236,10 +236,12 @@ class _BoxRuntime:
     (``market.perm``, which the orderer fills in on an adversarial tape)
     without copying them.  These views and ``box_positions`` are
     memoryviews, so that the per-ball loops and ``bisect`` read Python ints
-    from them rather than numpy scalars; a ball's box is its rank // m."""
+    from them rather than numpy scalars; a ball's box is its rank // m.
+    ``costs`` is the market's whole cost array, read once here rather than
+    once a turn."""
 
     __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
-                 "breaker_turns", "owner", "ranks")
+                 "breaker_turns", "owner", "ranks", "costs")
 
     def __init__(self, cfg: BoxConfig, seed: Optional[int]):
         n, m, total = cfg.n, cfg.m, cfg.total
@@ -258,6 +260,7 @@ class _BoxRuntime:
         self.state = GameState(market, _box_rules(cfg.b, n, m))
         self.goal = self.state._goal
         self.owner, self.ranks = memoryview(self.state.owner), memoryview(market.perm)
+        self.costs = market.costs
         self.breaker_turns = 0
 
     def reveal_to(self, pos: int, player: int) -> None:
@@ -436,7 +439,7 @@ def _maker_turn(rt: _BoxRuntime, maker: Strategy, view: BoxView) -> None:
         _minbox_turn(rt)
         return
     state, goal = rt.state, rt.goal
-    owner, costs, ranks = rt.owner, state.market.costs, rt.ranks
+    owner, costs, ranks = rt.owner, rt.costs, rt.ranks
     m = goal.m
     while not goal.dead:
         pos = state.maker_ptr + 1
@@ -548,7 +551,7 @@ def _breaker_turn(rt: _BoxRuntime, breaker: Strategy, view: BoxView) -> None:
         return
     state, goal = rt.state, rt.goal
     m, total, quota = goal.m, state.n, view.b
-    owner, ranks, costs = rt.owner, rt.ranks, state.market.costs
+    owner, ranks, costs = rt.owner, rt.ranks, rt.costs
     takes = 0
     while takes < quota and not goal.dead and state.breaker_ptr < total:
         pos = state.breaker_ptr + 1

@@ -250,7 +250,8 @@ class BoxLabels:
         return f"{label[0]}:{label[1]}"
 
 
-# Fewest costs a market from ``generate_market`` draws at a time.
+# Fewest costs a market from ``generate_market`` draws at a time; one of at
+# most this many items draws them all when it is built.
 _COST_STEP = 1 << 16
 # Positions in the first candidate window of a ``StagedScanner`` stage.
 _FIRST_WINDOW = 1 << 16
@@ -268,10 +269,10 @@ class Market:
     positions, costs and owners, never builds the permutation.
 
     ``costs`` is the whole cost array.  A market built from explicit costs
-    holds them as given; one from ``generate_market`` draws them in stream
-    order only as far as the game reads (``_costs_through``), and a read of
-    ``costs`` draws the rest first.  ``costs``, ``perm`` and ``universe``
-    must all have n entries.
+    holds them as given; one of more than ``_COST_STEP`` items from
+    ``generate_market`` draws them in stream order only as far as the game
+    reads (``_costs_through``), and a read of ``costs`` draws the rest
+    first.  ``costs``, ``perm`` and ``universe`` must all have n entries.
     """
 
     __slots__ = ("n", "universe", "seed", "_perm", "_costs", "_drawn", "_cost_rng")
@@ -280,10 +281,11 @@ class Market:
                  perm: Optional[np.ndarray] = None):
         if perm is None and seed is None:
             raise ValueError("a market needs its permutation or the seed to build it from")
-        for what, size in (("costs", len(costs)), ("universe labels", universe.size),
-                           ("permutation entries", n if perm is None else len(perm))):
-            if size != n:
-                raise ValueError(f"market has {size} {what} but n={n}")
+        if len(costs) != n or universe.size != n or perm is not None and len(perm) != n:
+            for what, size in (("costs", len(costs)), ("universe labels", universe.size),
+                               ("permutation entries", n if perm is None else len(perm))):
+                if size != n:
+                    raise ValueError(f"market has {size} {what} but n={n}")
         self.n = n
         self.universe = universe
         self.seed = seed
@@ -346,10 +348,11 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
 
     ``labeler`` defaults to plain index labels 1..n; pass an EdgeLabels or
     BoxLabels universe for edge and box games (its size must equal n).  Costs
-    and permutation come from independent streams of ``seed``, and both are
-    drawn only when read: the permutation whole at its first read, the costs
-    as far as each read reaches (see ``Market``).  Neither can disturb the
-    other, and a cost array read in pieces holds the bits of one draw.
+    and permutation come from independent streams of ``seed``.  The
+    permutation is drawn whole at its first read; the costs are drawn here
+    for a market of at most ``_COST_STEP`` items, and otherwise as far as
+    each read reaches (see ``Market``).  Neither can disturb the other, and
+    a cost array read in pieces holds the bits of one draw.
     """
     if n < 1:
         raise ValueError(f"market size must be >= 1, got {n}")
@@ -357,9 +360,12 @@ def generate_market(n: int, seed: int, labeler=None) -> Market:
         labeler = IndexLabels(n)
     if labeler.size != n:
         raise ValueError(f"labeler has {labeler.size} labels but n={n}")
+    rng = _generator(mix_seed(seed, _COST_STREAM))
+    if n <= _COST_STEP:
+        return Market(n, rng.random(n), labeler, seed)
     market = Market(n, np.empty(n), labeler, seed)
     market._drawn = 0
-    market._cost_rng = _generator(mix_seed(seed, _COST_STREAM))
+    market._cost_rng = rng
     return market
 
 
@@ -508,10 +514,13 @@ class GameState:
 
     def item(self, position: int) -> Item:
         market = self.market
+        # Two reads rather than a call while the position's cost is drawn:
+        # this runs once per offered item.
+        costs = market._costs if position <= market._drawn else market._costs_through(position)
         return _deferred(
             Item, {"label": partial(market.label, position)},
             position=position,
-            cost=float(market._costs_through(position)[position - 1]),
+            cost=float(costs[position - 1]),
             owner=int(self.owner[position - 1]),
             revealed=position <= self.revealed_upto,
         )
@@ -596,7 +605,9 @@ class View:
 
     def cost(self, position: int) -> float:
         self._check(position)
-        return float(self._state.market._costs_through(position)[position - 1])
+        market = self._state.market
+        costs = market._costs if position <= market._drawn else market._costs_through(position)
+        return float(costs[position - 1])
 
     def label(self, position: int):
         self._check(position)
@@ -686,7 +697,8 @@ class TurnContext:
         end = b  # exclusive 0-based bound
         while lo < end:
             hi = min(lo + chunk, end)
-            seg = market._costs_through(hi)[lo:hi]
+            costs = market._costs if hi <= market._drawn else market._costs_through(hi)
+            seg = costs[lo:hi]
             mask = seg <= thresholds if scalar else seg <= thresholds[lo:hi]
             if not include_owned:
                 mask &= owner[lo:hi] == UNOWNED
@@ -896,9 +908,11 @@ class StagedScanner(PhaseBounds, Strategy):
     _market: Optional[Market] = None
     # (stage bounds, end of the window last built, its width, its candidates)
     _scan: Optional[tuple] = None
-    _frozen: Optional[tuple] = None  # (a, b, threshold) copied at the stage's scan
+    # (a, b, threshold) copied when the stage's first window is built; None
+    # for a stage of None
+    _frozen: Optional[tuple] = None
     _hit: Optional[np.ndarray] = None  # bool over the universe: the pairs marked
-    _marked: Optional[tuple] = None  # (a, b, their pair ranks) marked in _hit
+    _marked: Optional[np.ndarray] = None  # the pair ranks marked in _hit
     _phase = 1
     _stage: Optional[tuple] = None  # (a, b, threshold, quota) of the phase
     _taken = 0  # edges taken in the phase
@@ -978,15 +992,33 @@ class StagedScanner(PhaseBounds, Strategy):
         return (np.flatnonzero(keep) if pos is None else pos[keep]) + (lo + 1)
 
     def _by_pairs(self, ranks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # The pairs stay marked for the next call with the same two arrays:
-        # the later windows of a stage, whose masks are frozen copies.
-        hit, marked = self._hit, self._marked
-        if marked is None or marked[0] is not a or marked[1] is not b:
-            if marked is not None:
-                hit[marked[2]] = False
-            self._marked = marked = (a, b, self._market.universe._pair_ranks(a, b))
-            hit[marked[2]] = True
-        return hit[ranks]
+        # The frozen masks' pairs stay marked from the stage's first window
+        # to the next freeze (``_freeze``), so the later windows reuse them;
+        # the pairs of any other masks are marked for this call only.
+        frozen = self._frozen is not None and a is self._frozen[0] and b is self._frozen[1]
+        if self._marked is None or not frozen:
+            self._unmark()
+            self._marked = self._market.universe._pair_ranks(a, b)
+            self._hit[self._marked] = True
+        keep = self._hit[ranks]
+        if not frozen:
+            self._unmark()
+        return keep
+
+    def _unmark(self) -> None:
+        if self._marked is not None:
+            self._hit[self._marked] = False
+            self._marked = None
+
+    def _freeze(self) -> None:
+        """Copy the stage's vertex masks for its windows, and clear the
+        previous stage's marks."""
+        self._unmark()
+        if self._stage is None:
+            self._frozen = None
+        else:
+            a, b, threshold, _ = self._stage
+            self._frozen = (a.copy(), b.copy(), threshold)
 
     def _by_unranking(self, ranks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         u, v = self._market.universe.endpoints(ranks)
@@ -1007,9 +1039,7 @@ class StagedScanner(PhaseBounds, Strategy):
                 ctx.skip_to(ctx.stop)
                 return
             if self._scan is None or self._scan[0] != bounds:
-                if self._stage is not None:
-                    a, b, threshold, _ = self._stage
-                    self._frozen = (a.copy(), b.copy(), threshold)
+                self._freeze()
                 self._window(bounds, bounds[0], _FIRST_WINDOW)
             (_, end), built, width, cands = self._scan
             i = int(np.searchsorted(cands, pos))
@@ -1069,7 +1099,9 @@ def _outcome(market: Market, maker_positions: list, breaker_positions: list, suc
     ``failure_phase`` is recorded only when the goal was not met."""
     maker_positions = tuple(maker_positions)
     breaker_positions = tuple(breaker_positions)
-    costs = market._costs_through(max(maker_positions, default=0))
+    costs = market._costs
+    if market._drawn < market.n:
+        costs = market._costs_through(max(maker_positions, default=0))
     return _deferred(
         Outcome, {"maker_items": partial(_labels_of, market, maker_positions),
                   "breaker_items": partial(_labels_of, market, breaker_positions)},

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import SMALL_WINDOW
 
 from purchase_games.clique_game import (
     CliqueGoal,
@@ -313,11 +314,14 @@ class CountingTriangleMaker(TriangleMaker):
         return super().decide(view, item)
 
 
-@pytest.mark.parametrize("breaker, min_preempted", [
-    (triangle_mimic_breaker, 0),
-    (lambda n, b: TerminalBreaker(), 1),
-], ids=["mimic", "terminal"])
-def test_triangle_fast_equals_slow(breaker, min_preempted):
+@pytest.mark.parametrize("breaker, min_preempted, first_window", [
+    (triangle_mimic_breaker, 0, None),
+    (lambda n, b: TerminalBreaker(), 1, None),
+    (triangle_mimic_breaker, 0, SMALL_WINDOW),
+    (lambda n, b: TerminalBreaker(), 1, SMALL_WINDOW),
+], ids=["mimic", "terminal", "mimic-small-window", "terminal-small-window"],
+   indirect=["first_window"])
+def test_triangle_fast_equals_slow(breaker, min_preempted, first_window):
     n, b = 80, 2
     E = n * (n - 1) // 2
     preempted = 0

@@ -21,6 +21,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import SMALL_WINDOW
 
 from purchase_games.clique_game import (
     CliqueGoal,
@@ -146,8 +147,12 @@ def test_every_game_is_pinned():
     assert sorted(_PINS) == sorted(_key(*g) for g in _all_games())
 
 
-@pytest.mark.parametrize("game", GAMES)
-def test_outcomes_match_pins(game):
+@pytest.mark.parametrize("game, first_window",
+                         [(game, None) for game in GAMES]
+                         + [(game, SMALL_WINDOW) for game in GAMES],
+                         ids=list(GAMES) + [f"{game}-small-window" for game in GAMES],
+                         indirect=["first_window"])
+def test_outcomes_match_pins(game, first_window):
     got = {_key(*g): _digest(*g) for g in _games(game)}
     assert got == {key: _PINS[key] for key in got}
 

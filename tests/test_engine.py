@@ -285,19 +285,17 @@ def test_market_refuses_a_universe_of_the_wrong_size():
 @pytest.mark.parametrize("n", [1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5])
 def test_costs_read_in_pieces_are_the_bits_of_one_draw(n):
     """Prefixes read in random order, then the whole array, against one
-    draw of all n costs; a market of at most 2**16 items draws them all at
-    its first read."""
+    draw of all n costs; a market of at most 2**16 items draws them all
+    when it is built."""
     seed = mix_seed(77, n)
     want = streams._generator(mix_seed(seed, streams._COST_STREAM)).random(n)
     market = generate_market(n, seed)
-    assert market._drawn == 0
+    assert market._drawn == (n if n <= engine._COST_STEP else 0)
     rng = np.random.default_rng(n)
-    for i, position in enumerate(rng.integers(1, n + 1, 8).tolist()):
+    for position in rng.integers(1, n + 1, 8).tolist():
         got = market._costs_through(position)
         assert market._drawn >= position
         assert got[:position].tobytes() == want[:position].tobytes(), (n, position)
-        if i == 0 and n <= engine._COST_STEP:
-            assert market._drawn == n
     assert market.costs.tobytes() == want.tobytes()
     assert market._drawn == n
 

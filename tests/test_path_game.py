@@ -3,6 +3,7 @@ desk-scale override runs."""
 
 import numpy as np
 import pytest
+from conftest import SMALL_WINDOW
 
 from purchase_games.engine import (
     BREAKER,
@@ -231,11 +232,14 @@ class CountingPathMaker(PathMaker):
         return super().decide(view, item)
 
 
-@pytest.mark.parametrize("n, breaker, min_preempted", [
-    (500, cheap_grab_breaker, 0),
-    (200, lambda E, b: TerminalBreaker(), 1),
-], ids=["cheap_grab", "terminal"])
-def test_fast_equals_slow(n, breaker, min_preempted):
+@pytest.mark.parametrize("n, breaker, min_preempted, first_window", [
+    (500, cheap_grab_breaker, 0, None),
+    (200, lambda E, b: TerminalBreaker(), 1, None),
+    (500, cheap_grab_breaker, 0, SMALL_WINDOW),
+    (200, lambda E, b: TerminalBreaker(), 1, SMALL_WINDOW),
+], ids=["cheap_grab", "terminal", "cheap_grab-small-window", "terminal-small-window"],
+   indirect=["first_window"])
+def test_fast_equals_slow(n, breaker, min_preempted, first_window):
     b = 1
     plan = path_plan(n, b, k_override=1, threshold_scale=20.0)
     E = plan.edge_count

@@ -6,12 +6,12 @@ when the threshold is at least 1), either by ranking the stage's vertex
 pairs or by unranking those positions.  Here each build is recomputed the
 slow way: the endpoint arrays of the whole stream from
 ``Market.edge_endpoints()``, a vertex mask over the window's slice of them,
-and the cost test.  With the first window cut to 2**6 positions, a stage's
-windows must also tile it and together give its whole-phase build, and the
-fast==slow and pinned games must not change.
+and the cost test.  With the first window cut to ``SMALL_WINDOW``
+positions, the builds must take both routes, and a stage's windows must
+tile it and together give its whole-phase build.  The fast==slow tests and
+the edge pins run under that cut too (``first_window``).
 """
 
-import importlib
 import itertools
 import math
 import warnings
@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import SMALL_WINDOW
 
 from purchase_games import engine
 from purchase_games.clique_game import (
@@ -205,7 +206,7 @@ def test_stage_candidates_match_whole_stream_endpoints(family):
 
 @pytest.mark.parametrize("family", sorted(EXPECTED))
 def test_small_windows_match_whole_stream_endpoints(monkeypatch, family):
-    monkeypatch.setattr(engine, "_FIRST_WINDOW", 2 ** 6)
+    monkeypatch.setattr(engine, "_FIRST_WINDOW", SMALL_WINDOW)
     assert _check_against_reference(family) == {"pairs", "unranking"}
 
 
@@ -214,7 +215,7 @@ def test_stage_windows_tile_the_whole_phase_build(monkeypatch, family):
     """A stage's windows start at the stage, each one where the last ended
     and twice as wide, and their candidates together are the stage's
     whole-phase build up to the last window built."""
-    first = 2 ** 6
+    first = SMALL_WINDOW
     monkeypatch.setattr(engine, "_FIRST_WINDOW", first)
     windows = 0
     for game, seed, records in _played(family):
@@ -230,21 +231,6 @@ def test_stage_windows_tile_the_whole_phase_build(monkeypatch, family):
             assert np.array_equal(got, whole[whole <= at]), (game, seed, lo)
             windows += len(group) - 1
     assert windows > 0  # some stage took more than one window
-
-
-@pytest.mark.parametrize("module, test", [
-    ("test_clique_game", "test_triangle_fast_equals_slow"),
-    ("test_path_game", "test_fast_equals_slow"),
-    ("test_edge_pins", "test_outcomes_match_pins"),
-])
-def test_fast_turns_hold_in_small_windows(monkeypatch, module, test):
-    """The triangle and path fast==slow tests and the edge pins, unchanged,
-    with the first window cut to 2**6 positions."""
-    monkeypatch.setattr(engine, "_FIRST_WINDOW", 2 ** 6)
-    check = getattr(importlib.import_module(module), test)
-    (params,) = check.pytestmark
-    for args in params.args[1]:
-        check(*args) if isinstance(args, tuple) else check(args)
 
 
 class PairsOnly(StagedScanner):

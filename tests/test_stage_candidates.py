@@ -283,6 +283,23 @@ def test_masked_routes_agree_on_every_stage_kind():
     assert routes == {True, False}  # the unforced scanner took both routes
 
 
+def test_pair_marks_follow_masks_changed_in_place():
+    """Ranking the pairs of the same two mask arrays again, after one of
+    them changed in place, marks the pairs they hold now: only a stage's
+    frozen copies keep their marks from call to call."""
+    n = 40
+    market = generate_market(n * (n - 1) // 2, 5, EdgeLabels(n))
+    u, v = market.edge_endpoints()
+    scanner = PairsOnly()
+    scanner.prepare(market)
+    a, b = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    for root in (3, 7):
+        a[:] = False
+        a[root] = True
+        expected = np.flatnonzero(a[u] & b[v] | a[v] & b[u]) + 1
+        assert np.array_equal(scanner._masked(0, market.n, a, b, 1.0), expected), root
+
+
 class HandStaged(StagedScanner):
     """A scanner whose phases play stages given by hand; its ``_admit``
     records each call and refuses every position divisible by 5."""

@@ -278,8 +278,10 @@ class Market:
     # CPython lays slots out, and clears them when a market is freed, in
     # the sorted order of their names.  "_stream_costs" sorts after "_perm",
     # so the cost array is freed after the permutation, as it was when the
-    # slot was "costs": the other way round, box_n20's next market drew its
-    # costs into fresh pages, 593 more page faults and ~7% more time a game.
+    # slot was "costs".  The other way round, random box games of 320000
+    # balls (n=20, m=16000) drew each next market's costs into fresh pages:
+    # 593 more minor page faults and about 7% more time a game (2-core Linux
+    # x86-64, CPython with glibc malloc).
     __slots__ = ("n", "universe", "seed", "_perm", "_stream_costs", "_drawn", "_cost_rng")
 
     def __init__(self, n: int, costs: np.ndarray, universe, seed: Optional[int],

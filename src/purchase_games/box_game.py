@@ -8,9 +8,12 @@ ends immediately with a Breaker win.  Maker wins the moment every box holds
 one of its balls.
 
 Orderings come in three flavors: ``random`` (a seeded uniform shuffle of all
-n*m balls), ``scripted`` (an explicit box sequence), and ``adversarial`` (an
-adaptive generator that feeds Breaker's scans box 0 and Maker's scans the
-other boxes while stock lasts).
+n*m balls), ``scripted`` (an explicit box sequence), and ``adversarial``.
+The adversarial ordering places each ball when a pointer first reaches it:
+Breaker's scans are shown box 0, Maker's scans boxes 1 .. n-1 lowest id
+first, and each side falls back to the other's pool once its own is empty.
+So box 0's balls take ranks 0 .. m-1 in the order they are placed, and the
+d-th ball placed from boxes 1 .. n-1 takes rank m + d.
 
 With m >= bn+1 balls per box, the min-box Maker (take a ball exactly when its
 box ties for the fewest balls not yet belonging to Breaker among uncovered
@@ -72,11 +75,7 @@ __all__ = [
     "BoxState",
     "box_threshold",
     "MinboxMaker",
-    "minbox_maker",
     "FocusBreaker",
-    "focus_breaker",
-    "AdversarialOrderer",
-    "adversarial_ordering",
     "play_box",
     "load_scripted_ordering",
     "save_scripted_ordering",
@@ -93,9 +92,12 @@ def box_threshold(n: int, b: int) -> int:
 
 
 def _checked_sequence(sequence, n: int, m: int) -> tuple:
-    """``sequence`` as a tuple of box ids, checked to hold each of the n
-    boxes exactly m times."""
-    seq = tuple(int(x) for x in sequence)
+    """``sequence`` as a tuple of Python int box ids, checked to be integers
+    and to hold each of the n boxes exactly m times."""
+    try:
+        seq = tuple(map(operator.index, sequence))
+    except TypeError as exc:
+        raise ValueError(f"box ids must be integers: {exc}") from None
     if len(seq) != n * m:
         raise ValueError(f"sequence must have exactly n*m = {n * m} entries, got {len(seq)}")
     # With the length right, an id outside 0..n-1 leaves some box short.
@@ -202,7 +204,7 @@ def _box_rules(b: int, n: int, m: int) -> GameRules:
 
 def _box_market(cfg: BoxConfig, seed: Optional[int]) -> Market:
     """The game's market.  An adversarial tape is costless, and its ranks
-    are -1 until the orderer places each ball as it is revealed; a scripted
+    are -1 until each ball is placed as it is revealed; a scripted
     tape's box b's j-th ball is rank b*m + j, with costs from ``seed``'s
     cost stream; a random tape is ``generate_market``'s."""
     n, m, total = cfg.n, cfg.m, cfg.total
@@ -226,31 +228,30 @@ def _box_market(cfg: BoxConfig, seed: Optional[int]) -> Market:
 
 class _BoxRuntime:
     """Box-only driver state beside the engine's GameState, which holds the
-    tape, pointers, ownership and purchases: the adversarial orderer and its
-    stock (None on a tape ordered in advance), every box's positions in
+    tape, pointers, ownership and purchases: on an adversarial tape, the
+    balls placed so far from box 0 (``zero``) and from boxes 1 .. n-1
+    (``drawn``), by the module docstring's rule; every box's positions in
     stream order, box b's at indices b*m to b*m + m - 1, and each box's
     positions that Breaker took ahead of Maker's pointer, in stream order
     (both for ``_minbox_turn`` and ``_focus_turn``, and None on an
     adversarial tape), and the number of Breaker turns.
     ``owner`` and ``ranks`` view the game's owners and the tape's ranks
-    (``market.perm``, which the orderer fills in on an adversarial tape)
+    (``market.perm``, which ``reveal_to`` fills in on an adversarial tape)
     without copying them.  These views and ``box_positions`` are
     memoryviews, so that the per-ball loops and ``bisect`` read Python ints
     from them rather than numpy scalars; a ball's box is its rank // m.
     ``costs`` is the market's whole cost array, read once here rather than
     once a turn."""
 
-    __slots__ = ("state", "goal", "orderer", "stock", "box_positions", "claims",
+    __slots__ = ("state", "goal", "zero", "drawn", "box_positions", "claims",
                  "breaker_turns", "owner", "ranks", "costs")
 
     def __init__(self, cfg: BoxConfig, seed: Optional[int]):
         n, m, total = cfg.n, cfg.m, cfg.total
         market = _box_market(cfg, seed)
-        self.orderer = self.stock = self.box_positions = self.claims = None
-        if cfg.ordering == "adversarial":
-            self.orderer = AdversarialOrderer(n)
-            self.stock = [m] * n
-        else:
+        self.box_positions = self.claims = None
+        self.zero = self.drawn = 0
+        if cfg.ordering != "adversarial":
             # Box b's balls hold ranks b*m .. b*m + m - 1, so each row of the
             # inverse permutation, sorted, is one box's positions.
             order = np.empty(total, dtype=np.min_scalar_type(total))
@@ -264,15 +265,21 @@ class _BoxRuntime:
         self.breaker_turns = 0
 
     def reveal_to(self, pos: int, player: int) -> None:
-        """Reveal the tape through ``pos``; on an adversarial tape the orderer
-        places each newly revealed ball for the scanning ``player``."""
+        """Reveal the tape through ``pos``; on an adversarial tape place each
+        newly revealed ball for the scanning ``player`` by the module
+        docstring's rule, as ``_play_minbox_fixed_p`` does."""
         state = self.state
-        if self.stock is not None:
+        if self.box_positions is None:
             ranks, m = self.ranks, self.goal.m
+            other, zero, drawn = (self.goal.n - 1) * m, self.zero, self.drawn
             for p in range(state.revealed_upto + 1, pos + 1):
-                box = self.orderer.next_box(player, self.stock)
-                self.stock[box] -= 1
-                ranks[p - 1] = box * m + m - 1 - self.stock[box]
+                if zero < m if player == BREAKER else drawn == other:
+                    ranks[p - 1] = zero
+                    zero += 1
+                else:
+                    ranks[p - 1] = m + drawn
+                    drawn += 1
+            self.zero, self.drawn = zero, drawn
         state.revealed_upto = pos
 
 
@@ -318,10 +325,6 @@ class MinboxMaker(Strategy):
                 and view.btb_counts[box] >= view.max_uncovered_btb)
 
 
-def minbox_maker(config: BoxConfig) -> MinboxMaker:
-    return MinboxMaker()
-
-
 class FocusBreaker(Strategy):
     """Keep a focus box (initially box 0) and take only its balls; once Maker
     acquires a ball there, refocus on the lowest-id box where Maker has none.
@@ -346,67 +349,6 @@ class FocusBreaker(Strategy):
             return False
         self._refresh(view)
         return item.label[0] == self.focus
-
-
-def focus_breaker(config: BoxConfig) -> FocusBreaker:
-    return FocusBreaker()
-
-
-class AdversarialOrderer:
-    """Adaptive ball supply: Breaker's scans see box 0 while it has stock;
-    Maker's scans see the other boxes, lowest id first; when the preferred
-    class is exhausted, fall back to the lowest-id box with stock."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def next_box(self, player: int, stock: Sequence[int]) -> int:
-        n = self.n
-        if player == BREAKER:
-            if stock[0] > 0:
-                return 0
-            for box in range(1, n):
-                if stock[box] > 0:
-                    return box
-        else:
-            for box in range(1, n):
-                if stock[box] > 0:
-                    return box
-            if stock[0] > 0:
-                return 0
-        raise RuntimeError("no stock left to order")
-
-
-def adversarial_ordering(config: BoxConfig, trace) -> tuple:
-    """Next (box, ball) the adversarial orderer supplies, as a pure function
-    of the revealed trace.
-
-    ``trace`` carries the full revealed history: an object or mapping with
-    ``revealed_boxes`` (box ids in stream order so far) and ``scanning``
-    (which player's pointer is at the frontier, "maker" or "breaker").
-    Raises ValueError for any other ``scanning``, a box id outside 0..n-1,
-    a box revealed more than m times, or a trace with no ball left.
-    """
-    if isinstance(trace, dict):
-        revealed = list(trace["revealed_boxes"])
-        scanning = trace["scanning"]
-    else:
-        revealed = list(trace.revealed_boxes)
-        scanning = trace.scanning
-    if scanning not in ("maker", "breaker"):
-        raise ValueError(f"scanning must be 'maker' or 'breaker', got {scanning!r}")
-    stock = [config.m] * config.n
-    for box in revealed:
-        if not 0 <= box < config.n:
-            raise ValueError(f"trace reveals box {box!r}, outside 0..{config.n - 1}")
-        stock[box] -= 1
-        if stock[box] < 0:
-            raise ValueError(f"trace over-reveals box {box}")
-    if len(revealed) == config.total:
-        raise ValueError("trace has revealed every ball")
-    player = MAKER if scanning == "maker" else BREAKER
-    box = AdversarialOrderer(config.n).next_box(player, stock)
-    return (box, config.m - stock[box])
 
 
 # --------------------------------------------------------------------------
@@ -615,10 +557,8 @@ def _play_minbox_fixed_p(goal: BoxState, b: int, p: float, owner, ranks, front: 
     double is below ``p``.  Without doubles it takes every unowned ball when
     ``p`` >= 1 and none otherwise.  The balls past ``front`` (the tape's
     length on a tape ordered in advance, 0 on an adversarial one) are placed
-    when a pointer first reaches them, as ``AdversarialOrderer`` places
-    them: boxes 1 .. n-1 lowest id first, box 0 to Breaker first, and each
-    player falling back to the other pool; the rank goes into ``ranks`` as
-    ``_BoxRuntime.reveal_to`` writes it.
+    when a pointer first reaches them, by the module docstring's rule; the
+    rank goes into ``ranks``.
 
     The pointers, the maximum count over uncovered boxes and the turn
     counters are locals.  A ball Maker passes cannot raise its box's count
@@ -784,5 +724,5 @@ def load_scripted_ordering(file, n: int, m: int) -> tuple:
     """Read a sequence from ``file`` (a path or a readable file object) and
     check that it holds each of the n boxes exactly m times."""
     with _opened(file) as src:
-        lines = [line for line in src if line.strip()]
-    return _checked_sequence(lines, n, m)
+        boxes = [int(line) for line in src if line.strip()]
+    return _checked_sequence(boxes, n, m)

@@ -521,14 +521,10 @@ class GameState:
 
     def item(self, position: int) -> Item:
         market = self.market
-        # Two reads rather than a call while the position's cost is drawn:
-        # this runs once per offered item.
-        costs = (market._stream_costs if position <= market._drawn
-                 else market._costs_through(position))
         return _deferred(
             Item, {"label": partial(market.label, position)},
             position=position,
-            cost=float(costs[position - 1]),
+            cost=float(market._costs_through(position)[position - 1]),
             owner=int(self.owner[position - 1]),
             revealed=position <= self.revealed_upto,
         )
@@ -613,10 +609,7 @@ class View:
 
     def cost(self, position: int) -> float:
         self._check(position)
-        market = self._state.market
-        costs = (market._stream_costs if position <= market._drawn
-                 else market._costs_through(position))
-        return float(costs[position - 1])
+        return float(self._state.market._costs_through(position)[position - 1])
 
     def label(self, position: int):
         self._check(position)
@@ -706,8 +699,7 @@ class TurnContext:
         end = b  # exclusive 0-based bound
         while lo < end:
             hi = min(lo + chunk, end)
-            costs = market._stream_costs if hi <= market._drawn else market._costs_through(hi)
-            seg = costs[lo:hi]
+            seg = market._costs_through(hi)[lo:hi]
             mask = seg <= thresholds if scalar else seg <= thresholds[lo:hi]
             if not include_owned:
                 mask &= owner[lo:hi] == UNOWNED
@@ -1103,14 +1095,13 @@ def _outcome(market: Market, maker_positions: list, breaker_positions: list, suc
              M: Optional[int], turns_used: int, failure_phase: Optional[object],
              details: Optional[dict] = None) -> Outcome:
     """The Outcome of a finished game on ``market`` in which the players
-    took ``maker_positions`` and ``breaker_positions``, with Maker's exact
-    cost, the market's seed and the labels to look up on first read;
-    ``failure_phase`` is recorded only when the goal was not met."""
+    took ``maker_positions`` and ``breaker_positions``, each in stream
+    order, with Maker's exact cost, the market's seed and the labels to
+    look up on first read; ``failure_phase`` is recorded only when the goal
+    was not met."""
     maker_positions = tuple(maker_positions)
     breaker_positions = tuple(breaker_positions)
-    costs = market._stream_costs
-    if market._drawn < market.n:
-        costs = market._costs_through(max(maker_positions, default=0))
+    costs = market._costs_through(maker_positions[-1] if maker_positions else 0)
     return _deferred(
         Outcome, {"maker_items": partial(_labels_of, market, maker_positions),
                   "breaker_items": partial(_labels_of, market, breaker_positions)},

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -294,7 +295,10 @@ def box_minimax(n: int, m: int, b: int, ordering_mode: str = "adversarial",
             raise ValueError(f"state space guard: fixed mode needs n*m <= {_FIXED_GUARD}")
         if ordering is None:
             raise ValueError("fixed mode needs an ordering")
-        seq = tuple(int(x) for x in ordering)
+        try:
+            seq = tuple(map(operator.index, ordering))
+        except TypeError as exc:
+            raise ValueError(f"box ids must be integers: {exc}") from None
         if len(seq) != total or any(seq.count(i) != m for i in range(n)):
             raise ValueError("ordering must contain each box id exactly m times")
         winner, nodes = _solve_fixed(n, m, b, seq, maker_first)
@@ -309,7 +313,7 @@ def box_minimax(n: int, m: int, b: int, ordering_mode: str = "adversarial",
     inputs = {"n": n, "m": m, "b": b, "ordering_mode": ordering_mode,
               "maker_first": maker_first}
     if ordering_mode == "fixed":
-        inputs["ordering"] = list(ordering)
+        inputs["ordering"] = list(seq)
     return MinimaxResult(winner="maker" if winner else "breaker",
                          node_count=nodes, inputs=inputs)
 

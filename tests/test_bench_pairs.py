@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: its summary on synthetic runs whose statistics are
-known, and the unpacking of a base revision away from the checkout."""
+known, and the unpacking of a base revision and the copying of the working
+tree away from the checkout."""
 
 import importlib.util
 import subprocess
@@ -133,3 +134,30 @@ def test_uncommitted_sees_edits_and_untracked_files(tmp_path):
     (tmp_path / "b.txt").unlink()
     (tmp_path / "a.txt").write_text("edited\n")
     assert bench_pairs.uncommitted(tmp_path)
+
+
+def test_copy_tree_takes_the_working_tree_without_ignored_or_deleted_files(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "a.txt").write_text("first\n")
+    (repo / "sub" / "b.txt").write_text("tracked\n")
+    (repo / "gone.txt").write_text("deleted later\n")
+    git("add", ".")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    (repo / "a.txt").write_text("edited in the checkout\n")
+    (repo / "gone.txt").unlink()
+    (repo / "sub" / "new.txt").write_text("untracked\n")
+    (repo / "sub" / "run.log").write_text("ignored\n")
+    dest = tmp_path / "change"
+    dest.mkdir()
+    bench_pairs.copy_tree(dest, repo)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "a.txt", "sub/b.txt", "sub/new.txt"]
+    assert (dest / "a.txt").read_text() == "edited in the checkout\n"
+    assert (dest / "sub" / "new.txt").read_text() == "untracked\n"

@@ -18,15 +18,11 @@ from hypothesis import strategies as st
 
 from purchase_games import box_game, engine, harness, streams
 from purchase_games.box_game import (
-    AdversarialOrderer,
     BoxConfig,
     FocusBreaker,
     MinboxMaker,
-    adversarial_ordering,
     box_threshold,
-    focus_breaker,
     load_scripted_ordering,
-    minbox_maker,
     play_box,
     save_scripted_ordering,
     _free_ball,
@@ -96,6 +92,14 @@ def test_scripted_sequence_errors(sequence, message):
     with pytest.raises(ValueError) as exc:
         load_scripted_ordering(io.StringIO("".join(f"{box}\n" for box in sequence)), 2, 3)
     assert str(exc.value) == message
+
+
+def test_scripted_box_ids_must_be_integers():
+    """A box id that is not an integer is refused, not truncated; the text
+    format's lines are still parsed as integers."""
+    with pytest.raises(ValueError, match="box ids must be integers"):
+        BoxConfig(n=2, m=1, b=1, ordering="scripted", sequence=(0.9, 1.2))
+    assert load_scripted_ordering(io.StringIO("1\n0\n"), 2, 1) == (1, 0)
 
 
 def test_single_ball_game():
@@ -855,39 +859,6 @@ def test_pointer_persistence():
 # --------------------------------------------------------------------------
 
 
-def test_adversarial_orderer_pattern():
-    orderer = AdversarialOrderer(3)
-    stock = [2, 2, 2]
-    assert orderer.next_box(MAKER, stock) == 1      # non-box-0, lowest id
-    assert orderer.next_box(BREAKER, stock) == 0    # box 0 while stock lasts
-    assert orderer.next_box(MAKER, [2, 0, 0]) == 0  # fallback
-    assert orderer.next_box(BREAKER, [0, 1, 2]) == 1
-
-
-def test_adversarial_ordering_function():
-    cfg = BoxConfig(n=2, m=2, b=1, ordering="adversarial")
-    box, ball = adversarial_ordering(cfg, {"revealed_boxes": [], "scanning": "maker"})
-    assert box == 1 and ball == 0  # first ball of box 1
-    box, _ = adversarial_ordering(cfg, {"revealed_boxes": [1, 1], "scanning": "maker"})
-    assert box == 0  # non-box-0 stock exhausted
-    box, _ = adversarial_ordering(cfg, {"revealed_boxes": [], "scanning": "breaker"})
-    assert box == 0
-
-
-@pytest.mark.parametrize("revealed, scanning, message", [
-    ([-1, -1], "maker", "trace reveals box -1, outside 0..1"),
-    ([0, 2], "breaker", "trace reveals box 2, outside 0..1"),
-    ([1, 1, 1], "maker", "trace over-reveals box 1"),
-    ([], "Maker", "scanning must be 'maker' or 'breaker', got 'Maker'"),
-    ([0, 1, 1, 0], "breaker", "trace has revealed every ball"),
-])
-def test_adversarial_ordering_rejects_bad_traces(revealed, scanning, message):
-    cfg = BoxConfig(n=2, m=2, b=1, ordering="adversarial")
-    with pytest.raises(ValueError) as exc:
-        adversarial_ordering(cfg, {"revealed_boxes": revealed, "scanning": scanning})
-    assert str(exc.value) == message
-
-
 def test_adversarial_game_trace_vs_oracle():
     # Full engine trace at n=2, b=1, m=2 against the adaptive orderer,
     # compared with the exact adversarial-minimax winner.  With Maker moving
@@ -924,12 +895,6 @@ def test_scripted_ordering_roundtrip(tmp_path):
         load_scripted_ordering(io.StringIO("0\n0\n0\n1\n"), 2, 2)
 
 
-def test_factories():
-    cfg = BoxConfig(n=2, m=3, b=1)
-    assert isinstance(minbox_maker(cfg), MinboxMaker)
-    assert isinstance(focus_breaker(cfg), FocusBreaker)
-
-
 def test_adversarial_adaptive_engine_at_threshold():
     # Through the engine with the adaptive orderer: at m = bn+1 the min-box
     # maker wins even with the ordering colluding with an always-taking
@@ -947,7 +912,7 @@ def test_outcome_gathers_label_ranks_on_first_read(monkeypatch):
     ranks_at = engine._ranks_at
     monkeypatch.setattr(engine, "_ranks_at", lambda *a: calls.append(a) or ranks_at(*a))
     cfg = BoxConfig(n=4, m=6, b=1, ordering="random")
-    out = play_box(cfg, minbox_maker(cfg), RandomStrategy(0.5, 7), seed=5)
+    out = play_box(cfg, MinboxMaker(), RandomStrategy(0.5, 7), seed=5)
     assert out.breaker_positions and calls == []
     market = engine.generate_market(cfg.total, 5, engine.BoxLabels(cfg.n, cfg.m))
     assert out.breaker_items == tuple(market.label(p) for p in out.breaker_positions)

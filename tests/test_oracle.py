@@ -225,6 +225,17 @@ def test_box_minimax_guards_and_validation():
         box_minimax(2, 2, 1, "nonsense")
 
 
+def test_box_minimax_refuses_non_integer_box_ids():
+    with pytest.raises(ValueError, match="box ids must be integers"):
+        box_minimax(2, 1, 1, "fixed", ordering=[0.7, 1.9])
+
+
+def test_box_minimax_records_the_checked_ordering_as_ints():
+    result = box_minimax(2, 1, 1, "fixed", ordering=np.array([0, 1]))
+    assert json.loads(result.to_json_record())["inputs"]["ordering"] == [0, 1]
+    assert all(type(box) is int for box in result.inputs["ordering"])
+
+
 def test_box_minimax_result_keeps_no_memo():
     """The result holds the winner, the node count and the inputs, and no
     memo: the search's table (12 MB here) is freed when it returns."""

@@ -1,7 +1,9 @@
 """Run the benchmark on a base revision and on the working tree, in pairs.
 
 The base revision is unpacked with ``git archive`` into a temporary
-directory, so the checkout is never written to.  Pair i runs
+directory, and the working tree's files (tracked ones, and untracked ones
+that git does not ignore) are copied into another, so both sides run from
+a fresh directory and the checkout is never written to.  Pair i runs
 
     python3 perfbench/run.py --workload W --seed S+i --seconds T --trace 0
 
@@ -9,11 +11,11 @@ in both trees, the base first when i is even and the working tree first
 when it is odd, and reads the JSON line each run ends with and the
 ``ms_per_trial.<config>: median ...`` line it prints for each config.  Each
 run also records its CPU seconds (``cpu_s``, user plus system, of the run's
-process and its children), and each working-tree run whether that tree had
-uncommitted changes (``dirty``).  For every end-to-end metric, the CPU
-seconds and every config's median it prints both sides' medians and
-quartiles, the relative change of the medians and in how many pairs the
-working tree read lower:
+process and its children), and each working-tree run whether the checkout
+had uncommitted changes when it was copied (``dirty``).  For every
+end-to-end metric, the CPU seconds and every config's median it prints
+both sides' medians and quartiles, the relative change of the medians and
+in how many pairs the working tree read lower:
 
     python3 tools/bench_pairs.py --base HEAD --workload short-trials --pairs 10
 
@@ -25,6 +27,7 @@ import io
 import json
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -47,6 +50,19 @@ def unpack(rev: str, dest: Path, repo: Path = ROOT) -> str:
         else:
             tar.extractall(dest)
     return sha
+
+
+def copy_tree(dest: Path, repo: Path = ROOT) -> None:
+    """Copy the working tree of ``repo`` into ``dest``: its tracked files as
+    they are on disk, and its untracked files that git does not ignore."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=repo, check=True,
+                            capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = repo / name
+        if source.is_file() or source.is_symlink():  # a tracked file may be deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name, follow_symlinks=False)
 
 
 _PER_CONFIG = re.compile(r"(ms_per_trial\.\S+): median (\S+) ms ")
@@ -153,10 +169,12 @@ def main(argv=None) -> int:
     report = {"command": "python3 perfbench/run.py --workload W --seed S --seconds "
                          f"{args.seconds:g} --trace 0", "workloads": {}}
     correct = True
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = Path(tmp)
-        report["base"] = unpack(args.base, base_tree)
-        trees = {"base": base_tree, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp:
+        trees = {"base": Path(base_tmp), "change": Path(change_tmp)}
+        report["base"] = unpack(args.base, trees["base"])
+        dirty = uncommitted()
+        copy_tree(trees["change"])
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
@@ -166,7 +184,7 @@ def main(argv=None) -> int:
                 for side in order:
                     pair[side] = run_once(trees[side], workload, seed, args.seconds)
                     if side == "change":
-                        pair[side]["dirty"] = uncommitted()
+                        pair[side]["dirty"] = dirty
                     correct &= bool(pair[side].get("correct"))
                 pairs.append(pair)
                 print(f"{workload} pair {i} seed {seed}: base {_values(pair['base'])}"
@@ -174,10 +192,9 @@ def main(argv=None) -> int:
             summary = summarize([_values(p["base"]) for p in pairs],
                                 [_values(p["change"]) for p in pairs])
             report["workloads"][workload] = {"pairs": pairs, "summary": summary}
-            dirty = sum(p["change"]["dirty"] for p in pairs)
             print(f"== {workload}: {args.pairs} pairs, seeds {args.seed}.."
                   f"{args.seed + args.pairs - 1}, base {report['base'][:12]}, working tree"
-                  f" dirty in {dirty}/{args.pairs} runs")
+                  f" {'dirty' if dirty else 'clean'}")
             print("\n".join(format_summary(summary)), flush=True)
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=1) + "\n")
